@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
 from .cyclotomic import CyclotomicElement, I_UNIT, XI, imag_part, zeta_pow
 
@@ -563,8 +563,5 @@ def eigenbasis_checks(b: int, n: int) -> dict:
 def _integer_sqrt(b: int):
     if b < 0:
         return None
-    r = int(b ** 0.5)
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c * c == b:
-            return c
-    return None
+    r = isqrt(b)
+    return r if r * r == b else None

@@ -17,10 +17,11 @@ symplectic bases, winding numbers and the Arf invariant exactly computable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 import json
 
-from .perms import Permutation, commutator, compose, is_transitive, parse_cycles
+from .perms import (Permutation, _canonical_pair, commutator, compose,
+                    cycle_text, is_transitive, parse_cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -365,38 +366,16 @@ class Origami:
     # -- canonical form ----------------------------------------------------
 
     def canonical_form(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Lexicographically least relabeling over BFS from every start square
-        with edge order (h, v, h^-1, v^-1)."""
-        if self._canon is not None:
-            return self._canon
-        n = self.n
-        h, v = self.h.images, self.v.images
-        hi, vi = self.h.inverse().images, self.v.inverse().images
-        best = None
-        for start in range(n):
-            new = [-1] * n
-            order = [start]
-            new[start] = 0
-            cnt = 1
-            qi = 0
-            while qi < len(order):
-                s = order[qi]
-                qi += 1
-                for t in (h[s], v[s], hi[s], vi[s]):
-                    if new[t] < 0:
-                        new[t] = cnt
-                        cnt += 1
-                        order.append(t)
-            hn = [0] * n
-            vn = [0] * n
-            for s in range(n):
-                hn[new[s]] = new[h[s]]
-                vn[new[s]] = new[v[s]]
-            enc = (tuple(hn), tuple(vn))
-            if best is None or enc < best:
-                best = enc
-        object.__setattr__(self, "_canon", best)
-        return best
+        """Lexicographically least relabeling (hn, vn) over BFS from every
+        start square with edge order (h, v, h^-1, v^-1); cached.
+
+        A start is dropped as soon as an entry of its hn exceeds the best hn
+        so far, and vn is compared only when hn ties (see `_canonical_pair`).
+        """
+        if self._canon is None:
+            object.__setattr__(self, "_canon",
+                               _canonical_pair(self.h.images, self.v.images))
+        return self._canon
 
     def canonical(self) -> "Origami":
         hn, vn = self.canonical_form()
@@ -452,26 +431,41 @@ class Origami:
         return self.act_matrix(M).canonical_form() == self.canonical_form()
 
     def sl2z_orbit_forms(self, cap: int = 10**6) -> set:
-        """Canonical forms of the full SL(2,Z)-orbit (BFS over L, R)."""
-        seen = {self.canonical_form()}
-        queue = [self]
+        """Canonical forms of the full SL(2,Z)-orbit.
+
+        BFS over L: h -> v^-1 h and R: v -> h^-1 v only, applied to the
+        canonical image pairs.  L and R generate SL(2,Z), the orbit is finite
+        and each of them acts on it as a bijection, so L^-1 and R^-1 act as
+        powers of L and R there and the forward closure is the whole orbit.
+        The pairs stay transitive, since <v^-1 h, v> = <h, v> = <h, h^-1 v>.
+        Raises OrbitCapExceeded once more than `cap` forms are found.
+        """
+        first = self.canonical_form()
+        seen = {first}
+        queue = [first]
         qi = 0
         while qi < len(queue):
-            o = queue[qi]
+            h, v = queue[qi]
             qi += 1
-            for g in ("L", "R", "Linv", "Rinv"):
-                o2 = o.act_generator(g)
-                enc = o2.canonical_form()
+            n = len(h)
+            hi = [0] * n
+            vi = [0] * n
+            for s in range(n):
+                hi[h[s]] = s
+                vi[v[s]] = s
+            for h2, v2 in (([vi[t] for t in h], v), (h, [hi[t] for t in v])):
+                enc = _canonical_pair(h2, v2)
                 if enc not in seen:
                     if len(seen) >= cap:
                         raise OrbitCapExceeded(len(seen))
                     seen.add(enc)
-                    queue.append(o2)
+                    queue.append(enc)
         return seen
 
     def sl2z_orbit(self, cap: int = 10**6) -> OrbitReport:
         reps = sorted(self.sl2z_orbit_forms(cap))
-        texts = tuple(Origami(Permutation(h), Permutation(v)).to_text()
+        # the text of to_text, formatted straight from the image tuples
+        texts = tuple(f"n={len(h)} h={cycle_text(h)} v={cycle_text(v)}"
                       for h, v in reps)
         return OrbitReport(len(reps), str(self.stratum()), self.is_reduced(), texts)
 
@@ -772,7 +766,7 @@ def l_origami(b: int, e: int) -> LOrigami:
     if e == 1 and b % 2:
         raise ValueError("e = 1 requires b even")
     D = e * e + 4 * b
-    d = _isqrt(D)
+    d = isqrt(D)
     if d * d != D:
         raise ValueError(f"D = {D} is not a perfect square")
     lam = (e + d) // 2
@@ -791,8 +785,3 @@ def l_origami(b: int, e: int) -> LOrigami:
     gram = [[intersection(x, y) for y in basis] for x in basis]
     assert gram == expected, f"basis of l_origami({b},{e}) is not symplectic"
     return LOrigami(o, b, e, d, lam, basis)
-
-
-def _isqrt(x: int) -> int:
-    from math import isqrt
-    return isqrt(x)

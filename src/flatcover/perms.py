@@ -96,9 +96,7 @@ class Permutation:
 
     def format_cycles(self) -> str:
         """1-based disjoint-cycle text; identity formats as the empty string."""
-        return "".join(
-            "(" + ",".join(str(i + 1) for i in cyc) + ")" for cyc in self.cycles()
-        )
+        return cycle_text(self.images)
 
     # -- constructors ------------------------------------------------------
 
@@ -156,6 +154,96 @@ def is_transitive(gens: list[Permutation], n: int) -> bool:
                 count += 1
                 stack.append(y)
     return count == n
+
+
+def _canonical_pair(h: Sequence[int],
+                    v: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Canonical relabelling of a transitive pair of image tuples under
+    simultaneous conjugation.
+
+    A BFS from a start square with edge order (h, v, h^-1, v^-1) numbers the
+    squares in visiting order and gives the relabelled pair (hn, vn); the
+    result is the lexicographically least (hn, vn) over all start squares.
+
+    The BFS fixes hn[k] = new[h[order[k]]] as soon as it takes node k from
+    the queue, so a start is dropped at the first entry where its hn exceeds
+    the best hn so far; vn is compared only when hn ties all the way.  Only
+    starts that can reach the least hn[0] and hn[1] are tried: hn[0] = 0
+    exactly at fixed points of h (1 elsewhere), and without fixed points
+    hn[1] = 0 exactly in 2-cycles of h (at least 2 elsewhere, since label 1
+    is h(start)).
+    """
+    n = len(h)
+    hi = [0] * n
+    vi = [0] * n
+    for s in range(n):
+        hi[h[s]] = s
+        vi[v[s]] = s
+    starts = ([s for s in range(n) if h[s] == s]
+              or [s for s in range(n) if h[h[s]] == s]
+              or range(n))
+    best_h = best_v = None
+    for start in starts:
+        new = [-1] * n
+        new[start] = 0
+        order = [start]
+        cnt = 1
+        tied = best_h is not None
+        for k, s in enumerate(order):
+            t = h[s]
+            x = new[t]
+            if x < 0:
+                new[t] = x = cnt
+                cnt += 1
+                order.append(t)
+            if tied and x != best_h[k]:
+                if x > best_h[k]:
+                    break
+                tied = False
+            # v, h^-1, v^-1 unrolled: this loop is the hot path of the census
+            t = v[s]
+            if new[t] < 0:
+                new[t] = cnt
+                cnt += 1
+                order.append(t)
+            t = hi[s]
+            if new[t] < 0:
+                new[t] = cnt
+                cnt += 1
+                order.append(t)
+            t = vi[s]
+            if new[t] < 0:
+                new[t] = cnt
+                cnt += 1
+                order.append(t)
+        else:
+            vn = tuple([new[v[s]] for s in order])
+            if not tied:
+                best_h = tuple([new[h[s]] for s in order])
+                best_v = vn
+            elif vn < best_v:
+                best_v = vn
+    return best_h, best_v
+
+
+def cycle_text(images: Sequence[int]) -> str:
+    """1-based disjoint-cycle text of the permutation with these images.
+
+    Cycles start at their smallest element and are listed in the order of
+    those elements; fixed points are left out, so the identity gives "".
+    """
+    seen = [False] * len(images)
+    parts = []
+    for start, j in enumerate(images):
+        if seen[start] or j == start:
+            continue
+        cyc = [str(start + 1)]
+        while j != start:
+            seen[j] = True
+            cyc.append(str(j + 1))
+            j = images[j]
+        parts.append("(" + ",".join(cyc) + ")")
+    return "".join(parts)
 
 
 def parse_cycles(text: str, n: int) -> Permutation:

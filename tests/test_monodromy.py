@@ -238,3 +238,13 @@ def test_eigenbasis_validation():
         eigenbasis_checks(4, 4)   # n even
     with pytest.raises(ValueError):
         eigenbasis_checks(9, 9)   # n not coprime to b
+
+
+def test_integer_sqrt_is_exact_on_large_values():
+    from flatcover.monodromy import _integer_sqrt
+    r = 10 ** 20 + 12345
+    assert _integer_sqrt(r * r) == r          # float sqrt misses this square
+    assert _integer_sqrt(r * r + 1) is None
+    assert _integer_sqrt(10 ** 400) == 10 ** 200   # float sqrt overflows
+    assert _integer_sqrt(0) == 0
+    assert _integer_sqrt(-4) is None

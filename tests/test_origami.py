@@ -50,6 +50,63 @@ def test_canonical_form_conjugation_invariant(o, seed):
     assert conj == o
 
 
+def reference_canonical_form(o):
+    """The plain loop: full BFS from every start square with edge order
+    (h, v, h^-1, v^-1), least (hn, vn) over all of them."""
+    n = o.n
+    h, v = o.h.images, o.v.images
+    hi, vi = o.h.inverse().images, o.v.inverse().images
+    best = None
+    for start in range(n):
+        new = [-1] * n
+        order = [start]
+        new[start] = 0
+        cnt = 1
+        qi = 0
+        while qi < len(order):
+            s = order[qi]
+            qi += 1
+            for t in (h[s], v[s], hi[s], vi[s]):
+                if new[t] < 0:
+                    new[t] = cnt
+                    cnt += 1
+                    order.append(t)
+        hn = [0] * n
+        vn = [0] * n
+        for s in range(n):
+            hn[new[s]] = new[h[s]]
+            vn[new[s]] = new[v[s]]
+        enc = (tuple(hn), tuple(vn))
+        if best is None or enc < best:
+            best = enc
+    return best
+
+
+def relabel(o, seed):
+    import random
+    images = list(range(o.n))
+    random.Random(seed).shuffle(images)
+    g = Permutation(images)
+    return Origami(o.h.conjugate(g), o.v.conjugate(g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(origamis(max_n=8), st.integers(0, 2 ** 30))
+def test_canonical_form_matches_reference_loop(o, seed):
+    want = reference_canonical_form(o)
+    assert o.canonical_form() == want
+    assert relabel(o, seed).canonical_form() == want
+
+
+def test_canonical_form_matches_reference_on_symmetric_surfaces():
+    # many starts tie all the way in hn: translation surfaces and lifts
+    for o in (ESCALATOR, FIVE, l_origami(6, 1).origami,
+              make_origami("(1,2)(6,7)(3,8)(4,9)(5,10)", "(2,3,4,5)(7,8,9,10)", 10),
+              make_origami("(1,2,3,4,5,6)", "(1,3,5)(2,4,6)", 6)):
+        for seed in range(5):
+            assert relabel(o, seed).canonical_form() == reference_canonical_form(o)
+
+
 @settings(max_examples=40)
 @given(origamis())
 def test_conjugation_preserves_stratum(o):
@@ -146,6 +203,56 @@ def test_orbit_sizes():
 def test_orbit_cap():
     with pytest.raises(OrbitCapExceeded):
         l_origami(6, 1).origami.sl2z_orbit(cap=5)
+    with pytest.raises(OrbitCapExceeded) as exc:
+        l_origami(6, 1).origami.sl2z_orbit_forms(cap=17)
+    assert exc.value.partial_count == 17
+    assert len(l_origami(6, 1).origami.sl2z_orbit_forms(cap=18)) == 18
+
+
+def reference_orbit_forms(o):
+    """BFS over all four generators L, R, L^-1, R^-1 on Origami objects,
+    with the reference canonical form."""
+    seen = {reference_canonical_form(o)}
+    queue = [o]
+    for o in queue:
+        for g in ("L", "R", "Linv", "Rinv"):
+            o2 = o.act_generator(g)
+            enc = reference_canonical_form(o2)
+            if enc not in seen:
+                seen.add(enc)
+                queue.append(o2)
+    return seen
+
+
+def origami_of(form):
+    return Origami(Permutation(form[0]), Permutation(form[1]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(origamis(max_n=7))
+def test_orbit_matches_four_generator_reference(o):
+    assert o.sl2z_orbit_forms() == reference_orbit_forms(o)
+
+
+@settings(max_examples=25, deadline=None)
+@given(origamis(max_n=7))
+def test_orbit_closed_under_inverse_generators(o):
+    forms = o.sl2z_orbit_forms()
+    for form in forms:
+        member = origami_of(form)
+        assert member.canonical_form() == form
+        for g in ("Linv", "Rinv"):
+            assert member.act_generator(g).canonical_form() in forms
+
+
+def test_orbit_of_lift_matches_reference():
+    lift = make_origami("(1,2)(6,7)(3,8)(4,9)(5,10)", "(2,3,4,5)(7,8,9,10)", 10)
+    forms = lift.sl2z_orbit_forms()
+    assert forms == reference_orbit_forms(lift)
+    report = lift.sl2z_orbit()
+    assert report.size == len(forms) == 36
+    assert report.representatives == tuple(origami_of(f).to_text()
+                                           for f in sorted(forms))
 
 
 # -- translations and quotients ---------------------------------------------

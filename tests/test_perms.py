@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from flatcover.perms import (Permutation, commutator, compose, format_cycles,
-                             is_transitive, parse_cycles)
+from flatcover.perms import (Permutation, commutator, compose, cycle_text,
+                             format_cycles, is_transitive, parse_cycles)
 
 
 def perms(max_n=8):
@@ -101,3 +101,9 @@ def test_transitivity():
     assert not is_transitive([a], 4)
     with pytest.raises(ValueError):
         is_transitive([a], 5)
+
+
+@given(perms())
+def test_cycle_text_matches_cycles(p):
+    assert cycle_text(p.images) == "".join(
+        "(" + ",".join(str(i + 1) for i in cyc) + ")" for cyc in p.cycles())
