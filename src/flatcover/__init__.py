@@ -3,3 +3,8 @@ square-tiled surfaces — orbits, monodromy mod m, exact period arithmetic,
 and the classification tables."""
 
 __version__ = "0.1.0"
+
+
+class InvariantError(RuntimeError):
+    """A library invariant failed: a defect in flatcover or in a reference
+    value it checks against, never bad input (that raises ValueError)."""

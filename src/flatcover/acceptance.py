@@ -9,19 +9,18 @@ from __future__ import annotations
 
 from .classify import (HYP_LABELS, branched_cover_types, count_formulas,
                        echoes_of_WD, is_primitive_cover, primitive_cover_oracle,
-                       primitive_echo_table, verify_sts_orbits)
+                       primitive_echo_table, square_spins, verify_sts_orbits)
 from .covers import all_double_covers, cover_label
-from .lshape import (modulus_ratio, multitwist_matrix, rational,
-                     vertical_twist_matrix, horizontal_twist_matrix)
+from .lshape import (modulus_ratio, rational, vertical_twist_matrix,
+                     horizontal_twist_matrix)
 from .monodromy import (constrained_subgroup, decagon_cyclic_echo_count,
                         dihedral_structure, group_closure, is_symplectic,
                         commutes, self_adjoint, mat_H, mat_T, mat_V, mat_X,
-                        mat_mod, mat_mul, mat_pow, mat_vec, mat_transpose,
-                        nonzero_vectors_mod2, orbit_partition, rho_R, rho_T,
-                        sp4_f2, verify_decagon_periods, eigenbasis_checks,
-                        IDENTITY4)
+                        mat_mod, mat_pow, mat_vec, nonzero_vectors_mod2,
+                        orbit_partition, rho_R, rho_T, sp4_f2,
+                        verify_decagon_periods, eigenbasis_checks)
 from .origami import Origami, l_origami
-from .perms import Permutation, compose, parse_cycles
+from .perms import compose, parse_cycles
 
 TABLE1 = (3, 1, 3, 8, 3, 1, 3, 1, 24, 3, 3, 1, 3, 8)  # N(n) for n = 2..15
 
@@ -35,7 +34,7 @@ def check_table1(fast: bool = False):
 
 def check_decagon_mod2(fast: bool = False):
     G = group_closure([rho_R(), rho_T()], 2)
-    k = dihedral_structure(G)
+    k = dihedral_structure(G, mod=2)
     parts = orbit_partition([mat_mod(rho_R(), 2), mat_mod(rho_T(), 2)],
                             nonzero_vectors_mod2(), 2)
     ok = len(G) == 10 and k == 5 and len(parts) == 3 and all(len(p) == 5 for p in parts)
@@ -213,9 +212,7 @@ def check_covers(fast: bool = False):
 def check_arf_split(fast: bool = False):
     top = 4 if fast else 11
     for d in range(3, top + 1):
-        spins = [0] if d % 2 == 0 else ([-1] if d == 3 else [1, -1])
-        for e in spins:
-            b = (d * d - e * e) // 4
+        for b, e in square_spins(d):
             base = l_origami(b, e)
             basis = list(base.basis)
             arf0 = set()
@@ -288,8 +285,7 @@ TABLE3 = {
 def check_primitivity(fast: bool = False):
     top = 10 if fast else 30
     for d in range(3, top + 1):
-        spins = [0] if d % 2 == 0 else ([-1] if d == 3 else [1, -1])
-        for e in spins:
+        for _, e in square_spins(d):
             for label in range(1, 16):
                 if is_primitive_cover(d, e, label) != primitive_cover_oracle(d, e, label):
                     return False, f"closed form vs oracle disagree at (d,e,label)=({d},{e},{label})"

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from . import InvariantError
 from .covers import all_double_covers, cover_label
 from .monodromy import (label_vector, mat_H, mat_V, mat_X, mat_mod,
-                        nonzero_vectors_mod2, orbit_partition, vector_label)
+                        nonzero_vectors_mod2, orbit_partition,
+                        primitive_vector_count, vector_label)
 from .origami import l_origami
 
 HYP_LABELS = frozenset({2, 3, 5, 9, 13})
@@ -92,10 +94,9 @@ def echoes_of_WD(D: int, e: int | None = None) -> EchoTable:
     for comp in parts:
         labels = tuple(sorted(vector_label(v) for v in comp))
         (hyp if labels[0] in HYP_LABELS else odd).append(labels)
-    for block in hyp:
-        assert all(l in HYP_LABELS for l in block)
-    for block in odd:
-        assert not any(l in HYP_LABELS for l in block)
+    if (any(l not in HYP_LABELS for block in hyp for l in block)
+            or any(l in HYP_LABELS for block in odd for l in block)):
+        raise InvariantError(f"orbit blocks of D={D} mix hyperelliptic and odd labels")
     return EchoTable(D, b, e, tuple(sorted(hyp)), tuple(sorted(odd)))
 
 
@@ -125,16 +126,21 @@ _PRIMITIVITY_ANCHORS = {
 }
 
 
-def _square_spin(d: int, e: int) -> tuple[int, int]:
+def square_spins(d: int) -> list[tuple[int, int]]:
+    """(b, e) with e^2 + 4b = d^2 for each spin component of W_{d^2}: e = 0
+    for even d, only e = -1 for d = 3, and e = 1 and e = -1 for odd d >= 5."""
     if d < 3:
         raise ValueError("need d >= 3")
-    D = d * d
-    if d % 2 == 0:
-        if e != 0:
-            raise ValueError("even d admits only e = 0")
-    elif e not in (-1, 1):
-        raise ValueError("odd d admits only e = 1 or e = -1")
-    return _spin_parameters(D, e)
+    spins = [0] if d % 2 == 0 else ([-1] if d == 3 else [1, -1])
+    return [((d * d - e * e) // 4, e) for e in spins]
+
+
+def _square_spin(d: int, e: int) -> tuple[int, int]:
+    spins = square_spins(d)
+    for b, spin in spins:
+        if spin == e:
+            return b, e
+    raise ValueError(f"d={d} admits only e in {[spin for _, spin in spins]}")
 
 
 def is_primitive_cover(d: int, e: int, label: int) -> bool:
@@ -149,9 +155,10 @@ def is_primitive_cover(d: int, e: int, label: int) -> bool:
         if label in block:
             values = {_PRIMITIVITY_ANCHORS[l](d, e)
                       for l in block if l in _PRIMITIVITY_ANCHORS}
-            assert len(values) == 1, f"inconsistent anchors in block {block}"
+            if len(values) != 1:
+                raise InvariantError(f"inconsistent anchors in block {block}")
             return values.pop()
-    raise AssertionError("label not found in any orbit block")
+    raise InvariantError("label not found in any orbit block")
 
 
 def primitive_cover_oracle(d: int, e: int, gamma) -> bool:
@@ -189,7 +196,8 @@ def primitive_cover_oracle(d: int, e: int, gamma) -> bool:
         g = gcd(g, m)
     if g == 0:
         return False
-    assert g in (1, 2), f"unexpected period lattice index {g}"
+    if g not in (1, 2):
+        raise InvariantError(f"unexpected period lattice index {g}")
     return g == 1
 
 
@@ -213,15 +221,7 @@ def primitive_echo_table(d: int, e: int) -> EchoTable:
 def branched_cover_types(d: int) -> int:
     """Number of types of degree-2d branched covers: orbit blocks of the
     primitive echo tables summed over the spin components of W_{d^2}."""
-    if d < 3:
-        raise ValueError("need d >= 3")
-    if d % 2 == 0:
-        spins = [0]
-    elif d == 3:
-        spins = [-1]
-    else:
-        spins = [1, -1]
-    return sum(primitive_echo_table(d, e).echo_count for e in spins)
+    return sum(primitive_echo_table(d, e).echo_count for _, e in square_spins(d))
 
 
 # ---------------------------------------------------------------------------
@@ -233,35 +233,17 @@ def count_formulas(n: int):
     eigenform surfaces, for odd n (b_3 undefined: W_9 has a single orbit)."""
     if n < 3 or n % 2 == 0:
         raise ValueError("the counting formulas apply to odd n >= 3")
-    a = Fraction(3, 16) * (n - 1) * n * n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            a *= 1 - Fraction(1, p * p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        a *= 1 - Fraction(1, m * m)
-    assert a.denominator == 1
+    # a_n = 3/16 (n - 1) n^2 prod_{p | n} (1 - p^-2) = 3/16 (n - 1) J_2(n)
+    a = Fraction(3, 16) * (n - 1) * primitive_vector_count(n, 2)
+    if a.denominator != 1:
+        raise InvariantError(f"a_{n} = {a} is not an integer")
     a = int(a)
     if n == 3:
         return a, None
     b = Fraction(n - 3, n - 1) * a
-    assert b.denominator == 1
+    if b.denominator != 1:
+        raise InvariantError(f"b_{n} = {b} is not an integer")
     return a, int(b)
-
-
-def _sts_parameters(n: int):
-    """(b, e) per spin component of W_{n^2} realized by n-square surfaces."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if n % 2 == 0:
-        return [(n * n // 4, 0)]
-    if n == 3:
-        return [(2, -1)]
-    return [((n * n - 1) // 4, 1), ((n * n - 1) // 4, -1)]
 
 
 def verify_sts_orbits(n: int, cap: int = 11) -> dict:
@@ -279,7 +261,7 @@ def verify_sts_orbits(n: int, cap: int = 11) -> dict:
         raise ValueError(f"n={n} exceeds cap {cap}")
     spins = []
     total_orbits = 0
-    for b, e in _sts_parameters(n):
+    for b, e in square_spins(n):
         base = l_origami(b, e)
         table = echoes_of_WD(base.d * base.d, e if n % 2 else None)
         base_orbit = base.origami.sl2z_orbit_forms()
@@ -321,13 +303,15 @@ def verify_sts_orbits(n: int, cap: int = 11) -> dict:
 
         for o in orbits:
             arfs = set(o["arfs"])
-            assert len(arfs) == 1, "Arf not constant on an orbit"
+            if len(arfs) != 1:
+                raise InvariantError(f"Arf not constant on the orbit of {o['labels']}")
             o["arf"] = arfs.pop()
-            assert (o["arf"] == 0) == (o["labels"][0] in HYP_LABELS)
+            if (o["arf"] == 0) != (o["labels"][0] in HYP_LABELS):
+                raise InvariantError(f"Arf {o['arf']} contradicts labels {o['labels']}")
             o["size_matches_product"] = (
                 o["size"] == len(base_orbit) * o["block_size"])
-            if o["translation_order"] == 2:
-                assert o["size_matches_product"], o["labels"]
+            if o["translation_order"] == 2 and not o["size_matches_product"]:
+                raise InvariantError(f"orbit size of {o['labels']} breaks the product rule")
             del o["members"], o["arfs"]
 
         spin = {
@@ -339,7 +323,8 @@ def verify_sts_orbits(n: int, cap: int = 11) -> dict:
             a_n, b_n = count_formulas(n)
             expected = a_n if (base.d - e) % 4 == 0 else (b_n if b_n else a_n)
             spin["expected_base_size"] = expected
-            assert len(base_orbit) == expected
+            if len(base_orbit) != expected:
+                raise InvariantError(f"base orbit {len(base_orbit)}, formula {expected}")
         total_orbits += len(orbits)
         spins.append(spin)
 

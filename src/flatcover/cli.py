@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: orbit, echoes, primitive, decagon, covers, sts, verify.
-Exit codes: 0 success, 1 verification mismatch, 2 usage error.
+Exit codes: 0 success, 1 verification mismatch or failed internal invariant,
+2 usage error.
 """
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import __version__
+from . import InvariantError, __version__
 from .acceptance import run_all
 from .classify import (census_to_json, echoes_of_WD, is_primitive_cover,
                        primitive_echo_table, verify_sts_orbits)
@@ -196,9 +197,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, AssertionError, OrbitCapExceeded) as exc:
+    except (ValueError, OrbitCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

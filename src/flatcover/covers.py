@@ -10,8 +10,9 @@ fundamental cycle, which kills the coboundary ambiguity at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
+from . import InvariantError
+from .monodromy import primitive_vector_count, primitive_vectors
 from .origami import Cycle, Origami, intersection
 from .perms import Permutation
 
@@ -83,7 +84,8 @@ def cover_from_basis_values(o: Origami, m: int, basis: list[Cycle],
         else:
             w_up[s] = w % m
     cover = Cover(o, m, tuple(w_right), tuple(w_up))
-    assert cover.holonomy_on_basis(basis) == tuple(x % m for x in values)
+    if cover.holonomy_on_basis(basis) != tuple(x % m for x in values):
+        raise InvariantError("cover holonomy differs from the prescribed values")
     return cover
 
 
@@ -112,21 +114,6 @@ def cover_label(basis, c: Cover) -> tuple[tuple[int, int, int, int], int]:
     return gamma, label
 
 
-def primitive_vector_count(n: int, length: int = 4) -> int:
-    count = n ** length
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            count -= count // p ** length
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        count -= count // m ** length
-    return count
-
-
 def cyclic_covers(o: Origami, n: int, basis: list[Cycle] | None = None) -> list[Cover]:
     """One connected Z/n cover per primitive dual vector in (Z/n)^4."""
     if n < 2:
@@ -136,26 +123,10 @@ def cyclic_covers(o: Origami, n: int, basis: list[Cycle] | None = None) -> list[
     if basis is None:
         basis = o.symplectic_basis()
     covers = []
-    for x1 in range(n):
-        for y1 in range(n):
-            for x2 in range(n):
-                for y2 in range(n):
-                    if gcd(gcd(x1, y1), gcd(gcd(x2, y2), n)) != 1:
-                        continue
-                    # holonomy of the functional <., gamma> on (a1, b1, a2, b2)
-                    values = (y1, -x1 % n, y2, -x2 % n)
-                    covers.append(cover_from_basis_values(o, n, basis, values))
-    assert len(covers) == primitive_vector_count(n)
+    for x1, y1, x2, y2 in primitive_vectors(n):
+        # holonomy of the functional <., gamma> on (a1, b1, a2, b2)
+        values = (y1, -x1 % n, y2, -x2 % n)
+        covers.append(cover_from_basis_values(o, n, basis, values))
+    if len(covers) != primitive_vector_count(n):
+        raise InvariantError(f"{len(covers)} Z/{n} covers, not J_4({n})")
     return covers
-
-
-def cover_text(c: Cover, basis=None) -> str:
-    if c.m == 2 and basis is not None:
-        _, label = cover_label(basis, c)
-        return f"{c.base.to_text()} label={label}"
-    values = c.holonomy_on_basis(basis) if basis is not None else None
-    if values is not None:
-        y1, mx1, y2, mx2 = values
-        dual = ((-mx1) % c.m, y1, (-mx2) % c.m, y2)
-        return f"{c.base.to_text()} n={c.m} dual=" + ",".join(map(str, dual))
-    return f"{c.base.to_text()} n={c.m} w_right={list(c.w_right)} w_up={list(c.w_up)}"

@@ -1,7 +1,9 @@
 """Exact arithmetic in Q(lambda), lambda^2 = e*lambda + b, and the cylinder
 moduli / multitwist matrices of the L-shaped surfaces L(b,e) and their
 GL2+(R)-companions curly-L(b,e) (same shape, top square side lambda-2 and
-bottom rectangle width b-2).
+bottom rectangle width b-2).  The intersection form on H_1 in the basis
+(a1, b1, a2, b2), `symplectic_pairing` and its Gram matrix `J4`, lives here
+for the whole package, since this module imports no other flatcover module.
 
 All comparisons are exact: the sign of x + y*lambda is decided by rational
 case analysis on x, y and a comparison of squares against D = e^2 + 4b.
@@ -11,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+
+from . import InvariantError
 
 Q = Fraction
 
@@ -203,14 +207,6 @@ def cylinder_modulus(core: PlanarPeriod, crossing: PlanarPeriod) -> QuadraticEle
     return (cy * ax - cx * ay) / denom
 
 
-@dataclass(frozen=True)
-class CylinderData:
-    core_class: tuple[int, int, int, int]
-    core_period: PlanarPeriod
-    crossing_period: PlanarPeriod
-    modulus: QuadraticElement
-
-
 # Frozen period data of the cylinder decompositions, read off the L shape:
 # bottom rectangle b x 1 with the lambda x lambda square on top of its left
 # part; the curly variant shrinks both by 2.
@@ -271,12 +267,12 @@ _RATIO_ORDER = {
 
 def modulus_ratio(case: str, b: int, e: int) -> QuadraticElement:
     """The exact commensurability ratio of the two cylinder moduli of the
-    given decomposition; always rational (asserted)."""
+    given decomposition; always rational (InvariantError otherwise)."""
     m1, m2 = _decomposition_moduli(case, b, e)
     num, den = (m1, m2) if _RATIO_ORDER[case] == ("m1", "m2") else (m2, m1)
     ratio = num / den
     if not ratio.is_rational():
-        raise AssertionError(f"modulus ratio for {case} has a lambda-part: {ratio!r}")
+        raise InvariantError(f"modulus ratio for {case} has a lambda-part: {ratio!r}")
     return ratio
 
 
@@ -292,15 +288,18 @@ def twist_powers(ratio) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# transvections
+# the intersection form and transvections
 # ---------------------------------------------------------------------------
 
-_J4 = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
-
-
-def _symp(u, w) -> int:
-    """u^T J w in the basis (a1, b1, a2, b2)."""
+def symplectic_pairing(u, w) -> int:
+    """u^T J w: the intersection form on H_1 in the basis (a1, b1, a2, b2)."""
     return (u[0] * w[1] - u[1] * w[0]) + (u[2] * w[3] - u[3] * w[2])
+
+
+IDENTITY4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+#: Gram matrix of the intersection form: diag([[0,1],[-1,0]], [[0,1],[-1,0]])
+J4 = tuple(tuple(symplectic_pairing(u, w) for w in IDENTITY4) for u in IDENTITY4)
 
 
 def multitwist_matrix(cylinders, handedness: int = 1):
@@ -315,14 +314,14 @@ def multitwist_matrix(cylinders, handedness: int = 1):
         raise ValueError("handedness must be +1 or -1")
     cols = []
     for j in range(4):
-        x = [1 if i == j else 0 for i in range(4)]
+        x = IDENTITY4[j]
         for core, k in cylinders:
             if k == 0:
                 raise ValueError("twist powers must be nonzero")
             if gcd(gcd(abs(core[0]), abs(core[1])),
                    gcd(abs(core[2]), abs(core[3]))) != 1:
                 raise ValueError("core class must be primitive")
-            coef = handedness * k * _symp(core, x)
+            coef = handedness * k * symplectic_pairing(core, x)
             x = [xi + coef * ci for xi, ci in zip(x, core)]
         cols.append(x)
     return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))

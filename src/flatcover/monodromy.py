@@ -5,7 +5,7 @@ detection, orbit partitions, and the exact cyclotomic verification of the
 decagon period map.
 
 Matrices are tuples of 4 rows acting on column vectors; the intersection form
-is J = diag([[0,1],[-1,0]], [[0,1],[-1,0]]).
+is `lshape.J4` = diag([[0,1],[-1,0]], [[0,1],[-1,0]]).
 """
 from __future__ import annotations
 
@@ -13,12 +13,11 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
 
+from . import InvariantError
 from .cyclotomic import CyclotomicElement, I_UNIT, XI, imag_part, zeta_pow
+from .lshape import IDENTITY4, J4, multitwist_matrix
 
 Mat = tuple  # 4-tuple of 4-tuples of ints
-
-J4: Mat = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
-IDENTITY4: Mat = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +104,6 @@ def mat_inverse_mod(A: Mat, m: int) -> Mat:
                  for i in range(4))
 
 
-def matrix_to_json(A: Mat, mod: int = 0) -> dict:
-    return {"rows": [list(r) for r in A], "mod": mod}
-
-
 # ---------------------------------------------------------------------------
 # the builtin generators
 # ---------------------------------------------------------------------------
@@ -141,27 +136,6 @@ def rho_R() -> Mat:
 def rho_T() -> Mat:
     """Homology action of the decagon shear T."""
     return ((2, -1, 0, 0), (1, 0, 0, 0), (0, 0, 2, -1), (0, 0, 1, 0))
-
-
-def builtin_matrices(name: str, b: int | None = None, e: int | None = None) -> Mat:
-    name = name.upper()
-    if name in ("H", "V", "T") and (b is None or e is None):
-        raise ValueError(f"matrix {name} needs parameters (b, e)")
-    if name == "H":
-        return mat_H(b, e)
-    if name == "V":
-        return mat_V(b, e)
-    if name == "T":
-        return mat_T(b, e)
-    if name == "X":
-        return mat_X()
-    if name == "RHO_R":
-        return rho_R()
-    if name == "RHO_T":
-        return rho_T()
-    if name == "J":
-        return J4
-    raise ValueError(f"unknown builtin matrix {name!r}")
 
 
 def is_symplectic(M: Mat, mod: int = 0) -> bool:
@@ -214,29 +188,6 @@ def group_closure(gens, mod: int, cap: int = 10 ** 5) -> frozenset:
     return frozenset(seen)
 
 
-def transvection_mod(v, m: int = 2) -> Mat:
-    """x -> x + <v, x> v mod m."""
-    cols = []
-    for j in range(4):
-        x = [1 if i == j else 0 for i in range(4)]
-        coef = (v[0] * x[1] - v[1] * x[0]) + (v[2] * x[3] - v[3] * x[2])
-        x = [(xi + coef * vi) % m for xi, vi in zip(x, v)]
-        cols.append(x)
-    return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
-
-
-def nonzero_vectors_mod2():
-    return [tuple((c >> k) & 1 for k in range(4)) for c in range(1, 16)]
-
-
-def sp4_f2() -> frozenset:
-    """All 720 elements of Sp(4, Z/2), as the closure of the 15 transvections."""
-    group = group_closure([transvection_mod(v, 2) for v in nonzero_vectors_mod2()],
-                          mod=2, cap=2000)
-    assert len(group) == 720
-    return group
-
-
 def label_vector(label: int) -> tuple[int, int, int, int]:
     """(x1, y1, x2, y2) mod 2 with label = x1 + 2 y1 + 4 x2 + 8 y2."""
     if not 1 <= label <= 15:
@@ -246,6 +197,20 @@ def label_vector(label: int) -> tuple[int, int, int, int]:
 
 def vector_label(v) -> int:
     return (v[0] % 2) + 2 * (v[1] % 2) + 4 * (v[2] % 2) + 8 * (v[3] % 2)
+
+
+def nonzero_vectors_mod2():
+    return [label_vector(label) for label in range(1, 16)]
+
+
+def sp4_f2() -> frozenset:
+    """All 720 elements of Sp(4, Z/2), as the closure of the 15 transvections
+    x -> x + <v, x> v (mod 2 by the closure)."""
+    group = group_closure([multitwist_matrix([(v, 1)]) for v in nonzero_vectors_mod2()],
+                          mod=2, cap=2000)
+    if len(group) != 720:
+        raise InvariantError(f"|Sp(4, F2)| computed as {len(group)}, not 720")
+    return group
 
 
 def constrained_subgroup(T2: Mat, hyp_labels) -> frozenset:
@@ -262,29 +227,28 @@ def constrained_subgroup(T2: Mat, hyp_labels) -> frozenset:
     return frozenset(out)
 
 
-def dihedral_structure(group) -> int | None:
-    """k if the group is dihedral of order 2k (a cyclic subgroup of order k
-    plus an involution inverting it; k = 1, 2 degenerate cases allowed);
-    None otherwise, and None for groups of order < 2."""
+def dihedral_structure(group, mod: int) -> int | None:
+    """k if the group of matrices mod m is dihedral of order 2k (a cyclic
+    subgroup of order k plus an involution inverting it; k = 1, 2 degenerate
+    cases allowed); None otherwise, and None for groups of order < 2.
+    Raises ValueError when an element's order exceeds the group order."""
     elems = list(group)
     order = len(elems)
     if order < 2 or order % 2:
         return None
     k = order // 2
-    mod = _infer_modulus(elems)
+    ident = mat_mod(IDENTITY4, mod)
 
     def elt_order(A):
         P = A
         o = 1
-        ident = mat_mod(IDENTITY4, mod)
         while P != ident:
             P = mat_mul(P, A, mod)
             o += 1
             if o > order:
-                raise AssertionError("input is not a group")
+                raise ValueError("input is not a group")
         return o
 
-    ident = mat_mod(IDENTITY4, mod)
     for r in elems:
         if elt_order(r) != k:
             continue
@@ -302,11 +266,6 @@ def dihedral_structure(group) -> int | None:
             if mat_mul(mat_mul(s, r, mod), mat_inverse_mod(s, mod), mod) == rinv:
                 return k
     return None
-
-
-def _infer_modulus(mats) -> int:
-    m = max(max(max(row) for row in A) for A in mats) + 1
-    return max(m, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +298,23 @@ def orbit_partition(gens, vectors, mod: int) -> list[tuple]:
     for i, v in enumerate(vecs):
         comps.setdefault(find(i), []).append(v)
     return sorted((tuple(sorted(c)) for c in comps.values()), key=lambda c: c[0])
+
+
+def primitive_vector_count(n: int, length: int = 4) -> int:
+    """The Jordan totient J_length(n): the number of vectors in (Z/n)^length
+    whose entries generate Z/n.  J_1 is Euler's phi."""
+    count = n ** length
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            count -= count // p ** length
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        count -= count // m ** length
+    return count
 
 
 def primitive_vectors(n: int):
@@ -542,7 +518,7 @@ def eigenbasis_checks(b: int, n: int) -> dict:
     comp_of = {w: i for i, c in enumerate(comps) for w in c}
     partition_count = len({comp_of[v] for v in family})
 
-    phi = sum(1 for k in range(1, n) if gcd(k, n) == 1)
+    phi = primitive_vector_count(n, 1)
     return {
         "b": b, "b_sqrt": bp, "n": n,
         "det_is_4b": det_ok,

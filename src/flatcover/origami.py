@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 import json
 
+from . import InvariantError
+from .lshape import J4
 from .perms import (Permutation, _canonical_pair, commutator, compose,
                     cycle_text, is_transitive, parse_cycles)
 
@@ -172,7 +174,8 @@ def winding_index(o: "Origami", cycle: Cycle | str, start: int | None = None) ->
             right += 1
         elif d == 2:
             raise ValueError("reduced loop still backtracks")
-    assert (right - left) % 4 == 0
+    if (right - left) % 4:
+        raise InvariantError("turning count of a closed loop is not a multiple of 4")
     return (right - left) // 4
 
 
@@ -225,7 +228,8 @@ def symplectic_reduce(gram: list[list[int]]) -> list[list[int]]:
                     break
             else:
                 break
-        assert g == 1, "intersection form is not unimodular on the quotient"
+        if g != 1:
+            raise InvariantError("intersection form is not unimodular on the quotient")
         cleared = []
         for w in others:
             a = pair(u, w)
@@ -398,7 +402,8 @@ class Origami:
         orders = sorted((len(c) - 1 for c in self.vertex_cycles() if len(c) >= 2),
                         reverse=True)
         total = sum(orders)
-        assert total % 2 == 0
+        if total % 2:
+            raise InvariantError("odd total cone angle excess")
         return Stratum(tuple(orders), total // 2 + 1)
 
     # -- SL(2,Z) action ----------------------------------------------------
@@ -578,7 +583,8 @@ class Origami:
                 moves = path_from_root(s) + kind + path_to_root(t)
                 cycles.append(Cycle.from_loop(self, 0, moves))
                 cotree.append((kind, s))
-        assert len(cycles) == n + 1
+        if len(cycles) != n + 1:
+            raise InvariantError(f"{len(cycles)} fundamental cycles, not n + 1")
         gram = [[intersection(a, b) for b in cycles] for a in cycles]
         basis_coords = symplectic_reduce(gram)
         self_hom = (cycles, gram, basis_coords, cotree)
@@ -781,7 +787,7 @@ def l_origami(b: int, e: int) -> LOrigami:
     b2 = Cycle.from_loop(o, 1, "N")
     basis = (a1, b1, a2, b2)
     # defining property of the basis
-    expected = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
-    gram = [[intersection(x, y) for y in basis] for x in basis]
-    assert gram == expected, f"basis of l_origami({b},{e}) is not symplectic"
+    gram = tuple(tuple(intersection(x, y) for y in basis) for x in basis)
+    if gram != J4:
+        raise InvariantError(f"basis of l_origami({b},{e}) is not symplectic")
     return LOrigami(o, b, e, d, lam, basis)

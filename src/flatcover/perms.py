@@ -270,7 +270,3 @@ def parse_cycles(text: str, n: int) -> Permutation:
         cycles.append(cyc)
         pos = end + 1
     return Permutation.from_cycles(n, cycles)
-
-
-def format_cycles(p: Permutation) -> str:
-    return p.format_cycles()

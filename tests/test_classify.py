@@ -6,7 +6,8 @@ from flatcover.classify import (EchoTable, HYP_LABELS, branched_cover_types,
                                 census_to_json, count_formulas, echo_degree,
                                 echoes_of_WD, hyperelliptic_labels,
                                 is_primitive_cover, primitive_cover_oracle,
-                                primitive_echo_table, verify_sts_orbits)
+                                primitive_echo_table, square_spins,
+                                verify_sts_orbits)
 
 # expected orbit tables by discriminant class mod 8
 TABLE2 = {
@@ -112,6 +113,9 @@ def test_branched_cover_types():
     assert branched_cover_types(7) == 4 + 3
     with pytest.raises(ValueError):
         branched_cover_types(2)
+    assert square_spins(3) == [(2, -1)]
+    assert square_spins(4) == [(4, 0)]
+    assert square_spins(5) == [(6, 1), (6, -1)]
 
 
 def test_count_formulas():

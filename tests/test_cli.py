@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from flatcover import InvariantError
 from flatcover.cli import main
 
 
@@ -125,6 +126,18 @@ def test_usage_errors_exit_2(run):
     assert run("frobnicate")[0] == 2
     assert run()[0] == 2
     assert run("orbit")[0] == 2
+
+
+def test_internal_invariant_failure_exits_1(run, monkeypatch):
+    import flatcover.cli
+
+    def broken(*args):
+        raise InvariantError("orbit blocks mix hyperelliptic and odd labels")
+
+    monkeypatch.setattr(flatcover.cli, "echoes_of_WD", broken)
+    code, out, err = run("echoes", "--discriminant", "8")
+    assert code == 1 and out == ""
+    assert "orbit blocks mix" in err
 
 
 def test_help_and_version_exit_0(run):

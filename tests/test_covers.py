@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from flatcover.covers import (all_double_covers, cover_from_basis_values,
@@ -86,6 +88,12 @@ def test_primitive_vector_count():
     assert primitive_vector_count(6) == 15 * 80
     # n^4 prod (1 - p^-4)
     assert primitive_vector_count(5) == 5 ** 4 - 1
+    # J_1 is Euler's phi
+    for n in range(2, 60):
+        assert primitive_vector_count(n, 1) == sum(gcd(k, n) == 1 for k in range(n))
+    # J_2(n) = n^2 prod (1 - p^-2)
+    assert [primitive_vector_count(n, 2) for n in (2, 3, 5, 9, 11, 12, 45)] == \
+        [3, 8, 24, 72, 120, 96, 1728]
 
 
 def test_cyclic_covers_enumeration():

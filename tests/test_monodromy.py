@@ -1,18 +1,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatcover.monodromy import (ClosureCapExceeded, IDENTITY4, J4,
-                                 builtin_matrices, commutes,
+from flatcover.lshape import multitwist_matrix
+from flatcover.monodromy import (ClosureCapExceeded, IDENTITY4, J4, commutes,
                                  constrained_subgroup,
                                  decagon_cyclic_echo_count,
                                  dihedral_structure, eigenbasis_checks,
                                  group_closure, is_symplectic, label_vector,
                                  mat_H, mat_T, mat_V, mat_X, mat_det,
                                  mat_inverse_mod, mat_mod, mat_mul, mat_pow,
-                                 mat_vec, matrix_to_json, orbit_partition,
-                                 primitive_vectors, rho_R, rho_T, self_adjoint,
-                                 sp4_f2, transvection_mod, vector_label,
-                                 verify_decagon_periods)
+                                 mat_vec, orbit_partition, primitive_vectors,
+                                 rho_R, rho_T, self_adjoint, sp4_f2,
+                                 vector_label, verify_decagon_periods)
 
 PARAMS = [(2, 0), (4, 1), (3, 0), (3, -1), (6, 1), (13, 1)]
 
@@ -37,13 +36,6 @@ def test_mat_pow():
     assert mat_pow(R, 7, mod=5) == mat_mod(mat_pow(R, 7), 5)
     with pytest.raises(ValueError):
         mat_pow(R, -3)
-
-
-def test_matrix_json():
-    assert matrix_to_json(IDENTITY4, mod=2) == {
-        "rows": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-        "mod": 2,
-    }
 
 
 # -- generator identities ----------------------------------------------------
@@ -73,16 +65,6 @@ def test_rho_R_order():
     minus = tuple(tuple(-x for x in row) for row in IDENTITY4)
     assert mat_pow(R, 5) == minus
     assert mat_pow(R, 10) == IDENTITY4
-
-
-def test_builtin_lookup():
-    assert builtin_matrices("h", 6, 1) == mat_H(6, 1)
-    assert builtin_matrices("rho_r") == rho_R()
-    assert builtin_matrices("J") == J4
-    with pytest.raises(ValueError):
-        builtin_matrices("H")
-    with pytest.raises(ValueError):
-        builtin_matrices("Q")
 
 
 # -- closures mod m ----------------------------------------------------------
@@ -123,9 +105,12 @@ def test_sp4_f2_and_transvections():
     G = sp4_f2()
     assert len(G) == 720
     for v in ((1, 0, 0, 0), (1, 1, 1, 0)):
-        M = transvection_mod(v, 2)
+        T = multitwist_matrix([(v, 1)])
+        assert is_symplectic(T)
+        M = mat_mod(T, 2)
         assert M in G
         assert mat_mul(M, M, 2) == mat_mod(IDENTITY4, 2)
+    assert J4 == ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
 
 
 HYP = (2, 3, 5, 9, 13)
@@ -144,10 +129,16 @@ def test_constrained_subgroup_matches_monodromy():
 def test_dihedral_structure():
     decagon = group_closure([rho_R(), rho_T()], 2)
     assert len(decagon) == 10
-    assert dihedral_structure(decagon) == 5
-    assert dihedral_structure(group_closure([mat_H(4, 1), mat_V(4, 1)], 2)) == 3
-    assert dihedral_structure(sp4_f2()) is None
-    assert dihedral_structure([IDENTITY4]) is None
+    assert dihedral_structure(decagon, mod=2) == 5
+    assert dihedral_structure(group_closure([mat_H(4, 1), mat_V(4, 1)], 2), mod=2) == 3
+    assert dihedral_structure(sp4_f2(), mod=2) is None
+    assert dihedral_structure([IDENTITY4], mod=2) is None
+    # order 2 mod 4; its largest entry is 2, so the modulus is not 3
+    shear = ((1, 2, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert dihedral_structure(group_closure([shear], 4), mod=4) == 1
+    # two elements, one of order 4: not a group
+    with pytest.raises(ValueError):
+        dihedral_structure([IDENTITY4, mat_H(1, 0)], mod=4)
 
 
 # -- labels and orbits -------------------------------------------------------

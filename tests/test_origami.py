@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatcover.origami import (Origami, OrbitCapExceeded, l_origami, mat2_mul,
-                               sl2z_word)
+from flatcover.origami import (Origami, OrbitCapExceeded, intersection,
+                               l_origami, mat2_mul, sl2z_word)
 from flatcover.perms import Permutation, parse_cycles
 
 
@@ -277,6 +277,18 @@ def test_escalator_quotients():
 def test_quotient_rejects_non_translation():
     with pytest.raises(ValueError):
         FIVE.quotient_by_translation(parse_cycles("(1,2)", 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(origamis(max_n=8))
+def test_symplectic_basis_has_standard_gram(o):
+    basis = o.symplectic_basis()
+    g = o.stratum().genus
+    assert len(basis) == 2 * g
+    standard = [[0] * (2 * g) for _ in range(2 * g)]
+    for k in range(0, 2 * g, 2):
+        standard[k][k + 1], standard[k + 1][k] = 1, -1
+    assert [[intersection(x, y) for y in basis] for x in basis] == standard
 
 
 # -- the L-shaped eigenform surfaces ----------------------------------------

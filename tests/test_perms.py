@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flatcover.perms import (Permutation, commutator, compose, cycle_text,
-                             format_cycles, is_transitive, parse_cycles)
+                             is_transitive, parse_cycles)
 
 
 def perms(max_n=8):
@@ -52,7 +52,6 @@ def test_commutator_identity_iff_commute(pair):
 @given(perms())
 def test_cycle_text_roundtrip(p):
     assert parse_cycles(p.format_cycles(), p.n) == p
-    assert format_cycles(p) == p.format_cycles()
 
 
 def test_compose_convention():
