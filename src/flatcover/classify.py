@@ -17,6 +17,7 @@ from math import gcd
 
 from . import InvariantError
 from .covers import all_double_covers, cover_label
+from .lshape import check_prototype
 from .monodromy import (label_vector, mat_H, mat_V, mat_X, mat_mod,
                         nonzero_vectors_mod2, orbit_partition,
                         primitive_vector_count, vector_label)
@@ -46,6 +47,13 @@ class EchoTable:
     def echo_count(self) -> int:
         return len(self.hyp_orbits) + len(self.odd_orbits)
 
+    def block_of(self, label: int) -> tuple[int, ...]:
+        """The orbit block containing the label."""
+        for block in self.hyp_orbits + self.odd_orbits:
+            if label in block:
+                return block
+        raise ValueError(f"label {label} is in no orbit block of this table")
+
     def to_json(self) -> dict:
         return {"D": self.D, "e": self.e,
                 "hyp": [list(b) for b in self.hyp_orbits],
@@ -63,8 +71,9 @@ class EchoTable:
 
 
 def _spin_parameters(D: int, e: int | None) -> tuple[int, int]:
-    """Admissible (b, e) with D = e^2 + 4b (e in {-1,0,1}; e = 1 needs b even
-    and e + 1 < b)."""
+    """The prototype parameters (b, e) with D = e^2 + 4b (see
+    `lshape.check_prototype`).  e = None means 0 when D = 0 mod 4, else 1
+    when (D - 1)/4 is even and -1 when it is odd."""
     if D < 5 or D % 4 not in (0, 1):
         raise ValueError("discriminant must be >= 5 and 0 or 1 mod 4")
     if e is None:
@@ -72,13 +81,10 @@ def _spin_parameters(D: int, e: int | None) -> tuple[int, int]:
             e = 0
         else:
             e = 1 if ((D - 1) // 4) % 2 == 0 else -1
-    if e not in (-1, 0, 1) or (D - e * e) % 4:
+    if (D - e * e) % 4:
         raise ValueError(f"spin parameter e={e} incompatible with D={D}")
     b = (D - e * e) // 4
-    if e == 1 and (b % 2 or b <= 2):
-        raise ValueError(f"e=1 needs b even with b > 2, got b={b}")
-    if not e + 1 < b:
-        raise ValueError(f"parameters (b,e)=({b},{e}) violate e + 1 < b")
+    check_prototype(b, e)
     return b, e
 
 
@@ -104,7 +110,7 @@ def echo_degree(table: EchoTable, block) -> int:
     """Degree of the echo as a cover of the Teichmuller curve of the base:
     the size of its orbit block."""
     block = tuple(sorted(block))
-    if block not in table.hyp_orbits + table.odd_orbits:
+    if not block or table.block_of(block[0]) != block:
         raise ValueError("block is not an orbit of this table")
     return len(block)
 
@@ -143,22 +149,23 @@ def _square_spin(d: int, e: int) -> tuple[int, int]:
     raise ValueError(f"d={d} admits only e in {[spin for _, spin in spins]}")
 
 
+def _block_is_primitive(d: int, e: int, block) -> bool:
+    """The closed-form primitivity shared by the anchors in an orbit block
+    (primitivity is invariant under the affine action)."""
+    values = {_PRIMITIVITY_ANCHORS[l](d, e)
+              for l in block if l in _PRIMITIVITY_ANCHORS}
+    if len(values) != 1:
+        raise InvariantError(f"inconsistent anchors in block {block}")
+    return values.pop()
+
+
 def is_primitive_cover(d: int, e: int, label: int) -> bool:
     """Closed-form primitivity of the double cover `label` of the d^2-square
-    eigenform surface, propagated along its monodromy orbit (primitivity is
-    invariant under the affine action)."""
+    eigenform surface, propagated along its monodromy orbit."""
     _square_spin(d, e)
     if not 1 <= label <= 15:
         raise ValueError("label must be in 1..15")
-    table = echoes_of_WD(d * d, e)
-    for block in table.hyp_orbits + table.odd_orbits:
-        if label in block:
-            values = {_PRIMITIVITY_ANCHORS[l](d, e)
-                      for l in block if l in _PRIMITIVITY_ANCHORS}
-            if len(values) != 1:
-                raise InvariantError(f"inconsistent anchors in block {block}")
-            return values.pop()
-    raise InvariantError("label not found in any orbit block")
+    return _block_is_primitive(d, e, echoes_of_WD(d * d, e).block_of(label))
 
 
 def primitive_cover_oracle(d: int, e: int, gamma) -> bool:
@@ -208,11 +215,11 @@ def primitive_cover_oracle(d: int, e: int, gamma) -> bool:
 def primitive_echo_table(d: int, e: int) -> EchoTable:
     """The echo table of W_{d^2} restricted to the primitive covers
     (Table keyed by (d mod 4, (d - e) mod 4))."""
+    _square_spin(d, e)
     table = echoes_of_WD(d * d, e)
 
     def keep(blocks):
-        return tuple(block for block in blocks
-                     if is_primitive_cover(d, e, block[0]))
+        return tuple(block for block in blocks if _block_is_primitive(d, e, block))
 
     return EchoTable(table.D, table.b, table.e,
                      keep(table.hyp_orbits), keep(table.odd_orbits))
@@ -289,8 +296,7 @@ def verify_sts_orbits(n: int, cap: int = 11) -> dict:
                 continue
             members = lift.sl2z_orbit_forms()
             seen.update(members)
-            block = next(blk for blk in table.hyp_orbits + table.odd_orbits
-                         if label in blk)
+            block = table.block_of(label)
             o = {
                 "labels": [label],
                 "size": len(members),

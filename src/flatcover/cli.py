@@ -12,8 +12,8 @@ import sys
 
 from . import InvariantError, __version__
 from .acceptance import run_all
-from .classify import (census_to_json, echoes_of_WD, is_primitive_cover,
-                       primitive_echo_table, verify_sts_orbits)
+from .classify import (census_to_json, echoes_of_WD, primitive_echo_table,
+                       verify_sts_orbits)
 from .covers import all_double_covers, cover_label
 from .monodromy import decagon_cyclic_echo_count
 from .origami import Origami, OrbitCapExceeded, l_origami
@@ -92,16 +92,14 @@ def _cmd_echoes(args) -> int:
 
 def _cmd_primitive(args) -> int:
     table = primitive_echo_table(args.d, args.e)
-    flags = {label: is_primitive_cover(args.d, args.e, label)
-             for label in range(1, 16)}
+    labels = sorted(l for block in table.hyp_orbits + table.odd_orbits for l in block)
     if args.format == "json":
         out = table.to_json()
-        out["primitive_labels"] = sorted(l for l, v in flags.items() if v)
+        out["primitive_labels"] = labels
         print(json.dumps(out, sort_keys=True))
     else:
         print(table.to_markdown())
-        prim = ", ".join(str(l) for l, v in sorted(flags.items()) if v)
-        print(f"| primitive labels | {prim} |")
+        print(f"| primitive labels | {', '.join(map(str, labels))} |")
     return 0
 
 

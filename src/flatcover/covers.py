@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import InvariantError
-from .monodromy import primitive_vector_count, primitive_vectors
+from .monodromy import (nonzero_vectors_mod2, primitive_vector_count,
+                        primitive_vectors, vector_label)
 from .origami import Cycle, Origami, intersection
 from .perms import Permutation
 
@@ -26,17 +27,14 @@ class Cover:
     w_right: tuple[int, ...]
     w_up: tuple[int, ...]
 
-    def holonomy(self, cycle: Cycle | str, start: int = 0) -> int:
-        """Sum of edge weights crossed by the cycle, mod m."""
-        if not isinstance(cycle, Cycle):
-            cycle = Cycle.from_loop(self.base, start, cycle)
-        hi = self.base.h.inverse().images
-        vi = self.base.v.inverse().images
-        total = 0
-        for t in range(self.base.n):
-            total += cycle.dtau[t] * self.w_right[hi[t]]
-            total += cycle.dsig[t] * self.w_up[vi[t]]
-        return total % self.m
+    def holonomy(self, cycle: Cycle) -> int:
+        """Sum of edge weights crossed by the cycle, mod m.
+
+        The cycle crosses the right edge of square s sig[s] times and its top
+        edge tau[s] times, since dtau[h[s]] = sig[s] and dsig[v[s]] = tau[s].
+        """
+        return (sum(x * w for x, w in zip(cycle.sig, self.w_right))
+                + sum(x * w for x, w in zip(cycle.tau, self.w_up))) % self.m
 
     def holonomy_on_basis(self, basis) -> tuple[int, ...]:
         return tuple(self.holonomy(c) for c in basis)
@@ -68,11 +66,10 @@ def cover_from_basis_values(o: Origami, m: int, basis: list[Cycle],
     """The cover whose holonomy takes the given values on the symplectic basis."""
     if len(values) != len(basis):
         raise ValueError("one value per basis cycle required")
-    cycles, _, _, cotree = o._homology_data()
     n = o.n
     w_right = [0] * n
     w_up = [0] * n
-    for cyc, (kind, s) in zip(cycles, cotree):
+    for cyc, (kind, s) in zip(o.fundamental_cycles(), o.cotree_edges()):
         # coordinates of cyc in the basis, read off through the symplectic form
         w = 0
         for k in range(0, len(basis), 2):
@@ -97,8 +94,7 @@ def all_double_covers(o: Origami, basis: list[Cycle] | None = None) -> list[Cove
     if basis is None:
         basis = o.symplectic_basis()
     covers = []
-    for code in range(1, 16):
-        values = tuple((code >> k) & 1 for k in range(4))
+    for values in nonzero_vectors_mod2():
         covers.append(cover_from_basis_values(o, 2, basis, values))
     return covers
 
@@ -110,8 +106,7 @@ def cover_label(basis, c: Cover) -> tuple[tuple[int, int, int, int], int]:
         raise ValueError("labels are defined for double covers")
     a1, b1, a2, b2 = basis
     gamma = (c.holonomy(b1), c.holonomy(a1), c.holonomy(b2), c.holonomy(a2))
-    label = gamma[0] + 2 * gamma[1] + 4 * gamma[2] + 8 * gamma[3]
-    return gamma, label
+    return gamma, vector_label(gamma)
 
 
 def cyclic_covers(o: Origami, n: int, basis: list[Cycle] | None = None) -> list[Cover]:

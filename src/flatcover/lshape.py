@@ -19,6 +19,17 @@ from . import InvariantError
 Q = Fraction
 
 
+def check_prototype(b: int, e: int) -> None:
+    """Raise ValueError unless (b, e) names a prototype L(b, e): e in
+    {-1, 0, 1}, e + 1 < b, and b even when e = 1."""
+    if e not in (-1, 0, 1):
+        raise ValueError("e must be in {-1, 0, 1}")
+    if not e + 1 < b:
+        raise ValueError(f"parameters (b,e)=({b},{e}) violate e + 1 < b")
+    if e == 1 and b % 2:
+        raise ValueError(f"e = 1 requires b even, got b={b}")
+
+
 class QuadraticElement:
     """x + y*lambda with lambda = (e + sqrt(D))/2, D = e^2 + 4b."""
 
@@ -207,61 +218,50 @@ def cylinder_modulus(core: PlanarPeriod, crossing: PlanarPeriod) -> QuadraticEle
     return (cy * ax - cx * ay) / denom
 
 
-# Frozen period data of the cylinder decompositions, read off the L shape:
-# bottom rectangle b x 1 with the lambda x lambda square on top of its left
-# part; the curly variant shrinks both by 2.
+#: case -> (shape, shift) of the cylinder decompositions of the L shape:
+#: bottom rectangle b x 1 with the lambda x lambda square on top of its left
+#: part.  The curly variant is the same shape with lambda and b both lowered
+#: by the shift 2.
+_DECOMPOSITIONS = {
+    "horizontal": ("horizontal", 0),
+    "vertical": ("vertical", 0),
+    "slope_2_b": ("slope", 0),
+    "curly_horizontal": ("horizontal", 2),
+    "curly_vertical": ("vertical", 2),
+    "curly_slope": ("slope", 2),
+}
+
 
 def _decomposition_moduli(case: str, b: int, e: int):
-    L = lam(b, e)
-    one = rational(1, b, e)
+    if case not in _DECOMPOSITIONS:
+        raise ValueError(f"unknown decomposition case {case!r}")
+    shape, shift = _DECOMPOSITIONS[case]
+    if shift and e != 1:
+        raise ValueError("the curly variant is defined for e = 1")
+    if shape == "slope" and (e != 1 or b % 2 or b <= 6):
+        raise ValueError(f"{case} decomposition needs e = 1, b even, b > 6")
+    L = lam(b, e) - shift               # top square side
+    w = rational(b - shift, b, e)       # bottom rectangle width
 
-    def mods(*pairs):
-        return [cylinder_modulus(c, x) for c, x in pairs]
+    def p(hx, vx):
+        return period(hx, vx, b, e)
 
-    if case == "horizontal":
-        return mods((period(L, 0, b, e), period(0, L, b, e)),
-                    (period(b, 0, b, e), period(0, 1, b, e)))
-    if case == "vertical":
-        return mods((period(0, L + 1, b, e), period(-L, 0, b, e)),
-                    (period(0, 1, b, e), period(-(rational(b, b, e) - L), 0, b, e)))
-    if case == "slope_2_b":
-        if e != 1 or b % 2 or b <= 6:
-            raise ValueError("slope 2/b decomposition needs e = 1, b even, b > 6")
-        c1 = period(b, 2, b, e)
-        x1 = period(L, 1, b, e)
-        c2 = period(rational(Q(b, 2), b, e) * L + b, L + 2, b, e)
-        x2 = period(-L, 0, b, e)
-        return mods((c1, x1), (c2, x2))
-    if case in ("curly_horizontal", "curly_vertical", "curly_slope"):
-        if e != 1:
-            raise ValueError("the curly variant is defined for e = 1")
-        Lp = L - 2          # top square side
-        bp = b - 2          # bottom rectangle width
-        if case == "curly_horizontal":
-            return mods((period(Lp, 0, b, e), period(0, Lp, b, e)),
-                        (period(bp, 0, b, e), period(0, 1, b, e)))
-        if case == "curly_vertical":
-            return mods((period(0, Lp + 1, b, e), period(-Lp, 0, b, e)),
-                        (period(0, 1, b, e), period(-(rational(bp, b, e) - Lp), 0, b, e)))
-        # curly_slope: slope 2/(b-2), needs lambda - 2 < (b-2)/2
-        if b % 2 or b < 8:
-            raise ValueError("curly slope decomposition needs b even, b >= 8")
-        c1 = period(bp, 2, b, e)
-        x1 = period(Lp, 1, b, e)
-        c2 = period(rational(Q(bp, 2), b, e) * Lp + bp, Lp + 2, b, e)
-        x2 = period(-Lp, 0, b, e)
-        return mods((c1, x1), (c2, x2))
-    raise ValueError(f"unknown decomposition case {case!r}")
+    if shape == "horizontal":
+        pairs = ((p(L, 0), p(0, L)), (p(w, 0), p(0, 1)))
+    elif shape == "vertical":
+        pairs = ((p(0, L + 1), p(-L, 0)), (p(0, 1), p(-(w - L), 0)))
+    else:  # slope 2/w, needs L < w/2
+        pairs = ((p(w, 2), p(L, 1)), (p(w / 2 * L + w, L + 2), p(-L, 0)))
+    return [cylinder_modulus(c, x) for c, x in pairs]
 
 
-#: which ratio each case reports (the commensurability witness in the paper)
+#: which ratio each shape reports (the commensurability witness in the
+#: paper): horizontal m1/m2 = b (curly: b - 2), vertical m2/m1 = b - e - 1
+#: (curly: b), slope m1/m2 = (b/2 - e - 2)/2 (curly: b/4)
 _RATIO_ORDER = {
-    "horizontal": ("m1", "m2"),        # m1/m2 = b
-    "vertical": ("m2", "m1"),          # m2/m1 = b - e - 1
-    "slope_2_b": ("m1", "m2"),         # m1/m2 = (b/2 - e - 2)/2
-    "curly_horizontal": ("m1", "m2"),  # m1/m2 = b - 2
-    "curly_vertical": ("m2", "m1"),    # m2/m1 = b
-    "curly_slope": ("m1", "m2"),       # m1/m2 = b/4
+    "horizontal": ("m1", "m2"),
+    "vertical": ("m2", "m1"),
+    "slope": ("m1", "m2"),
 }
 
 
@@ -269,7 +269,8 @@ def modulus_ratio(case: str, b: int, e: int) -> QuadraticElement:
     """The exact commensurability ratio of the two cylinder moduli of the
     given decomposition; always rational (InvariantError otherwise)."""
     m1, m2 = _decomposition_moduli(case, b, e)
-    num, den = (m1, m2) if _RATIO_ORDER[case] == ("m1", "m2") else (m2, m1)
+    shape = _DECOMPOSITIONS[case][0]
+    num, den = (m1, m2) if _RATIO_ORDER[shape] == ("m1", "m2") else (m2, m1)
     ratio = num / den
     if not ratio.is_rational():
         raise InvariantError(f"modulus ratio for {case} has a lambda-part: {ratio!r}")
@@ -345,14 +346,7 @@ def diagonal_twist_mod2(b: int, e: int):
     beta = (b/2, 1, 0, 0)."""
     if e != 1 or b % 2:
         raise ValueError("diagonal twists need e = 1 and b even")
-    if b % 4 == 2:
-        if b <= 6:
-            raise ValueError("slope 2/b case needs b > 6")
-        ratio = modulus_ratio("slope_2_b", b, e)
-    else:
-        if b < 8:
-            raise ValueError("curly slope case needs b >= 8")
-        ratio = modulus_ratio("curly_slope", b, e)
+    ratio = modulus_ratio("slope_2_b" if b % 4 == 2 else "curly_slope", b, e)
     k1, k2 = twist_powers(ratio)
     alpha = (0, 0, 1, 2)
     beta = (b // 2, 1, 0, 0)

@@ -65,24 +65,33 @@ def mat_transpose(A: Mat) -> Mat:
     return tuple(tuple(A[j][i] for j in range(4)) for i in range(4))
 
 
-def mat_det(A: Mat) -> Fraction:
-    """Exact determinant by fraction-free Gaussian elimination."""
-    M = [[Fraction(x) for x in row] for row in A]
-    det = Fraction(1)
-    for c in range(4):
-        piv = next((r for r in range(c, 4) if M[r][c]), None)
+def _eliminate(rows) -> tuple[int, Fraction]:
+    """Forward Gaussian elimination over Q: the rank of the rows and the
+    signed product of the pivots (the determinant of a full-rank square)."""
+    M = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    pivots = Fraction(1)
+    for c in range(len(M[0])):
+        piv = next((r for r in range(rank, len(M)) if M[r][c]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = 1 / M[c][c]
-        for r in range(c + 1, 4):
+            continue
+        if piv != rank:
+            M[rank], M[piv] = M[piv], M[rank]
+            pivots = -pivots
+        pivots *= M[rank][c]
+        inv = 1 / M[rank][c]
+        for r in range(rank + 1, len(M)):
             f = M[r][c] * inv
             if f:
-                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
-    return det
+                M[r] = [a - f * b for a, b in zip(M[r], M[rank])]
+        rank += 1
+    return rank, pivots
+
+
+def mat_det(A: Mat) -> Fraction:
+    """Exact determinant by Gaussian elimination over Q."""
+    rank, pivots = _eliminate(A)
+    return pivots if rank == len(A) else Fraction(0)
 
 
 def mat_inverse_mod(A: Mat, m: int) -> Mat:
@@ -385,7 +394,7 @@ def verify_decagon_periods() -> dict:
 
     # rank of the rational-linear period map
     rows = [list(p.coeffs) for p in periods]
-    rank = _rational_rank(rows)
+    rank, _ = _eliminate(rows)
     if rank != 4:
         failures.append("rank")
 
@@ -400,27 +409,6 @@ def verify_decagon_periods() -> dict:
         "failures": failures,
         "ok": not failures,
     }
-
-
-def _rational_rank(rows) -> int:
-    M = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    col = 0
-    ncols = len(M[0]) if M else 0
-    while rank < len(M) and col < ncols:
-        piv = next((r for r in range(rank, len(M)) if M[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = 1 / M[rank][col]
-        for r in range(len(M)):
-            if r != rank and M[r][col]:
-                f = M[r][col] * inv
-                M[r] = [a - f * b for a, b in zip(M[r], M[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------

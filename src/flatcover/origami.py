@@ -21,16 +21,18 @@ from math import gcd, isqrt
 import json
 
 from . import InvariantError
-from .lshape import J4
+from .lshape import J4, check_prototype
 from .perms import (Permutation, _canonical_pair, commutator, compose,
-                    cycle_text, is_transitive, parse_cycles)
+                    cycle_text, inverse_images, is_transitive, parse_cycles)
 
 
 # ---------------------------------------------------------------------------
 # homology cycles
 # ---------------------------------------------------------------------------
 
+#: the taxi directions in counterclockwise order: a left turn adds 1 mod 4
 _MOVES = "ENWS"
+_OPPOSITE = {mv: _MOVES[(i + 2) % 4] for i, mv in enumerate(_MOVES)}
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ class Cycle:
     def from_loop(o: "Origami", start: int, moves: str) -> "Cycle":
         n = o.n
         h, v = o.h.images, o.v.images
-        hi, vi = o.h.inverse().images, o.v.inverse().images
+        hi, vi = inverse_images(h), inverse_images(v)
         sig = [0] * n
         tau = [0] * n
         dsig = [0] * n
@@ -134,18 +136,17 @@ def intersection(a: Cycle, b: Cycle) -> int:
 
 def _reduce_cyclic(moves: list[str]) -> list[str]:
     """Cancel adjacent backtracks (EW, WE, NS, SN), cyclically."""
-    opposite = {"E": "W", "W": "E", "N": "S", "S": "N"}
     changed = True
     while changed and moves:
         changed = False
         out: list[str] = []
         for ch in moves:
-            if out and out[-1] == opposite[ch]:
+            if out and out[-1] == _OPPOSITE[ch]:
                 out.pop()
                 changed = True
             else:
                 out.append(ch)
-        while len(out) >= 2 and out[0] == opposite[out[-1]]:
+        while len(out) >= 2 and out[0] == _OPPOSITE[out[-1]]:
             out = out[1:-1]
             changed = True
         moves = out
@@ -164,10 +165,9 @@ def winding_index(o: "Origami", cycle: Cycle | str, start: int | None = None) ->
     seq = _reduce_cyclic(list(moves))
     if not seq:
         return 0
-    idx = {"E": 0, "N": 1, "W": 2, "S": 3}
     left = right = 0
     for a, b in zip(seq, seq[1:] + seq[:1]):
-        d = (idx[b] - idx[a]) % 4
+        d = (_MOVES.index(b) - _MOVES.index(a)) % 4
         if d == 1:
             left += 1
         elif d == 3:
@@ -314,13 +314,9 @@ class OrbitCapExceeded(RuntimeError):
 # the Origami class
 # ---------------------------------------------------------------------------
 
-_GEN_MATS = {
-    "L": ((1, 0), (1, 1)),
-    "R": ((1, 1), (0, 1)),
-    "Linv": ((1, 0), (-1, 1)),
-    "Rinv": ((1, -1), (0, 1)),
-    "-I": ((-1, 0), (0, -1)),
-}
+def _origami_text(h, v) -> str:
+    """The text form "n=... h=... v=..." of the pair with these image tuples."""
+    return f"n={len(h)} h={cycle_text(h)} v={cycle_text(v)}"
 
 
 class Origami:
@@ -346,7 +342,7 @@ class Origami:
     # -- text form ---------------------------------------------------------
 
     def to_text(self) -> str:
-        return f"n={self.n} h={self.h.format_cycles()} v={self.v.format_cycles()}"
+        return _origami_text(self.h.images, self.v.images)
 
     @staticmethod
     def from_text(text: str) -> "Origami":
@@ -355,6 +351,8 @@ class Origami:
             if "=" not in tok:
                 raise ValueError(f"malformed origami text {text!r}")
             key, _, val = tok.partition("=")
+            if key not in ("n", "h", "v") or key in parts:
+                raise ValueError(f"unknown or repeated key {key!r} in {text!r}")
             parts[key] = val
         try:
             n = int(parts["n"])
@@ -380,10 +378,6 @@ class Origami:
             object.__setattr__(self, "_canon",
                                _canonical_pair(self.h.images, self.v.images))
         return self._canon
-
-    def canonical(self) -> "Origami":
-        hn, vn = self.canonical_form()
-        return Origami(Permutation(hn), Permutation(vn))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Origami) and self.canonical_form() == other.canonical_form()
@@ -452,12 +446,7 @@ class Origami:
         while qi < len(queue):
             h, v = queue[qi]
             qi += 1
-            n = len(h)
-            hi = [0] * n
-            vi = [0] * n
-            for s in range(n):
-                hi[h[s]] = s
-                vi[v[s]] = s
+            hi, vi = inverse_images(h), inverse_images(v)
             for h2, v2 in (([vi[t] for t in h], v), (h, [hi[t] for t in v])):
                 enc = _canonical_pair(h2, v2)
                 if enc not in seen:
@@ -469,9 +458,7 @@ class Origami:
 
     def sl2z_orbit(self, cap: int = 10**6) -> OrbitReport:
         reps = sorted(self.sl2z_orbit_forms(cap))
-        # the text of to_text, formatted straight from the image tuples
-        texts = tuple(f"n={len(h)} h={cycle_text(h)} v={cycle_text(v)}"
-                      for h, v in reps)
+        texts = tuple(_origami_text(h, v) for h, v in reps)
         return OrbitReport(len(reps), str(self.stratum()), self.is_reduced(), texts)
 
     # -- translations and quotients ---------------------------------------
@@ -481,7 +468,7 @@ class Origami:
         the origami over its translation quotients)."""
         n = self.n
         maps = (self.h.images, self.v.images,
-                self.h.inverse().images, self.v.inverse().images)
+                inverse_images(self.h.images), inverse_images(self.v.images))
         result = []
         for k in range(n):
             t = [-1] * n
@@ -540,7 +527,7 @@ class Origami:
             return self._homology
         n = self.n
         h, v = self.h.images, self.v.images
-        hi, vi = self.h.inverse().images, self.v.inverse().images
+        hi, vi = inverse_images(h), inverse_images(v)
         # BFS spanning tree of the square-adjacency (dual) graph
         parent_moves: list[str | None] = [None] * n
         parent: list[int] = [-1] * n
@@ -568,10 +555,8 @@ class Origami:
                 s = parent[s]
             return "".join(reversed(out))
 
-        inv = {"E": "W", "N": "S", "W": "E", "S": "N"}
-
         def path_to_root(s: int) -> str:
-            return "".join(inv[c] for c in reversed(path_from_root(s)))
+            return "".join(_OPPOSITE[c] for c in reversed(path_from_root(s)))
 
         cycles: list[Cycle] = []
         cotree: list[tuple[str, int]] = []
@@ -626,7 +611,7 @@ class Origami:
             for s in cyc:
                 vid[s] = i
         h, v = self.h.images, self.v.images
-        hi, vi = self.h.inverse().images, self.v.inverse().images
+        hi, vi = inverse_images(h), inverse_images(v)
         pos: dict[int, tuple[int, int]] = {vid[0]: (0, 0)}
         stack = [vid[0]]
         by_vid: dict[int, list[int]] = {}
@@ -763,14 +748,7 @@ class LOrigami:
 def l_origami(b: int, e: int) -> LOrigami:
     """L-shaped origami with a column of lam squares above a row of lam-e
     squares, lam = (e+d)/2, total d squares."""
-    if e not in (-1, 0, 1):
-        raise ValueError("e must be in {-1, 0, 1}")
-    if b < 1:
-        raise ValueError("b must be positive")
-    if e + 1 >= b:
-        raise ValueError("need e + 1 < b")
-    if e == 1 and b % 2:
-        raise ValueError("e = 1 requires b even")
+    check_prototype(b, e)
     D = e * e + 4 * b
     d = isqrt(D)
     if d * d != D:

@@ -54,10 +54,7 @@ class Permutation:
         return compose(self, other)
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(inv)
+        return Permutation(inverse_images(self.images))
 
     def conjugate(self, g: "Permutation") -> "Permutation":
         """g * self * g^-1."""
@@ -121,6 +118,14 @@ class Permutation:
         return Permutation(images)
 
 
+def inverse_images(images: Sequence[int]) -> list[int]:
+    """The images of the inverse of the permutation with these images."""
+    inv = [0] * len(images)
+    for i, j in enumerate(images):
+        inv[j] = i
+    return inv
+
+
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """The permutation x -> p(q(x))."""
     if p.n != q.n:
@@ -140,7 +145,7 @@ def is_transitive(gens: list[Permutation], n: int) -> bool:
     for g in gens:
         if g.n != n:
             raise ValueError(f"degree mismatch: generator has degree {g.n}, not {n}")
-    maps = [g.images for g in gens] + [g.inverse().images for g in gens]
+    maps = [g.images for g in gens] + [inverse_images(g.images) for g in gens]
     seen = [False] * n
     seen[0] = True
     stack = [0]
@@ -174,11 +179,8 @@ def _canonical_pair(h: Sequence[int],
     is h(start)).
     """
     n = len(h)
-    hi = [0] * n
-    vi = [0] * n
-    for s in range(n):
-        hi[h[s]] = s
-        vi[v[s]] = s
+    hi = inverse_images(h)
+    vi = inverse_images(v)
     starts = ([s for s in range(n) if h[s] == s]
               or [s for s in range(n) if h[h[s]] == s]
               or range(n))

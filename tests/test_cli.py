@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -38,8 +39,11 @@ def test_orbit_cap_error(run):
 
 
 def test_orbit_bad_origami(run):
-    code, _, err = run("orbit", "--origami", "n=4 h=(1,2) v=(3,4)")
-    assert code == 2 and "error" in err
+    for text in ("n=4 h=(1,2) v=(3,4)",              # not transitive
+                 "n=3 h=(1,2) v=(1,2,3) z=9",        # unknown key
+                 "n=3 h=(1,2) h=(2,3) v=(1,2,3)"):   # repeated key
+        code, _, err = run("orbit", "--origami", text)
+        assert code == 2 and "error" in err
 
 
 def test_echoes(run):
@@ -120,6 +124,9 @@ def test_verify_fast(run):
     assert "RESULT: all criteria passed" in out
     c14 = next(l for l in lines if "criterion 14" in l)
     assert "b=4,n=5:" in c14 and "phi(n)=4 flagged (2 < 4)" in c14
+    # the whole report, pinned
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "13b9ed9f11983b6fb7b2b7795a5578e76ad2394599572975d789f4db0558cec4")
 
 
 def test_usage_errors_exit_2(run):

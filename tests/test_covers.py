@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import pytest
@@ -6,7 +7,7 @@ from flatcover.covers import (all_double_covers, cover_from_basis_values,
                               cover_label, cyclic_covers,
                               primitive_vector_count)
 from flatcover.origami import Origami, l_origami
-from flatcover.perms import parse_cycles
+from flatcover.perms import Permutation, parse_cycles
 
 
 def lshape(b, e):
@@ -28,6 +29,45 @@ def test_holonomy_matches_construction():
         values = tuple((code >> k) & 1 for k in range(4))
         c = cover_from_basis_values(o, 2, basis, values)
         assert c.holonomy_on_basis(basis) == values
+
+
+def reference_holonomy(cover, cycle):
+    """The crossing count: a crossing of the left edge of square t (dtau[t])
+    crosses the right edge of h^-1(t), one of its bottom edge (dsig[t]) the
+    top edge of v^-1(t)."""
+    hi = cover.base.h.inverse().images
+    vi = cover.base.v.inverse().images
+    total = 0
+    for t in range(cover.base.n):
+        total += cycle.dtau[t] * cover.w_right[hi[t]]
+        total += cycle.dsig[t] * cover.w_up[vi[t]]
+    return total % cover.m
+
+
+def random_genus2_origamis(count, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, 7)
+        h, v = list(range(n)), list(range(n))
+        rng.shuffle(h)
+        rng.shuffle(v)
+        try:
+            o = Origami(Permutation(h), Permutation(v))
+        except ValueError:
+            continue
+        if o.stratum().genus == 2:
+            out.append(o)
+    return out
+
+
+def test_holonomy_matches_crossing_count():
+    for o in random_genus2_origamis(6, seed=2024):
+        basis = o.symplectic_basis()
+        cycles = o.fundamental_cycles() + basis
+        for c in all_double_covers(o, basis) + cyclic_covers(o, 3, basis):
+            for cyc in cycles:
+                assert c.holonomy(cyc) == reference_holonomy(c, cyc)
 
 
 def test_published_b1_cover():

@@ -1,10 +1,12 @@
-"""Pinned outputs: sha256 digests of census JSON and of `orbit` stdout.
+"""Pinned outputs: sha256 digests of census JSON and of CLI stdout.
 
 The census digests pin the whole census report (labels, orbit sizes, Arf
 invariants, flags).  The `orbit` digest pins the representatives, which are
 the canonical forms in sorted order written as cycle text: a different
 canonical labelling or text format changes it, which no other test checks
-value for value.
+value for value.  The other CLI digests pin the cover labels (which depend
+on `symplectic_basis` for `covers --origami`), echo and primitive tables and
+the decagon counts.
 """
 import hashlib
 
@@ -33,3 +35,20 @@ def test_orbit_json_digest(capsys):
     assert code == 0
     assert sha256(capsys.readouterr().out) == (
         "d2d780fd6106c01772f29d7e6b8af002c2f878ba253a76cc3f7c6412bf21de86")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["covers", "--origami", "n=5 h=(1,2) v=(2,3,4,5)"],
+     "65be9ca8ddf9c35d1eb2f83b9ce2b5b6df8627a6f643955d914b41decb3354e0"),
+    (["covers", "--b", "6", "--e", "1", "--format", "json"],
+     "6b144ff1c096c4ff9970aa789753f8c2844e2e3611963e22fba6c272f721f568"),
+    (["echoes", "--discriminant", "17", "--e", "-1", "--format", "json"],
+     "a91ea3ba9c07c18b370d5cb30382ada1f840f7d684edb102007ad67d7519c64e"),
+    (["primitive", "--d", "5", "--e", "1", "--format", "json"],
+     "ef5e25d4e52caf1afce8712544305d642e4171ca73155d8d9b0a61a48391b47d"),
+    (["decagon", "--max-n", "12", "--format", "json"],
+     "819a36a71374db018f2d9635fe550e26a008202c54d62d0064f228d2557dab51"),
+])
+def test_cli_stdout_digest(capsys, argv, digest):
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out) == digest
