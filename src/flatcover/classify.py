@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from . import InvariantError
 from .covers import all_double_covers, cover_label
@@ -21,7 +20,7 @@ from .lshape import check_prototype
 from .monodromy import (label_vector, mat_H, mat_V, mat_X, mat_mod,
                         nonzero_vectors_mod2, orbit_partition,
                         primitive_vector_count, vector_label)
-from .origami import l_origami
+from .origami import l_origami, lattice_index
 
 HYP_LABELS = frozenset({2, 3, 5, 9, 13})
 
@@ -73,14 +72,15 @@ class EchoTable:
 def _spin_parameters(D: int, e: int | None) -> tuple[int, int]:
     """The prototype parameters (b, e) with D = e^2 + 4b (see
     `lshape.check_prototype`).  e = None means 0 when D = 0 mod 4, else 1
-    when (D - 1)/4 is even and -1 when it is odd."""
+    when that is admissible ((D - 1)/4 even and > 2) and -1 otherwise."""
     if D < 5 or D % 4 not in (0, 1):
         raise ValueError("discriminant must be >= 5 and 0 or 1 mod 4")
     if e is None:
         if D % 4 == 0:
             e = 0
         else:
-            e = 1 if ((D - 1) // 4) % 2 == 0 else -1
+            b = (D - 1) // 4
+            e = 1 if b % 2 == 0 and b > 2 else -1
     if (D - e * e) % 4:
         raise ValueError(f"spin parameter e={e} incompatible with D={D}")
     b = (D - e * e) // 4
@@ -195,12 +195,8 @@ def primitive_cover_oracle(d: int, e: int, gamma) -> bool:
         else:
             gens.append(tuple(1 if i in (j, i0) else 0 for i in range(4)))
     # periods of the basis (a1, b1, a2, b2): (1,0), (0,lam), (lam-e,0), (0,1)
-    rows = [(x1 + (lam - e) * x2, lam * y1 + y2) for x1, y1, x2, y2 in gens]
-    minors = [rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]
-              for i in range(len(rows)) for j in range(i + 1, len(rows))]
-    g = 0
-    for m in minors:
-        g = gcd(g, m)
+    g = lattice_index((x1 + (lam - e) * x2, lam * y1 + y2)
+                      for x1, y1, x2, y2 in gens)
     if g == 0:
         return False
     if g not in (1, 2):
@@ -270,7 +266,7 @@ def verify_sts_orbits(n: int, cap: int = 11) -> dict:
     total_orbits = 0
     for b, e in square_spins(n):
         base = l_origami(b, e)
-        table = echoes_of_WD(base.d * base.d, e if n % 2 else None)
+        table = echoes_of_WD(base.d * base.d, e)
         base_orbit = base.origami.sl2z_orbit_forms()
         # the Table-2 labels are defined against the pinned (a1, b1, a2, b2)
         # basis of the L-shaped surface, not an arbitrary symplectic basis

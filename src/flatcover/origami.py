@@ -42,8 +42,8 @@ class Cycle:
     sig/tau are coefficients of the path pushed onto the edge skeleton
     (sigma_s = bottom edge of square s, rightward; tau_s = left edge, upward).
     dsig/dtau are transverse crossing counts of the same edges (upward and
-    rightward positive).  (dx, dy) is the period.  `moves` keeps the taxi
-    moves when the cycle came from a single closed loop.
+    rightward positive).  `moves` keeps the taxi moves when the cycle came
+    from a single closed loop.
     """
 
     n: int
@@ -51,15 +51,12 @@ class Cycle:
     tau: tuple[int, ...]
     dsig: tuple[int, ...]
     dtau: tuple[int, ...]
-    dx: int
-    dy: int
-    start: int | None = None
     moves: str | None = None
 
     @staticmethod
     def zero(n: int) -> "Cycle":
         z = (0,) * n
-        return Cycle(n, z, z, z, z, 0, 0)
+        return Cycle(n, z, z, z, z)
 
     @staticmethod
     def from_loop(o: "Origami", start: int, moves: str) -> "Cycle":
@@ -70,49 +67,42 @@ class Cycle:
         tau = [0] * n
         dsig = [0] * n
         dtau = [0] * n
-        dx = dy = 0
         s = start
         for ch in moves:
             if ch == "E":
                 sig[s] += 1
                 dtau[h[s]] += 1
-                dx += 1
                 s = h[s]
             elif ch == "W":
                 s2 = hi[s]
                 sig[s2] -= 1
                 dtau[s] -= 1
-                dx -= 1
                 s = s2
             elif ch == "N":
                 tau[s] += 1
                 dsig[v[s]] += 1
-                dy += 1
                 s = v[s]
             elif ch == "S":
                 s2 = vi[s]
                 tau[s2] -= 1
                 dsig[s] -= 1
-                dy -= 1
                 s = s2
             else:
                 raise ValueError(f"unknown move {ch!r}")
         if s != start:
             raise ValueError("taxi path is not closed")
-        return Cycle(n, tuple(sig), tuple(tau), tuple(dsig), tuple(dtau),
-                     dx, dy, start, moves)
+        return Cycle(n, tuple(sig), tuple(tau), tuple(dsig), tuple(dtau), moves)
 
     @property
     def period(self) -> tuple[int, int]:
-        return (self.dx, self.dy)
+        return (sum(self.sig), sum(self.tau))
 
     def __add__(self, other: "Cycle") -> "Cycle":
         if self.n != other.n:
             raise ValueError("cycles live on different origamis")
         add = lambda a, b: tuple(x + y for x, y in zip(a, b))
         return Cycle(self.n, add(self.sig, other.sig), add(self.tau, other.tau),
-                     add(self.dsig, other.dsig), add(self.dtau, other.dtau),
-                     self.dx + other.dx, self.dy + other.dy)
+                     add(self.dsig, other.dsig), add(self.dtau, other.dtau))
 
     def __sub__(self, other: "Cycle") -> "Cycle":
         return self + (-1) * other
@@ -120,7 +110,7 @@ class Cycle:
     def __rmul__(self, k: int) -> "Cycle":
         mul = lambda a: tuple(k * x for x in a)
         return Cycle(self.n, mul(self.sig), mul(self.tau),
-                     mul(self.dsig), mul(self.dtau), k * self.dx, k * self.dy)
+                     mul(self.dsig), mul(self.dtau))
 
     def __neg__(self) -> "Cycle":
         return (-1) * self
@@ -153,16 +143,11 @@ def _reduce_cyclic(moves: list[str]) -> list[str]:
     return moves
 
 
-def winding_index(o: "Origami", cycle: Cycle | str, start: int | None = None) -> int:
+def winding_index(cycle: Cycle) -> int:
     """Turning number (right turns - left turns)/4 of a smoothed taxi loop."""
-    if isinstance(cycle, Cycle):
-        if cycle.moves is None:
-            raise ValueError("winding index needs an explicit taxi loop")
-        moves, s0 = cycle.moves, cycle.start
-    else:
-        moves, s0 = cycle, start if start is not None else 0
-        Cycle.from_loop(o, s0, moves)  # validates closedness
-    seq = _reduce_cyclic(list(moves))
+    if cycle.moves is None:
+        raise ValueError("winding index needs an explicit taxi loop")
+    seq = _reduce_cyclic(list(cycle.moves))
     if not seq:
         return 0
     left = right = 0
@@ -240,37 +225,15 @@ def symplectic_reduce(gram: list[list[int]]) -> list[list[int]]:
     return basis
 
 
-def _hnf2(vectors: list[tuple[int, int]]) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Hermite form ((a, b), (0, c)) of the lattice spanned by 2d vectors."""
-
-    def extgcd(a, b):
-        old_r, r = a, b
-        old_s, s = 1, 0
-        old_t, t = 0, 1
-        while r:
-            q = old_r // r
-            old_r, r = r, old_r - q * r
-            old_s, s = s, old_s - q * s
-            old_t, t = t, old_t - q * t
-        return old_r, old_s, old_t
-
-    a = b = c = 0
-    for x, y in vectors:
-        if x:
-            if a:
-                g, p, q = extgcd(a, x)
-                if g < 0:
-                    g, p, q = -g, -p, -q
-                leftover = (a // g) * y - (x // g) * b
-                a, b = g, p * b + q * y
-                c = gcd(c, abs(leftover))
-            else:
-                a, b = abs(x), y if x > 0 else -y
-        else:
-            c = gcd(c, abs(y))
-    if c:
-        b %= c
-    return ((a, b), (0, c))
+def lattice_index(vectors) -> int:
+    """Index in Z^2 of the lattice spanned by integer vectors (x, y): the gcd
+    of their 2x2 minors, 0 when they span less than rank 2."""
+    vectors = list(vectors)
+    g = 0
+    for i, (a, b) in enumerate(vectors):
+        for c, d in vectors[i + 1:]:
+            g = gcd(g, a * d - b * c)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -598,46 +561,33 @@ class Origami:
 
     # -- periods and reducedness -------------------------------------------
 
-    def absolute_period_lattice(self):
-        return _hnf2([c.period for c in self.fundamental_cycles()])
+    def is_reduced(self) -> bool:
+        """Whether the relative periods span Z^2.
 
-    def _vertex_positions(self):
-        """Positions (mod absolute periods) of the vertices of the square
-        complex, and the list of zero (cone point) vertex ids."""
-        vcycles = self.vertex_cycles()
-        n = self.n
-        vid = [0] * n
-        for i, cyc in enumerate(vcycles):
-            for s in cyc:
-                vid[s] = i
+        One walk over h, v, h^-1, v^-1 places the bottom-left corner of
+        every square in the plane.  Each right or top gluing then gives a
+        period (zero on tree edges, an absolute period on the others), and
+        the corners of the zeros give the periods between zeros.
+        """
         h, v = self.h.images, self.v.images
         hi, vi = inverse_images(h), inverse_images(v)
-        pos: dict[int, tuple[int, int]] = {vid[0]: (0, 0)}
-        stack = [vid[0]]
-        by_vid: dict[int, list[int]] = {}
-        for s in range(n):
-            by_vid.setdefault(vid[s], []).append(s)
+        pos: list[tuple[int, int] | None] = [None] * self.n
+        pos[0] = (0, 0)
+        stack = [0]
         while stack:
-            a = stack.pop()
-            x, y = pos[a]
-            for s in by_vid[a]:
-                for b, dx, dy in ((vid[h[s]], 1, 0), (vid[v[s]], 0, 1),
-                                  (vid[hi[s]], -1, 0), (vid[vi[s]], 0, -1)):
-                    if b not in pos:
-                        pos[b] = (x + dx, y + dy)
-                        stack.append(b)
-        zeros = [i for i, cyc in enumerate(vcycles) if len(cyc) >= 2]
-        return pos, zeros
-
-    def is_reduced(self) -> bool:
-        gens = [c.period for c in self.fundamental_cycles()]
-        pos, zeros = self._vertex_positions()
-        if zeros:
-            x0, y0 = pos[zeros[0]]
-            for z in zeros[1:]:
-                x, y = pos[z]
-                gens.append((x - x0, y - y0))
-        return _hnf2(gens) == ((1, 0), (0, 1))
+            s = stack.pop()
+            x, y = pos[s]
+            for t, dx, dy in ((h[s], 1, 0), (v[s], 0, 1), (hi[s], -1, 0), (vi[s], 0, -1)):
+                if pos[t] is None:
+                    pos[t] = (x + dx, y + dy)
+                    stack.append(t)
+        gens = []
+        for s, (x, y) in enumerate(pos):
+            (xh, yh), (xv, yv) = pos[h[s]], pos[v[s]]
+            gens += [(x + 1 - xh, y - yh), (x - xv, y + 1 - yv)]
+        corners = [pos[c[0]] for c in self.vertex_cycles() if len(c) >= 2]
+        gens += [(x - corners[0][0], y - corners[0][1]) for x, y in corners[1:]]
+        return lattice_index(gens) == 1
 
     # -- Arf ---------------------------------------------------------------
 
@@ -646,7 +596,7 @@ class Origami:
         if any(k % 2 for k in st.zero_orders):
             raise ValueError("Arf invariant needs all zero orders even")
         cycles, gram, coords, _ = self._homology_data()
-        q_cycle = [(winding_index(self, c) + 1) % 2 for c in cycles]
+        q_cycle = [(winding_index(c) + 1) % 2 for c in cycles]
 
         def q(vec) -> int:
             support = [i for i, k in enumerate(vec) if k % 2]

@@ -55,6 +55,12 @@ def test_echoes(run):
     assert code == 0 and "{3, 9, 13}" in out
 
 
+def test_echoes_default_spin_of_d9_is_the_admissible_one(run):
+    code, out, _ = run("echoes", "--discriminant", "9")
+    assert code == 0
+    assert (code, out) == run("echoes", "--discriminant", "9", "--e", "-1")[:2]
+
+
 def test_echoes_invalid_discriminant(run):
     code, _, err = run("echoes", "--discriminant", "7")
     assert code == 2 and "error" in err

@@ -45,12 +45,15 @@ def test_intersection_antisymmetric(moves):
 def test_winding_index():
     # convention: (right turns - left turns) / 4, so the counterclockwise
     # unit square counts -1 and the clockwise one +1
-    assert winding_index(TORUS, "ENWS", 0) == -1
-    assert winding_index(TORUS, "NESW", 0) == 1
+    def loop(moves):
+        return Cycle.from_loop(TORUS, 0, moves)
+
+    assert winding_index(loop("ENWS")) == -1
+    assert winding_index(loop("NESW")) == 1
     # backtracking does not change the winding
-    assert winding_index(TORUS, "EWENWS", 0) == winding_index(TORUS, "ENWS", 0)
+    assert winding_index(loop("EWENWS")) == winding_index(loop("ENWS"))
     # straight loops are regular
-    assert winding_index(TORUS, "E", 0) == 0
+    assert winding_index(loop("E")) == 0
 
 
 def test_fundamental_cycles_and_basis():

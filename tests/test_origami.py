@@ -1,8 +1,10 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatcover.origami import (Origami, OrbitCapExceeded, intersection,
-                               l_origami, mat2_mul, sl2z_word)
+                               l_origami, lattice_index, mat2_mul, sl2z_word)
 from flatcover.perms import Permutation, parse_cycles
 
 
@@ -308,8 +310,108 @@ def test_l_origami_validation():
         l_origami(2, 1)      # needs e + 1 < b
 
 
+# -- periods and reducedness ------------------------------------------------
+
+def reference_hnf2(vectors):
+    """Hermite form ((a, b), (0, c)) of the lattice spanned by 2d vectors."""
+
+    def extgcd(a, b):
+        old_r, r = a, b
+        old_s, s = 1, 0
+        old_t, t = 0, 1
+        while r:
+            q = old_r // r
+            old_r, r = r, old_r - q * r
+            old_s, s = s, old_s - q * s
+            old_t, t = t, old_t - q * t
+        return old_r, old_s, old_t
+
+    a = b = c = 0
+    for x, y in vectors:
+        if x:
+            if a:
+                g, p, q = extgcd(a, x)
+                if g < 0:
+                    g, p, q = -g, -p, -q
+                leftover = (a // g) * y - (x // g) * b
+                a, b = g, p * b + q * y
+                c = gcd(c, abs(leftover))
+            else:
+                a, b = abs(x), y if x > 0 else -y
+        else:
+            c = gcd(c, abs(y))
+    if c:
+        b %= c
+    return ((a, b), (0, c))
+
+
+def reference_is_reduced(o):
+    """Periods of the fundamental cycles plus the differences of the zeros'
+    positions, found by a walk over the vertices, span Z^2 (Hermite form)."""
+    vcycles = o.vertex_cycles()
+    vid = [0] * o.n
+    for i, cyc in enumerate(vcycles):
+        for s in cyc:
+            vid[s] = i
+    h, v = o.h.images, o.v.images
+    hi, vi = o.h.inverse().images, o.v.inverse().images
+    by_vid = {}
+    for s in range(o.n):
+        by_vid.setdefault(vid[s], []).append(s)
+    pos = {vid[0]: (0, 0)}
+    stack = [vid[0]]
+    while stack:
+        a = stack.pop()
+        x, y = pos[a]
+        for s in by_vid[a]:
+            for b, dx, dy in ((vid[h[s]], 1, 0), (vid[v[s]], 0, 1),
+                              (vid[hi[s]], -1, 0), (vid[vi[s]], 0, -1)):
+                if b not in pos:
+                    pos[b] = (x + dx, y + dy)
+                    stack.append(b)
+    gens = [c.period for c in o.fundamental_cycles()]
+    zeros = [pos[i] for i, cyc in enumerate(vcycles) if len(cyc) >= 2]
+    gens += [(x - zeros[0][0], y - zeros[0][1]) for x, y in zeros[1:]]
+    return reference_hnf2(gens) == ((1, 0), (0, 1))
+
+
+def stretch(o, k):
+    """The k-fold horizontal stretch: square s becomes the row (s, 0..k-1)."""
+    h, v = o.h.images, o.v.images
+    hk = [k * h[s // k] if s % k == k - 1 else s + 1 for s in range(k * o.n)]
+    vk = [k * v[s // k] + s % k for s in range(k * o.n)]
+    return Origami(Permutation(hk), Permutation(vk))
+
+
 def test_reduced():
     assert l_origami(6, 1).origami.is_reduced()
     two_square_torus = make_origami("(1,2)", "", 2)
     assert not two_square_torus.is_reduced()
-    assert two_square_torus.absolute_period_lattice() == ((2, 0), (0, 1))
+    periods = [c.period for c in two_square_torus.fundamental_cycles()]
+    assert lattice_index(periods) == 2
+
+
+def test_is_reduced_needs_no_homology():
+    o = make_origami("(1,2)(6,7)(3,8)(4,9)(5,10)", "(2,3,4,5)(7,8,9,10)", 10)
+    o.is_reduced()
+    assert o._homology is None
+
+
+def test_lattice_index():
+    assert lattice_index([(2, 0), (0, 1)]) == 2
+    assert lattice_index([(1, 2), (-2, -4), (0, 0)]) == 0
+    assert lattice_index([(3, 1), (1, 1), (0, 4)]) == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(origamis(max_n=8))
+def test_is_reduced_matches_reference(o):
+    assert o.is_reduced() == reference_is_reduced(o)
+
+
+@settings(max_examples=40, deadline=None)
+@given(origamis(max_n=4), st.integers(2, 3))
+def test_stretched_origamis_are_not_reduced(o, k):
+    o = stretch(o, k)
+    assert not o.is_reduced()
+    assert not reference_is_reduced(o)
