@@ -13,6 +13,11 @@ Homology is handled through "taxi paths": closed paths of unit moves
 The algebraic intersection number of two classes is the signed sum of
 crossings of one path's edges by the other, which makes intersection numbers,
 symplectic bases, winding numbers and the Arf invariant exactly computable.
+
+The spanning-tree cycles and their Gram matrix are built once per origami.
+The Arf invariant is computed from them over F_2, by a symplectic
+Gram-Schmidt on the mod-2 Gram rows; an integer symplectic basis is built
+only when `symplectic_basis` is asked for.
 """
 from __future__ import annotations
 
@@ -484,8 +489,15 @@ class Origami:
     # -- homology ----------------------------------------------------------
 
     def _homology_data(self):
-        """Spanning-tree fundamental cycles, Gram matrix, and an integer
-        symplectic basis expressed in fundamental-cycle coordinates."""
+        """Spanning-tree fundamental cycles, their Gram matrix and the cotree
+        edges, cached as (cycles, gram, cotree).
+
+        The Gram matrix is `intersection` on the pairs i < j, summed over the
+        nonzero sig/tau entries of cycle i, and gram[j][i] = -gram[i][j]:
+        `intersection` is antisymmetric with zero diagonal on closed loops
+        (the tests compare with the dense matrix).  No symplectic basis is
+        built here; `symplectic_basis` builds one on demand.
+        """
         if self._homology is not None:
             return self._homology
         n = self.n
@@ -533,9 +545,18 @@ class Origami:
                 cotree.append((kind, s))
         if len(cycles) != n + 1:
             raise InvariantError(f"{len(cycles)} fundamental cycles, not n + 1")
-        gram = [[intersection(a, b) for b in cycles] for a in cycles]
-        basis_coords = symplectic_reduce(gram)
-        self_hom = (cycles, gram, basis_coords, cotree)
+        m = len(cycles)
+        gram = [[0] * m for _ in range(m)]
+        for i, a in enumerate(cycles):
+            sig = [(k, x) for k, x in enumerate(a.sig) if x]
+            tau = [(k, x) for k, x in enumerate(a.tau) if x]
+            row = gram[i]
+            for j in range(i + 1, m):
+                dsig, dtau = cycles[j].dsig, cycles[j].dtau
+                g = sum(x * dsig[k] for k, x in sig) - sum(x * dtau[k] for k, x in tau)
+                row[j] = g
+                gram[j][i] = -g
+        self_hom = (cycles, gram, cotree)
         object.__setattr__(self, "_homology", self_hom)
         return self_hom
 
@@ -545,13 +566,14 @@ class Origami:
     def cotree_edges(self) -> list[tuple[str, int]]:
         """The dual-graph edges ('E'|'N', square) not in the spanning tree,
         parallel to fundamental_cycles()."""
-        return list(self._homology_data()[3])
+        return list(self._homology_data()[2])
 
     def symplectic_basis(self) -> list[Cycle]:
-        """2g cycles (a1, b1, a2, b2, ...) with standard symplectic Gram."""
-        cycles, _, coords, _ = self._homology_data()
+        """2g cycles (a1, b1, a2, b2, ...) with standard symplectic Gram,
+        reduced from the fundamental cycles' Gram matrix on every call."""
+        cycles, gram, _ = self._homology_data()
         out = []
-        for vec in coords:
+        for vec in symplectic_reduce(gram):
             c = Cycle.zero(self.n)
             for k, cyc in zip(vec, cycles):
                 if k:
@@ -592,24 +614,52 @@ class Origami:
     # -- Arf ---------------------------------------------------------------
 
     def arf_invariant(self) -> int:
+        """Arf invariant of the spin structure q(c) = winding_index(c) + 1
+        mod 2, computed over F_2 from the fundamental cycles.
+
+        Vectors are bitmasks over the fundamental cycles, each with a mod-2
+        Gram row g and its value q.  A vector x and a partner y with
+        b(x, y) = 1 form a hyperbolic pair and add q(x) q(y) to the Arf
+        invariant; every other w becomes w + b(w, y) x + b(w, x) y, with
+        q(w + x) = q(w) + q(x) + b(w, x).  Each vector keeps the Gram row of
+        the cycle it started as: the two differ by rows of vectors already
+        paired off, which pair to zero with every vector still left.  A
+        vector with no partner spans the radical (the classes null-homologous
+        on the closed surface), so q must vanish on it, and the pairs must
+        number the genus.
+        """
         st = self.stratum()
         if any(k % 2 for k in st.zero_orders):
             raise ValueError("Arf invariant needs all zero orders even")
-        cycles, gram, coords, _ = self._homology_data()
-        q_cycle = [(winding_index(c) + 1) % 2 for c in cycles]
-
-        def q(vec) -> int:
-            support = [i for i, k in enumerate(vec) if k % 2]
-            val = sum(q_cycle[i] for i in support)
-            for ii in range(len(support)):
-                for jj in range(ii + 1, len(support)):
-                    val += gram[support[ii]][support[jj]]
-            return val % 2
-
-        arf = 0
-        for k in range(0, len(coords), 2):
-            arf += q(coords[k]) * q(coords[k + 1])
-        return arf % 2
+        cycles, gram, _ = self._homology_data()
+        vecs = []
+        for i, (c, row) in enumerate(zip(cycles, gram)):
+            g = sum(1 << j for j, x in enumerate(row) if x % 2)
+            vecs.append((1 << i, g, (winding_index(c) + 1) % 2))
+        arf = pairs = 0
+        while vecs:
+            x, gx, qx = vecs.pop()
+            for k, (y, _, _) in enumerate(vecs):
+                if (gx & y).bit_count() % 2:
+                    break
+            else:
+                if qx:
+                    raise InvariantError("q is 1 on a null-homologous class")
+                continue
+            _, gy, qy = vecs.pop(k)
+            arf ^= qx & qy
+            pairs += 1
+            for k, (w, gw, qw) in enumerate(vecs):
+                bx = (gx & w).bit_count() % 2
+                if (gy & w).bit_count() % 2:
+                    # b(w + x, y) = 0, so adding y below needs no correction
+                    w, qw = w ^ x, qw ^ qx ^ bx
+                if bx:
+                    w, qw = w ^ y, qw ^ qy
+                vecs[k] = (w, gw, qw)
+        if pairs != st.genus:
+            raise InvariantError(f"{pairs} hyperbolic pairs mod 2, genus {st.genus}")
+        return arf
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flatcover
 from flatcover import InvariantError
 from flatcover.cli import main
 
@@ -156,6 +161,14 @@ def test_internal_invariant_failure_exits_1(run, monkeypatch):
 def test_help_and_version_exit_0(run):
     assert run("--help")[0] == 0
     assert run("--version")[0] == 0
+
+
+def test_python_dash_m_version_exits_0():
+    env = dict(os.environ, PYTHONPATH=str(Path(flatcover.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "flatcover", "--version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("flatcover ")
 
 
 def test_determinism(run):

@@ -1,6 +1,11 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flatcover.origami
+from flatcover.classify import square_spins
+from flatcover.covers import all_double_covers
 from flatcover.origami import (Cycle, Origami, intersection, l_origami,
                                symplectic_reduce, winding_index)
 from flatcover.perms import parse_cycles
@@ -9,6 +14,12 @@ J4 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
 
 TORUS = Origami.from_text("n=1 h= v=")
 FIVE = Origami(parse_cycles("(1,2)", 5), parse_cycles("(2,3,4,5)", 5))
+
+#: H(2) surfaces with two or more horizontal and vertical cylinders, so not
+#: L-shaped; their double covers are labelled in a generic symplectic basis
+OFF_L = ("n=5 h=(1,4,5)(2,3) v=(1,3,4)(2,5)",
+         "n=6 h=(1,4)(2,5,6,3) v=(1,5,3)(2,6,4)",
+         "n=7 h=(1,4)(2,7,3,5,6) v=(1,5,2)(3,6,7,4)")
 
 
 def test_torus_intersection():
@@ -108,3 +119,91 @@ def test_arf_invariants_of_small_surfaces():
                     parse_cycles("(2,3,4,5)(7,8,9,10)", 10))
     assert right.arf_invariant() == 0   # hyperelliptic component
     assert left.arf_invariant() == 1    # odd component
+
+
+# -- the Arf invariant over F_2 -------------------------------------------------
+
+def q_on_subsets(o):
+    """q(c) = winding_index(c) + 1 mod 2 of the fundamental cycles, extended
+    to a sum over a set of them by q(x + y) = q(x) + q(y) + x.y."""
+    cycles = o.fundamental_cycles()
+    q_cycle = [(winding_index(c) + 1) % 2 for c in cycles]
+
+    def q(support):
+        val = sum(q_cycle[i] for i in support)
+        for ii, i in enumerate(support):
+            for j in support[ii + 1:]:
+                val += intersection(cycles[i], cycles[j])
+        return val % 2
+    return cycles, q
+
+
+def reference_arf(o):
+    """Arf invariant from q on an integer symplectic basis (a1, b1, ...) in
+    fundamental-cycle coordinates, as returned by `symplectic_reduce`."""
+    cycles, q = q_on_subsets(o)
+    gram = [[intersection(a, b) for b in cycles] for a in cycles]
+    coords = symplectic_reduce(gram)
+    odd = [[i for i, k in enumerate(vec) if k % 2] for vec in coords]
+    return sum(q(odd[k]) * q(odd[k + 1]) for k in range(0, len(odd), 2)) % 2
+
+
+def double_cover_lifts(o, basis):
+    return [c.lift() for c in all_double_covers(o, basis)]
+
+
+@pytest.mark.parametrize("d", range(3, 12))
+def test_arf_matches_integer_basis_on_l_lifts(d):
+    for b, e in square_spins(d):
+        L = l_origami(b, e)
+        for lift in double_cover_lifts(L.origami, list(L.basis)):
+            assert lift.arf_invariant() == reference_arf(lift)
+
+
+@pytest.mark.parametrize("text", OFF_L)
+def test_arf_matches_integer_basis_off_l(text):
+    o = Origami.from_text(text)
+    assert str(o.stratum()) == "H(2)"
+    lifts = double_cover_lifts(o, o.symplectic_basis())
+    assert len(lifts) == 15
+    for lift in lifts:
+        assert lift.arf_invariant() == reference_arf(lift)
+
+
+def test_arf_is_majority_value_of_q():
+    # On H_1(F_2) of genus g, q takes the value Arf(q) on 2^(g-1) (2^g + 1)
+    # classes: 36 of the 64 for g = 3.  A class is known by its pairings
+    # with the fundamental cycles, since the form is nondegenerate there.
+    L = l_origami(2, -1)
+    seen = 0
+    for lift in double_cover_lifts(L.origami, list(L.basis)):
+        cycles, q = q_on_subsets(lift)
+        m = len(cycles)
+        rows = [sum(1 << j for j, b in enumerate(cycles) if intersection(a, b) % 2)
+                for a in cycles]
+        q_of_class = {}
+        for mask in range(1 << m):
+            support = [i for i in range(m) if mask >> i & 1]
+            key = 0
+            for i in support:
+                key ^= rows[i]
+            q_of_class.setdefault(key, set()).add(q(support))
+        assert len(q_of_class) == 64
+        assert all(len(values) == 1 for values in q_of_class.values())
+        counts = Counter(values.pop() for values in q_of_class.values())
+        arf = lift.arf_invariant()
+        assert counts == {arf: 36, 1 - arf: 28}
+        seen |= 1 << arf
+    assert seen == 3   # both components occur among the 15 lifts
+
+
+def test_arf_needs_no_symplectic_reduce(monkeypatch):
+    def refuse(gram):
+        raise AssertionError("symplectic_reduce called")
+
+    monkeypatch.setattr(flatcover.origami, "symplectic_reduce", refuse)
+    L = l_origami(6, 1)
+    lifts = double_cover_lifts(L.origami, list(L.basis))
+    assert sorted(lift.arf_invariant() for lift in lifts) == [0] * 5 + [1] * 10
+    with pytest.raises(AssertionError):
+        FIVE.symplectic_basis()

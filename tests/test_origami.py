@@ -3,6 +3,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flatcover.covers import cover_from_basis_values
 from flatcover.origami import (Origami, OrbitCapExceeded, intersection,
                                l_origami, lattice_index, mat2_mul, sl2z_word)
 from flatcover.perms import Permutation, parse_cycles
@@ -291,6 +292,27 @@ def test_symplectic_basis_has_standard_gram(o):
     for k in range(0, 2 * g, 2):
         standard[k][k + 1], standard[k + 1][k] = 1, -1
     assert [[intersection(x, y) for y in basis] for x in basis] == standard
+
+
+def assert_sparse_gram_is_dense(o):
+    cycles, gram, _ = o._homology_data()
+    assert gram == [[intersection(a, b) for b in cycles] for a in cycles]
+    assert all(gram[i][j] == -gram[j][i]
+               for i in range(len(gram)) for j in range(len(gram)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(origamis(max_n=8))
+def test_sparse_gram_equals_intersection_matrix(o):
+    assert_sparse_gram_is_dense(o)
+
+
+def test_sparse_gram_of_lifts():
+    for b, e in ((2, -1), (6, 1), (4, 0), (12, -1)):
+        L = l_origami(b, e)
+        for values in ((1, 0, 0, 0), (0, 1, 1, 0), (1, 1, 1, 1)):
+            c = cover_from_basis_values(L.origami, 2, list(L.basis), values)
+            assert_sparse_gram_is_dense(c.lift())
 
 
 # -- the L-shaped eigenform surfaces ----------------------------------------
