@@ -86,13 +86,11 @@ def cover_from_basis_values(o: Origami, m: int, basis: list[Cycle],
     return cover
 
 
-def all_double_covers(o: Origami, basis: list[Cycle] | None = None) -> list[Cover]:
+def all_double_covers(o: Origami, basis: list[Cycle]) -> list[Cover]:
     """The 15 connected double covers of a genus-2 origami, indexed by the
     nonzero holonomy homomorphisms H_1 -> Z/2."""
     if o.stratum().genus != 2:
         raise ValueError("double-cover enumeration needs a genus-2 base")
-    if basis is None:
-        basis = o.symplectic_basis()
     covers = []
     for values in nonzero_vectors_mod2():
         covers.append(cover_from_basis_values(o, 2, basis, values))
@@ -109,14 +107,12 @@ def cover_label(basis, c: Cover) -> tuple[tuple[int, int, int, int], int]:
     return gamma, vector_label(gamma)
 
 
-def cyclic_covers(o: Origami, n: int, basis: list[Cycle] | None = None) -> list[Cover]:
+def cyclic_covers(o: Origami, n: int, basis: list[Cycle]) -> list[Cover]:
     """One connected Z/n cover per primitive dual vector in (Z/n)^4."""
     if n < 2:
         raise ValueError("modulus must be at least 2")
     if o.stratum().genus != 2:
         raise ValueError("cyclic-cover enumeration needs a genus-2 base")
-    if basis is None:
-        basis = o.symplectic_basis()
     covers = []
     for x1, y1, x2, y2 in primitive_vectors(n):
         # holonomy of the functional <., gamma> on (a1, b1, a2, b2)

@@ -8,16 +8,22 @@ reduced modulo the 20th cyclotomic polynomial
 so zeta^8 = zeta^6 - zeta^4 + zeta^2 - 1.  The field contains i = zeta^5 and
 the primitive 10th root of unity xi = zeta^2, which is what the regular
 double decagon needs.
+
+The Galois automorphisms are sigma_k: zeta -> zeta^k for k prime to 20.
+Inversion is by the norm: N(x) = x * prod_{k != 1} sigma_k(x) is a nonzero
+rational for x != 0, so 1/x = prod_{k != 1} sigma_k(x) / N(x).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
+from . import InvariantError
+
 Q = Fraction
 
 DEGREE = 8
-#: Phi_20 coefficients, constant term first.
-MODULUS = (1, 0, -1, 0, 1, 0, -1, 0, 1)
+#: the exponents k != 1 prime to 20: sigma_k for these are the other conjugates
+_OTHER_UNITS = (3, 7, 9, 11, 13, 17, 19)
 
 
 class CyclotomicElement:
@@ -96,35 +102,29 @@ class CyclotomicElement:
             raise ValueError("element is not rational")
         return self.coeffs[0]
 
+    def galois(self, k: int) -> "CyclotomicElement":
+        """The Galois image sigma_k(self) under zeta -> zeta^k."""
+        slots = [Q(0)] * 20
+        for j, c in enumerate(self.coeffs):
+            slots[j * k % 20] += c
+        return CyclotomicElement(slots)
+
     def conjugate(self) -> "CyclotomicElement":
         """Complex conjugation: zeta -> zeta^-1 = zeta^19."""
-        out = CyclotomicElement()
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out = out + c * zeta_pow(-k)
-        return out
+        return self.galois(19)
 
     def inverse(self) -> "CyclotomicElement":
-        """Inverse via the extended Euclidean algorithm against Phi_20."""
+        """Inverse by the norm: the product of the other Galois conjugates
+        divided by N(self) = self * (that product), a nonzero rational."""
         if self.is_zero():
             raise ZeroDivisionError("zero has no inverse")
-        # Bezout over Q[x]: s * self + t * Phi = gcd = nonzero constant.
-        r0 = [Q(c) for c in MODULUS]
-        r1 = list(self.coeffs)
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        s0, s1 = [], [Q(1)]
-        while True:
-            q, r = _polydivmod(r0, r1)
-            if not r:
-                break
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1))
-            r0, r1 = r1, r
-        lead = r1[0] if len(r1) == 1 else None
-        if lead is None:
-            raise ZeroDivisionError("element is a zero divisor (not in the field)")
-        inv = [c / lead for c in s1]
-        return CyclotomicElement(inv)
+        others = ONE
+        for k in _OTHER_UNITS:
+            others = others * self.galois(k)
+        norm = self * others
+        if not norm.is_rational() or norm.is_zero():
+            raise InvariantError(f"norm {norm!r} is not a nonzero rational")
+        return others * (1 / norm.as_fraction())
 
     def __repr__(self):
         terms = []
@@ -149,41 +149,6 @@ def _reduce(coeffs):
     return cs[:DEGREE]
 
 
-def _polydivmod(a, b):
-    """Quotient and remainder of dense Q[x] polynomials (constant first)."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [Q(0)] * max(len(a) - db, 1)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] / lb
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def _polymul(a, b):
-    out = [Q(0)] * (len(a) + len(b) - 1 or 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _polysub(a, b):
-    out = [Q(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def zeta_pow(k: int) -> CyclotomicElement:
     """zeta_20^k for any integer k."""
     k %= 20
@@ -204,4 +169,4 @@ def real_part(p: "CyclotomicElement") -> "CyclotomicElement":
 
 def imag_part(p: "CyclotomicElement") -> "CyclotomicElement":
     """The (totally real) imaginary part (p - conj(p)) / (2i)."""
-    return (p - p.conjugate()) / (2 * I_UNIT)
+    return (p - p.conjugate()) * (I_UNIT * Q(-1, 2))

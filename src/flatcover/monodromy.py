@@ -96,20 +96,16 @@ def mat_det(A: Mat) -> Fraction:
 
 def mat_inverse_mod(A: Mat, m: int) -> Mat:
     """Inverse of a matrix invertible mod m, via the adjugate."""
-    # cofactor expansion on 3x3 minors
-    def minor(r, c):
-        rows = [i for i in range(4) if i != r]
-        cols = [j for j in range(4) if j != c]
-        a = [[A[i][j] for j in cols] for i in rows]
-        return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-                - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-                + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
-
     det = int(mat_det(A)) % m
     if gcd(det, m) != 1:
         raise ValueError("matrix not invertible mod m")
     dinv = pow(det, -1, m)
-    return tuple(tuple((-1) ** (i + j) * minor(j, i) * dinv % m for j in range(4))
+
+    def cofactor(r, c):
+        minor = [[A[i][j] for j in range(4) if j != c] for i in range(4) if i != r]
+        return (-1) ** (r + c) * int(mat_det(minor))
+
+    return tuple(tuple(cofactor(j, i) * dinv % m for j in range(4))
                  for i in range(4))
 
 
@@ -247,32 +243,25 @@ def dihedral_structure(group, mod: int) -> int | None:
         return None
     k = order // 2
     ident = mat_mod(IDENTITY4, mod)
-
-    def elt_order(A):
-        P = A
-        o = 1
-        while P != ident:
-            P = mat_mul(P, A, mod)
-            o += 1
-            if o > order:
-                raise ValueError("input is not a group")
-        return o
-
     for r in elems:
-        if elt_order(r) != k:
-            continue
-        cyc = set()
-        P = ident
-        for _ in range(k):
-            cyc.add(P)
+        # the cyclic walk 1, r, ..., r^(o-1) of r; its last power is r^-1
+        walk = [ident]
+        P = r
+        while P != ident:
+            if len(walk) == order:
+                raise ValueError("input is not a group")
+            walk.append(P)
             P = mat_mul(P, r, mod)
-        rinv = mat_inverse_mod(r, mod)
+        if len(walk) != k:
+            continue
+        cyc = set(walk)
         for s in elems:
             if s in cyc:
                 continue
+            # an involution is its own inverse: test s r s^-1 = r^-1 as s r s
             if mat_mul(s, s, mod) != ident:
                 continue
-            if mat_mul(mat_mul(s, r, mod), mat_inverse_mod(s, mod), mod) == rinv:
+            if mat_mul(mat_mul(s, r, mod), s, mod) == walk[-1]:
                 return k
     return None
 

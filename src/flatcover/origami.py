@@ -328,6 +328,12 @@ class Origami:
             raise ValueError(f"malformed origami text {text!r}") from exc
         if "h" not in parts or "v" not in parts:
             raise ValueError(f"malformed origami text {text!r}")
+        # a transitive pair of degree >= 2 fixes no square under both h and
+        # v, so each square is written in a cycle: check before allocating
+        written = sum(parts[k].count("(") + parts[k].count(",") for k in "hv")
+        if n >= 2 and n > written:
+            raise ValueError(f"n={n} exceeds the {written} square indices "
+                             f"written in h and v; the pair is not transitive")
         return Origami(parse_cycles(parts["h"], n), parse_cycles(parts["v"], n))
 
     def __repr__(self) -> str:
@@ -674,47 +680,28 @@ def _check_det_one(M) -> tuple[int, int, int, int]:
 
 
 def sl2z_word(M) -> list[str]:
-    """Decompose M in SL(2,Z) as a product of L, R, their inverses and -I.
+    """Decompose M in SL(2,Z) as a product of L, R, their inverses and -I,
+    by Euclid on the first column with S = R^-1 L R^-1 = [[0,-1],[1,0]].
 
     Returns the factors of the product read left to right; applying them to an
     origami under the left action means applying the last token first.
     """
     a, b, c, d = _check_det_one(M)
-    factors: list[tuple[str, int]] = []
-    while c != 0 and a != 0:
-        if abs(c) >= abs(a):
-            q = c // a
-            factors.append(("L", q))
-            c, d = c - q * a, d - q * b
-        else:
-            q = a // c
-            factors.append(("R", q))
-            a, b = a - q * c, b - q * d
     tokens: list[str] = []
 
     def emit(gen: str, power: int):
-        if power > 0:
-            tokens.extend([gen] * power)
-        elif power < 0:
-            tokens.extend([gen + "inv"] * (-power))
+        tokens.extend([gen if power > 0 else gen + "inv"] * abs(power))
 
-    for gen, p in factors:
-        emit(gen, p)
-    s_word = ["Rinv", "L", "Rinv"]  # S = [[0,-1],[1,0]] = R^-1 L R^-1
-    if c == 0:
-        if a == 1:
-            emit("R", b)
-        else:  # a = d = -1
-            tokens.append("-I")
-            emit("R", -b)
-    else:  # a == 0, c = +-1
-        if c == 1:
-            tokens.extend(s_word)
-            emit("R", d)
-        else:
-            tokens.append("-I")
-            tokens.extend(s_word)
-            emit("R", -d)
+    while c != 0:
+        q = a // c
+        emit("R", q)
+        a, b = a - q * c, b - q * d
+        tokens.extend(["Rinv", "L", "Rinv"])
+        a, b, c, d = c, d, -a, -b
+    if a == -1:
+        tokens.append("-I")
+        b = -b
+    emit("R", b)
     return tokens
 
 

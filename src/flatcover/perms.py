@@ -9,6 +9,7 @@ literature, e.g. "(1,2)(3,4)"; internally everything is 0-based.
 """
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, Sequence
 
 
@@ -64,12 +65,8 @@ class Permutation:
         return all(i == j for i, j in enumerate(self.images))
 
     def order(self) -> int:
-        k = 1
-        p = self
-        while not p.is_identity():
-            p = compose(p, self)
-            k += 1
-        return k
+        """The lcm of the cycle lengths."""
+        return lcm(*(len(c) for c in self.cycles()))
 
     # -- cycle structure ---------------------------------------------------
 

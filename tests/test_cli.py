@@ -51,6 +51,14 @@ def test_orbit_bad_origami(run):
         assert code == 2 and "error" in err
 
 
+def test_orbit_huge_degree_rejected_before_allocating(run):
+    # two 2-cycles write 4 square indices; a transitive pair of degree
+    # >= 2 writes every square, so n = 10^12 is refused without a 10^12 list
+    code, out, err = run("orbit", "--origami", "n=1000000000000 h=(1,2) v=(2,3)")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_echoes(run):
     code, out, _ = run("echoes", "--discriminant", "8", "--format", "json")
     assert code == 0

@@ -113,7 +113,7 @@ def test_quotient_by_deck_recovers_base():
 def test_cover_needs_genus_two():
     torus = Origami.from_text("n=1 h= v=")
     with pytest.raises(ValueError):
-        all_double_covers(torus)
+        all_double_covers(torus, torus.symplectic_basis())
 
 
 def test_disconnected_cover_rejected():

@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,6 +65,25 @@ def test_conjugation(a):
     # norm a * conj(a) is fixed by conjugation (it is real)
     n = a * a.conjugate()
     assert n.conjugate() == n
+
+
+UNITS = [k for k in range(1, 20) if gcd(k, 20) == 1]
+
+
+@settings(max_examples=40)
+@given(elements(), elements())
+def test_galois_automorphisms(a, b):
+    for k in UNITS:
+        assert (a + b).galois(k) == a.galois(k) + b.galois(k)
+        assert (a * b).galois(k) == a.galois(k) * b.galois(k)
+        assert ONE.galois(k) == ONE
+        for l in UNITS:
+            assert a.galois(l).galois(k) == a.galois(k * l % 20)
+    norm = ONE
+    for k in UNITS:
+        norm = norm * a.galois(k)
+    assert norm.is_rational()
+    assert a.conjugate() == a.galois(19)
 
 
 def test_conjugate_on_roots():

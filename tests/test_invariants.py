@@ -1,8 +1,10 @@
-"""Library invariants raise `InvariantError`, which `python -O` keeps.
+"""Source guards on the library.
 
-`assert` statements vanish under `-O`, so a failed invariant would go
-unnoticed and a wrong result would be returned; the source guard keeps them
-out of the library.
+Library invariants raise `InvariantError`, which `python -O` keeps: `assert`
+statements vanish under `-O`, so a failed invariant would go unnoticed and a
+wrong result would be returned.  The library is also pure-stdlib and exact,
+so it imports nothing outside the standard library and uses no floating
+point.
 """
 import ast
 import os
@@ -15,13 +17,51 @@ import flatcover
 PACKAGE = Path(flatcover.__file__).parent
 
 
-def test_library_has_no_assert_statements():
-    found = []
+FLOAT_NAMES = {"float", "complex"}
+FLOAT_MATH = {"sqrt", "pi", "log", "exp"}
+
+
+def library_nodes():
+    """(file name, node) for every AST node of the library sources."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Assert):
-                found.append(f"{path.name}:{node.lineno}")
+            yield path.name, node
+
+
+def test_library_has_no_assert_statements():
+    found = [f"{name}:{node.lineno}" for name, node in library_nodes()
+             if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the library: {found}"
+
+
+def test_library_imports_only_the_standard_library():
+    found = []
+    for name, node in library_nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{name}:{node.lineno} {m}" for m in modules
+                  if m.partition(".")[0] not in sys.stdlib_module_names]
+    assert not found, f"non-stdlib imports in the library: {found}"
+
+
+def test_library_uses_no_floating_point():
+    found = []
+    for name, node in library_nodes():
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"{name}:{node.lineno} literal {node.value!r}")
+        elif isinstance(node, ast.Name) and node.id in FLOAT_NAMES:
+            found.append(f"{name}:{node.lineno} {node.id}")
+        elif (isinstance(node, ast.Attribute) and node.attr in FLOAT_MATH
+              and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            found.append(f"{name}:{node.lineno} math.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [f"{name}:{node.lineno} math.{alias.name}"
+                      for alias in node.names if alias.name in FLOAT_MATH]
+    assert not found, f"floating point in the library: {found}"
 
 
 def test_invariant_error_survives_optimize_flag():

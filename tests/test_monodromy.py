@@ -136,6 +136,12 @@ def test_dihedral_structure():
     # order 2 mod 4; its largest entry is 2, so the modulus is not 3
     shear = ((1, 2, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     assert dihedral_structure(group_closure([shear], 4), mod=4) == 1
+    # cyclic of order 6: its only involution outside <r^2> is central, so
+    # s r s = r, not r^-1
+    sixfold = ((1, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    cyclic6 = group_closure([sixfold], 3)
+    assert len(cyclic6) == 6
+    assert dihedral_structure(cyclic6, mod=3) is None
     # two elements, one of order 4: not a group
     with pytest.raises(ValueError):
         dihedral_structure([IDENTITY4, mat_H(1, 0)], mod=4)

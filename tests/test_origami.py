@@ -152,18 +152,19 @@ def test_act_matrix_identity_and_minus_identity():
     assert o == Origami(FIVE.h.inverse(), FIVE.v.inverse())
 
 
+GENERATOR_MATRICES = {"L": ((1, 0), (1, 1)), "R": ((1, 1), (0, 1)),
+                      "Linv": ((1, 0), (-1, 1)), "Rinv": ((1, -1), (0, 1)),
+                      "-I": ((-1, 0), (0, -1))}
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.sampled_from(["L", "R", "Linv", "Rinv"]), min_size=0, max_size=6))
 def test_sl2z_word_reconstructs_matrix_action(word):
-    L = ((1, 0), (1, 1))
-    R = ((1, 1), (0, 1))
-    inv = {"L": ((1, 0), (-1, 1)), "R": ((1, -1), (0, 1))}
     M = ((1, 0), (0, 1))
     o = FIVE
     for g in word:
         o = o.act_generator(g)
-        step = {"L": L, "R": R, "Linv": inv["L"], "Rinv": inv["R"]}[g]
-        M = mat2_mul(step, M)
+        M = mat2_mul(GENERATOR_MATRICES[g], M)
     assert FIVE.act_matrix(M) == o
 
 
@@ -178,12 +179,26 @@ def test_act_matrix_rejects_non_unimodular():
         FIVE.act_matrix(((2, 0), (0, 1)))
 
 
+def word_product(word):
+    M = ((1, 0), (0, 1))
+    for g in word:
+        M = mat2_mul(M, GENERATOR_MATRICES[g])
+    return M
+
+
 def test_sl2z_word_covers_column_zero_case():
     S = ((0, -1), (1, 0))
     assert FIVE.act_matrix(S).act_matrix(S) == FIVE.act_matrix(((-1, 0), (0, -1)))
-    for M in (S, ((0, 1), (-1, 0)), ((0, -1), (1, 3))):
-        word = sl2z_word(M)
-        assert word is not None  # exercised without error
+    for M in (S, ((0, 1), (-1, 0)), ((0, -1), (1, 3)), ((-1, 0), (0, -1)),
+              ((-1, 5), (0, -1))):
+        assert word_product(sl2z_word(M)) == M
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(sorted(GENERATOR_MATRICES)), max_size=12))
+def test_sl2z_word_multiplies_back(word):
+    M = word_product(word)
+    assert word_product(sl2z_word(M)) == M
 
 
 def test_veech_contains():
