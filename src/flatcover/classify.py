@@ -25,11 +25,6 @@ from .origami import l_origami, lattice_index
 HYP_LABELS = frozenset({2, 3, 5, 9, 13})
 
 
-def hyperelliptic_labels() -> frozenset:
-    """The five double covers lifting to the hyperelliptic component."""
-    return HYP_LABELS
-
-
 # ---------------------------------------------------------------------------
 # Table 2: echoes of W_D
 # ---------------------------------------------------------------------------
@@ -104,15 +99,6 @@ def echoes_of_WD(D: int, e: int | None = None) -> EchoTable:
             or any(l in HYP_LABELS for block in odd for l in block)):
         raise InvariantError(f"orbit blocks of D={D} mix hyperelliptic and odd labels")
     return EchoTable(D, b, e, tuple(sorted(hyp)), tuple(sorted(odd)))
-
-
-def echo_degree(table: EchoTable, block) -> int:
-    """Degree of the echo as a cover of the Teichmuller curve of the base:
-    the size of its orbit block."""
-    block = tuple(sorted(block))
-    if not block or table.block_of(block[0]) != block:
-        raise ValueError("block is not an orbit of this table")
-    return len(block)
 
 
 # ---------------------------------------------------------------------------
@@ -280,27 +266,23 @@ def verify_sts_orbits(n: int, cap: int = 11) -> dict:
             seeds.append((label, lift))
         seeds.sort()
 
-        seen: set = set()
+        orbit_of: dict = {}
         orbits = []
         for label, lift in seeds:
-            form = lift.canonical_form()
-            if form in seen:
-                for o in orbits:
-                    if form in o["members"]:
-                        o["labels"].append(label)
-                        o["arfs"].append(lift.arf_invariant())
+            o = orbit_of.get(lift.canonical_form())
+            if o is not None:
+                o["labels"].append(label)
+                o["arfs"].append(lift.arf_invariant())
                 continue
             members = lift.sl2z_orbit_forms()
-            seen.update(members)
-            block = table.block_of(label)
             o = {
                 "labels": [label],
                 "size": len(members),
-                "block_size": len(block),
+                "block_size": len(table.block_of(label)),
                 "arfs": [lift.arf_invariant()],
                 "translation_order": len(lift.translations()),
-                "members": members,
             }
+            orbit_of.update(dict.fromkeys(members, o))
             orbits.append(o)
 
         for o in orbits:
@@ -314,7 +296,7 @@ def verify_sts_orbits(n: int, cap: int = 11) -> dict:
                 o["size"] == len(base_orbit) * o["block_size"])
             if o["translation_order"] == 2 and not o["size_matches_product"]:
                 raise InvariantError(f"orbit size of {o['labels']} breaks the product rule")
-            del o["members"], o["arfs"]
+            del o["arfs"]
 
         spin = {
             "b": b, "e": e, "d": base.d,

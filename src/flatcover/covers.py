@@ -6,14 +6,15 @@ coordinate.  Covers are built from the values of their holonomy homomorphism
 H_1(base, Z/m) -> Z/m on a symplectic cycle basis: spanning-tree edges get
 weight zero and each cotree edge gets the value of the homomorphism on its
 fundamental cycle, which kills the coboundary ambiguity at construction.
+The double covers are the Z/2 cyclic covers: the primitive vectors of
+(Z/2)^4 are its 15 nonzero vectors.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import InvariantError
-from .monodromy import (nonzero_vectors_mod2, primitive_vector_count,
-                        primitive_vectors, vector_label)
+from .monodromy import primitive_vector_count, primitive_vectors, vector_label
 from .origami import Cycle, Origami, intersection
 from .perms import Permutation
 
@@ -66,10 +67,11 @@ def cover_from_basis_values(o: Origami, m: int, basis: list[Cycle],
     """The cover whose holonomy takes the given values on the symplectic basis."""
     if len(values) != len(basis):
         raise ValueError("one value per basis cycle required")
+    cycles, _, cotree = o._homology_data()
     n = o.n
     w_right = [0] * n
     w_up = [0] * n
-    for cyc, (kind, s) in zip(o.fundamental_cycles(), o.cotree_edges()):
+    for cyc, (kind, s) in zip(cycles, cotree):
         # coordinates of cyc in the basis, read off through the symplectic form
         w = 0
         for k in range(0, len(basis), 2):
@@ -89,12 +91,7 @@ def cover_from_basis_values(o: Origami, m: int, basis: list[Cycle],
 def all_double_covers(o: Origami, basis: list[Cycle]) -> list[Cover]:
     """The 15 connected double covers of a genus-2 origami, indexed by the
     nonzero holonomy homomorphisms H_1 -> Z/2."""
-    if o.stratum().genus != 2:
-        raise ValueError("double-cover enumeration needs a genus-2 base")
-    covers = []
-    for values in nonzero_vectors_mod2():
-        covers.append(cover_from_basis_values(o, 2, basis, values))
-    return covers
+    return cyclic_covers(o, 2, basis)
 
 
 def cover_label(basis, c: Cover) -> tuple[tuple[int, int, int, int], int]:

@@ -163,10 +163,6 @@ I_UNIT = zeta_pow(5)
 ONE = CyclotomicElement([1])
 
 
-def real_part(p: "CyclotomicElement") -> "CyclotomicElement":
-    return (p + p.conjugate()) * Q(1, 2)
-
-
 def imag_part(p: "CyclotomicElement") -> "CyclotomicElement":
     """The (totally real) imaginary part (p - conj(p)) / (2i)."""
     return (p - p.conjugate()) * (I_UNIT * Q(-1, 2))

@@ -5,8 +5,9 @@ bottom rectangle width b-2).  The intersection form on H_1 in the basis
 (a1, b1, a2, b2), `symplectic_pairing` and its Gram matrix `J4`, lives here
 for the whole package, since this module imports no other flatcover module.
 
-All comparisons are exact: the sign of x + y*lambda is decided by rational
-case analysis on x, y and a comparison of squares against D = e^2 + 4b.
+Signs are exact: the sign of x + y*lambda is decided by rational case
+analysis on x, y and a comparison of squares against D = e^2 + 4b.  Elements
+have no ordering; compare by the sign of a difference.
 """
 from __future__ import annotations
 
@@ -109,7 +110,7 @@ class QuadraticElement:
     def __rtruediv__(self, other):
         return self._coerce(other) * self.inverse()
 
-    # -- order -------------------------------------------------------------
+    # -- sign --------------------------------------------------------------
 
     def sign(self) -> int:
         """Sign of the real value under lambda = (e + sqrt(D))/2 > 0."""
@@ -137,18 +138,6 @@ class QuadraticElement:
     def __hash__(self):
         return hash((self.x, self.y, self.b, self.e))
 
-    def __lt__(self, other):
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        return (self - other).sign() >= 0
-
     def is_rational(self) -> bool:
         return self.y == 0
 
@@ -156,9 +145,6 @@ class QuadraticElement:
         if not self.is_rational():
             raise ValueError("element has a nonzero lambda-part")
         return self.x
-
-    def to_json(self) -> dict:
-        return {"x": str(self.x), "y": str(self.y), "b": self.b, "e": self.e}
 
     def __repr__(self):
         return f"QuadraticElement({self.x} + {self.y}*lam; b={self.b}, e={self.e})"
@@ -182,14 +168,6 @@ class PlanarPeriod:
 
     horizontal: QuadraticElement
     vertical: QuadraticElement
-
-    def __add__(self, other):
-        return PlanarPeriod(self.horizontal + other.horizontal,
-                            self.vertical + other.vertical)
-
-    def __sub__(self, other):
-        return PlanarPeriod(self.horizontal - other.horizontal,
-                            self.vertical - other.vertical)
 
     def cmul(self, other: "PlanarPeriod") -> "PlanarPeriod":
         """Complex multiplication."""

@@ -208,14 +208,20 @@ def nonzero_vectors_mod2():
     return [label_vector(label) for label in range(1, 16)]
 
 
+_SP4_F2: frozenset | None = None
+
+
 def sp4_f2() -> frozenset:
     """All 720 elements of Sp(4, Z/2), as the closure of the 15 transvections
-    x -> x + <v, x> v (mod 2 by the closure)."""
-    group = group_closure([multitwist_matrix([(v, 1)]) for v in nonzero_vectors_mod2()],
-                          mod=2, cap=2000)
-    if len(group) != 720:
-        raise InvariantError(f"|Sp(4, F2)| computed as {len(group)}, not 720")
-    return group
+    x -> x + <v, x> v (mod 2 by the closure), built on the first call."""
+    global _SP4_F2
+    if _SP4_F2 is None:
+        group = group_closure([multitwist_matrix([(v, 1)]) for v in nonzero_vectors_mod2()],
+                              mod=2, cap=2000)
+        if len(group) != 720:
+            raise InvariantError(f"|Sp(4, F2)| computed as {len(group)}, not 720")
+        _SP4_F2 = group
+    return _SP4_F2
 
 
 def constrained_subgroup(T2: Mat, hyp_labels) -> frozenset:
@@ -455,9 +461,9 @@ def eigenbasis_checks(b: int, n: int) -> dict:
 
     # orbit classes of the family u1 + x u3 under <H, V> mod n, with the
     # subgroup of Z/n generated by the minus-eigenspace coordinates as the
-    # separating invariant
+    # separating invariant; forward closures suffice, since the generators
+    # are bijections of a finite set
     gens = [mat_mod(mat_H(b, e), n), mat_mod(mat_V(b, e), n)]
-    gens += [mat_inverse_mod(g, n) for g in gens]
 
     def minus_invariant(v):
         c = mat_vec(Pinv, v, n)
@@ -491,7 +497,7 @@ def eigenbasis_checks(b: int, n: int) -> dict:
     invariant_complete = len(set(class_values)) == len(orbits)
 
     # independent count: components of (Z/n)^4 under H, V that meet the family
-    comps = orbit_partition(gens[:2], product(range(n), repeat=4), n)
+    comps = orbit_partition(gens, product(range(n), repeat=4), n)
     comp_of = {w: i for i, c in enumerate(comps) for w in c}
     partition_count = len({comp_of[v] for v in family})
 

@@ -496,7 +496,8 @@ class Origami:
 
     def _homology_data(self):
         """Spanning-tree fundamental cycles, their Gram matrix and the cotree
-        edges, cached as (cycles, gram, cotree).
+        edges ('E'|'N', square) that close them, cached as
+        (cycles, gram, cotree).
 
         The Gram matrix is `intersection` on the pairs i < j, summed over the
         nonzero sig/tau entries of cycle i, and gram[j][i] = -gram[i][j]:
@@ -509,35 +510,22 @@ class Origami:
         n = self.n
         h, v = self.h.images, self.v.images
         hi, vi = inverse_images(h), inverse_images(v)
-        # BFS spanning tree of the square-adjacency (dual) graph
-        parent_moves: list[str | None] = [None] * n
-        parent: list[int] = [-1] * n
+        # BFS spanning tree of the square-adjacency (dual) graph; path[t] is
+        # the taxi path from square 0 to t along the tree
+        path: list[str | None] = [None] * n
+        path[0] = ""
         used_edges: set[tuple[str, int]] = set()
         order = [0]
-        seen = [False] * n
-        seen[0] = True
         qi = 0
         while qi < len(order):
             s = order[qi]
             qi += 1
             for mv, t, edge in (("E", h[s], ("E", s)), ("N", v[s], ("N", s)),
                                 ("W", hi[s], ("E", hi[s])), ("S", vi[s], ("N", vi[s]))):
-                if not seen[t]:
-                    seen[t] = True
-                    parent[t] = s
-                    parent_moves[t] = mv
+                if path[t] is None:
+                    path[t] = path[s] + mv
                     used_edges.add(edge)
                     order.append(t)
-
-        def path_from_root(s: int) -> str:
-            out = []
-            while s != 0:
-                out.append(parent_moves[s])
-                s = parent[s]
-            return "".join(reversed(out))
-
-        def path_to_root(s: int) -> str:
-            return "".join(_OPPOSITE[c] for c in reversed(path_from_root(s)))
 
         cycles: list[Cycle] = []
         cotree: list[tuple[str, int]] = []
@@ -546,7 +534,7 @@ class Origami:
                 if (kind, s) in used_edges:
                     continue
                 t = h[s] if kind == "E" else v[s]
-                moves = path_from_root(s) + kind + path_to_root(t)
+                moves = path[s] + kind + "".join(_OPPOSITE[c] for c in reversed(path[t]))
                 cycles.append(Cycle.from_loop(self, 0, moves))
                 cotree.append((kind, s))
         if len(cycles) != n + 1:
@@ -568,11 +556,6 @@ class Origami:
 
     def fundamental_cycles(self) -> list[Cycle]:
         return list(self._homology_data()[0])
-
-    def cotree_edges(self) -> list[tuple[str, int]]:
-        """The dual-graph edges ('E'|'N', square) not in the spanning tree,
-        parallel to fundamental_cycles()."""
-        return list(self._homology_data()[2])
 
     def symplectic_basis(self) -> list[Cycle]:
         """2g cycles (a1, b1, a2, b2, ...) with standard symplectic Gram,

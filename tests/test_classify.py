@@ -3,8 +3,7 @@ import json
 import pytest
 
 from flatcover.classify import (EchoTable, HYP_LABELS, branched_cover_types,
-                                census_to_json, count_formulas, echo_degree,
-                                echoes_of_WD, hyperelliptic_labels,
+                                census_to_json, count_formulas, echoes_of_WD,
                                 is_primitive_cover, primitive_cover_oracle,
                                 primitive_echo_table, square_spins,
                                 verify_sts_orbits)
@@ -23,7 +22,7 @@ TABLE2 = {
 
 
 def test_hyperelliptic_labels():
-    assert hyperelliptic_labels() == HYP_LABELS == frozenset({2, 3, 5, 9, 13})
+    assert HYP_LABELS == frozenset({2, 3, 5, 9, 13})
 
 
 def test_echo_tables_by_discriminant_class():
@@ -48,12 +47,13 @@ def test_spin_parameter_validation():
     assert echoes_of_WD(9, -1).b == 2
 
 
-def test_echo_degree():
+def test_block_of():
     table = echoes_of_WD(8)
-    assert echo_degree(table, (3, 5, 9, 13)) == 4
-    assert echo_degree(table, [13, 3, 9, 5]) == 4
+    for label in (3, 5, 9, 13):
+        assert table.block_of(label) == (3, 5, 9, 13)
+    assert table.block_of(2) == (2,)
     with pytest.raises(ValueError):
-        echo_degree(table, (1, 2))
+        table.block_of(16)
 
 
 def test_table_serialization():

@@ -104,6 +104,7 @@ def test_closure_errors():
 def test_sp4_f2_and_transvections():
     G = sp4_f2()
     assert len(G) == 720
+    assert sp4_f2() is G        # built once per process
     for v in ((1, 0, 0, 0), (1, 1, 1, 0)):
         T = multitwist_matrix([(v, 1)])
         assert is_symplectic(T)
