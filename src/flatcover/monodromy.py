@@ -6,6 +6,13 @@ decagon period map.
 
 Matrices are tuples of 4 rows acting on column vectors; the intersection form
 is `lshape.J4` = diag([[0,1],[-1,0]], [[0,1],[-1,0]]).
+
+The two kernels over (Z/m)^4 work on index maps, not on matrix products.
+`group_closure` numbers the orbit of the unit rows under r -> r g (every row
+of every product lies in it, so it has at most 4 |G| rows and a cap of c
+stops it at 4 c rows) and multiplies elements as 4-tuples of row indices.
+`orbit_partition` computes M v by unrolled dot products and looks the image
+up in a dict of the input vectors.
 """
 from __future__ import annotations
 
@@ -170,27 +177,49 @@ class ClosureCapExceeded(RuntimeError):
 
 def group_closure(gens, mod: int, cap: int = 10 ** 5) -> frozenset:
     """All products of the generators mod m (BFS; the ambient group is finite,
-    so products alone already close under inverse)."""
+    so products alone already close under inverse).
+
+    Row i of a product A g is (row i of A) g, so every row of every element
+    lies in the orbit R of the unit rows under r -> r g.  The BFS numbers R
+    first, turns each generator into an index map on R, and then keeps each
+    element as the 4-tuple of its row indices: multiplying by g is four list
+    lookups.  An element has 4 rows, so |R| > 4 cap already proves |G| > cap,
+    and a large modulus stops before the element BFS starts."""
     if mod < 2:
         raise ValueError("modulus must be at least 2")
     gens = [mat_mod(g, mod) for g in gens]
     for g in gens:
         if not is_symplectic(g, mod):
             raise ValueError("generator is not symplectic mod m")
-    seen = {mat_mod(IDENTITY4, mod)}
+    rows = list(mat_mod(IDENTITY4, mod))
+    index = {r: i for i, r in enumerate(rows)}
+    maps = [[] for _ in gens]
+    transposes = [mat_transpose(g) for g in gens]
+    for r in rows:   # rows grows while it is walked: a BFS queue
+        for gt, t in zip(transposes, maps):
+            w = mat_vec(gt, r, mod)   # r g
+            j = index.get(w)
+            if j is None:
+                j = index[w] = len(rows)
+                rows.append(w)
+                if len(rows) > 4 * cap:
+                    raise ClosureCapExceeded(f"closure exceeds cap {cap}")
+            t.append(j)
+    seen = {(0, 1, 2, 3)}
     frontier = list(seen)
     while frontier:
         nxt = []
-        for A in frontier:
-            for g in gens:
-                B = mat_mul(A, g, mod)
+        for a0, a1, a2, a3 in frontier:
+            for t in maps:
+                B = (t[a0], t[a1], t[a2], t[a3])
                 if B not in seen:
                     seen.add(B)
                     if len(seen) > cap:
                         raise ClosureCapExceeded(f"closure exceeds cap {cap}")
                     nxt.append(B)
         frontier = nxt
-    return frozenset(seen)
+    return frozenset((rows[a0], rows[a1], rows[a2], rows[a3])
+                     for a0, a1, a2, a3 in seen)
 
 
 def label_vector(label: int) -> tuple[int, int, int, int]:
@@ -279,8 +308,14 @@ def dihedral_structure(group, mod: int) -> int | None:
 def orbit_partition(gens, vectors, mod: int) -> list[tuple]:
     """Connected components of the graph v -- M v on the given vectors, for
     each generator M; equals the group-orbit partition since generators are
-    bijections of a finite set.  Components sorted by least element."""
-    vecs = [tuple(x % mod for x in v) for v in vectors]
+    bijections of a finite set.  Components sorted by least element.
+
+    Input tuples already reduced mod m are kept as they are (no copy); M v
+    is four unrolled dot products mod m on M's entries."""
+    vecs = []
+    for v in vectors:
+        w = tuple(x % mod for x in v)
+        vecs.append(v if w == v else w)
     index = {v: i for i, v in enumerate(vecs)}
     parent = list(range(len(vecs)))
 
@@ -290,12 +325,17 @@ def orbit_partition(gens, vectors, mod: int) -> list[tuple]:
             i = parent[i]
         return i
 
-    for v in vecs:
-        for g in gens:
-            w = mat_vec(g, v, mod)
-            if w not in index:
+    for g in gens:
+        (g00, g01, g02, g03), (g10, g11, g12, g13), \
+            (g20, g21, g22, g23), (g30, g31, g32, g33) = g
+        for (x0, x1, x2, x3), i in index.items():
+            j = index.get(((g00 * x0 + g01 * x1 + g02 * x2 + g03 * x3) % mod,
+                           (g10 * x0 + g11 * x1 + g12 * x2 + g13 * x3) % mod,
+                           (g20 * x0 + g21 * x1 + g22 * x2 + g23 * x3) % mod,
+                           (g30 * x0 + g31 * x1 + g32 * x2 + g33 * x3) % mod))
+            if j is None:
                 raise ValueError("vector set is not closed under the generators")
-            a, b = find(index[v]), find(index[w])
+            a, b = find(i), find(j)
             if a != b:
                 parent[a] = b
     comps: dict[int, list] = {}

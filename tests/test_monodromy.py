@@ -1,3 +1,6 @@
+import time
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -99,6 +102,107 @@ def test_closure_errors():
         group_closure([((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (0, 0, 0, 1))], 2)
     with pytest.raises(ClosureCapExceeded):
         group_closure([mat_H(2, 0), mat_V(2, 0)], 2, cap=3)
+
+
+def reference_closure(gens, mod, cap=10 ** 5):
+    """The plain BFS over products A g with `mat_mul`."""
+    gens = [mat_mod(g, mod) for g in gens]
+    seen = {mat_mod(IDENTITY4, mod)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for A in frontier:
+            for g in gens:
+                B = mat_mul(A, g, mod)
+                if B not in seen:
+                    seen.add(B)
+                    if len(seen) > cap:
+                        raise ClosureCapExceeded(f"closure exceeds cap {cap}")
+                    nxt.append(B)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def reference_partition(gens, vectors, mod):
+    """Union-find over v -- M v with `mat_vec`, components sorted by least
+    element."""
+    vecs = [tuple(x % mod for x in v) for v in vectors]
+    index = {v: i for i, v in enumerate(vecs)}
+    parent = list(range(len(vecs)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for v in vecs:
+        for g in gens:
+            w = mat_vec(g, v, mod)
+            a, b = find(index[v]), find(index[w])
+            if a != b:
+                parent[a] = b
+    comps = {}
+    for i, v in enumerate(vecs):
+        comps.setdefault(find(i), []).append(v)
+    return sorted((tuple(sorted(c)) for c in comps.values()), key=lambda c: c[0])
+
+
+def test_closure_matches_reference():
+    for m in (2, 3, 4, 5, 6):
+        for b, e in PARAMS:
+            # b > m: the generators enter unreduced
+            for gens in ([mat_H(b, e), mat_V(b, e)], [mat_V(b, e)]):
+                assert group_closure(gens, m) == reference_closure(gens, m)
+        assert group_closure([rho_R(), rho_T()], m) == reference_closure([rho_R(), rho_T()], m)
+        assert group_closure([], m) == reference_closure([], m) == {mat_mod(IDENTITY4, m)}
+
+
+def test_closure_cap_is_exact():
+    gens = [mat_H(3, -1), mat_V(3, -1)]
+    order = len(reference_closure(gens, 3))
+    assert len(group_closure(gens, 3, cap=order)) == order
+    with pytest.raises(ClosureCapExceeded):
+        group_closure(gens, 3, cap=order - 1)
+    assert group_closure([], 2, cap=0) == {mat_mod(IDENTITY4, 2)}
+
+
+def test_closure_cap_fails_fast_for_large_moduli():
+    # the row orbit passes 4 * cap long before the element BFS would
+    for m in (31, 101):
+        start = time.perf_counter()
+        with pytest.raises(ClosureCapExceeded):
+            group_closure([mat_H(2, 0), mat_V(2, 0)], m, cap=1000)
+        assert time.perf_counter() - start < 1
+    # one long row orbit (1, k, 0, 0), and the cyclic group it carries
+    shear = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert len(group_closure([shear], 1000)) == 1000
+
+
+def test_partition_matches_reference():
+    for n in range(2, 10):
+        # rho(R), rho(T) have negative entries and enter unreduced
+        gens = [rho_R(), rho_T()]
+        vectors = primitive_vectors(n)
+        assert orbit_partition(gens, vectors, n) == reference_partition(gens, vectors, n)
+    for m in (2, 3, 4, 5):
+        for b, e in PARAMS:
+            gens = [mat_H(b, e), mat_V(b, e)]
+            got = orbit_partition(gens, product(range(m), repeat=4), m)
+            assert got == reference_partition(gens, product(range(m), repeat=4), m)
+    vectors = primitive_vectors(4)
+    assert orbit_partition([], vectors, 4) == reference_partition([], vectors, 4)
+    assert len(orbit_partition([], vectors, 4)) == len(vectors)
+
+
+def test_partition_keeps_reduced_input():
+    vectors = primitive_vectors(3)
+    parts = orbit_partition([rho_R(), rho_T()], vectors, 3)
+    ids = {id(v) for v in vectors}
+    assert all(id(w) in ids for c in parts for w in c)
+    shifted = [tuple(x - 3 for x in v) for v in vectors]
+    parts = orbit_partition([rho_R(), rho_T()], shifted, 3)
+    assert parts == reference_partition([rho_R(), rho_T()], vectors, 3)
+    assert all(type(w) is tuple and min(w) >= 0 for c in parts for w in c)
 
 
 def test_sp4_f2_and_transvections():
