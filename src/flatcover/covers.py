@@ -3,9 +3,12 @@
 A cover is stored as an edge cocycle: a residue mod m per right edge and per
 top edge of each base square.  Crossing an edge adds its weight to the sheet
 coordinate.  Covers are built from the values of their holonomy homomorphism
-H_1(base, Z/m) -> Z/m on a symplectic cycle basis: spanning-tree edges get
-weight zero and each cotree edge gets the value of the homomorphism on its
-fundamental cycle, which kills the coboundary ambiguity at construction.
+H_1(base, Z/m) -> Z/m on a symplectic cycle basis.  That homomorphism is
+c -> c . dual for its Poincare-dual cycle, and c . dual counts the crossings
+of c's edges by dual, so dual's crossing counts are edge weights realising
+it.  Subtracting the coboundary of a potential summed down the spanning tree
+of `Origami._homology_data` fixes the gauge: tree edges get weight zero and
+each other edge the holonomy of its fundamental cycle.
 The double covers are the Z/2 cyclic covers: the primitive vectors of
 (Z/2)^4 are its 15 nonzero vectors.
 """
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 from . import InvariantError
 from .monodromy import primitive_vector_count, primitive_vectors, vector_label
-from .origami import Cycle, Origami, intersection
+from .origami import Cycle, Origami
 from .perms import Permutation
 
 
@@ -64,25 +67,32 @@ class Cover:
 
 def cover_from_basis_values(o: Origami, m: int, basis: list[Cycle],
                             values: tuple[int, ...]) -> Cover:
-    """The cover whose holonomy takes the given values on the symplectic basis."""
+    """The cover whose holonomy takes the given values on the symplectic basis.
+
+    Its holonomy is c -> c . dual for dual = sum_k values[k] b_k -
+    values[k+1] a_k, since a_k . dual = values[k] and b_k . dual =
+    values[k+1].  As c . dual = sum c.sig dual.dsig - c.tau dual.dtau, the
+    weights dual.dsig on right edges and -dual.dtau on top edges realise it;
+    a potential summed down the spanning tree then moves them to the gauge
+    with weight 0 on every tree edge.
+    """
     if len(values) != len(basis):
         raise ValueError("one value per basis cycle required")
-    cycles, _, cotree = o._homology_data()
+    dual = []   # (coefficient, basis cycle)
+    for k in range(0, len(basis), 2):
+        dual += [(values[k], basis[k + 1]), (-values[k + 1], basis[k])]
     n = o.n
-    w_right = [0] * n
-    w_up = [0] * n
-    for cyc, (kind, s) in zip(cycles, cotree):
-        # coordinates of cyc in the basis, read off through the symplectic form
-        w = 0
-        for k in range(0, len(basis), 2):
-            a, b = basis[k], basis[k + 1]
-            w += intersection(cyc, b) * values[k]      # coefficient along a_k
-            w += -intersection(cyc, a) * values[k + 1]  # coefficient along b_k
-        if kind == "E":
-            w_right[s] = w % m
-        else:
-            w_up[s] = w % m
-    cover = Cover(o, m, tuple(w_right), tuple(w_up))
+    weights = {"E": [sum(x * c.dsig[s] for x, c in dual) for s in range(n)],
+               "N": [-sum(x * c.dtau[s] for x, c in dual) for s in range(n)]}
+    potential = [0] * n
+    for parent, child, (kind, s), direction in o._homology_data()[2]:
+        potential[child] = potential[parent] + direction * weights[kind][s]
+    h, v = o.h.images, o.v.images
+    w_right = tuple((w + potential[s] - potential[h[s]]) % m
+                    for s, w in enumerate(weights["E"]))
+    w_up = tuple((w + potential[s] - potential[v[s]]) % m
+                 for s, w in enumerate(weights["N"]))
+    cover = Cover(o, m, w_right, w_up)
     if cover.holonomy_on_basis(basis) != tuple(x % m for x in values):
         raise InvariantError("cover holonomy differs from the prescribed values")
     return cover

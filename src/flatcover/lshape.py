@@ -169,12 +169,6 @@ class PlanarPeriod:
     horizontal: QuadraticElement
     vertical: QuadraticElement
 
-    def cmul(self, other: "PlanarPeriod") -> "PlanarPeriod":
-        """Complex multiplication."""
-        a, b = self.horizontal, self.vertical
-        c, d = other.horizontal, other.vertical
-        return PlanarPeriod(a * c - b * d, a * d + b * c)
-
     def is_zero(self) -> bool:
         return self.horizontal.sign() == 0 and self.vertical.sign() == 0
 
@@ -255,17 +249,6 @@ def modulus_ratio(case: str, b: int, e: int) -> QuadraticElement:
     return ratio
 
 
-def twist_powers(ratio) -> tuple[int, int]:
-    """(k1, k2) with m1/m2 = k1/k2 in lowest terms: the twist powers in the
-    two cylinders of the smallest common multitwist."""
-    if isinstance(ratio, QuadraticElement):
-        ratio = ratio.as_fraction()
-    ratio = Q(ratio)
-    if ratio <= 0:
-        raise ValueError("ratio must be positive")
-    return ratio.numerator, ratio.denominator
-
-
 # ---------------------------------------------------------------------------
 # the intersection form and transvections
 # ---------------------------------------------------------------------------
@@ -315,19 +298,3 @@ def vertical_twist_matrix(b: int, e: int):
     """V, rebuilt from the vertical cores (b1+b2, 1), (b2, b-e-1)."""
     return multitwist_matrix([((0, 1, 0, 1), 1), ((0, 0, 0, 1), b - e - 1)],
                              handedness=-1)
-
-
-def diagonal_twist_mod2(b: int, e: int):
-    """Mod-2 matrix of the multitwist in the slope-2/b decomposition of
-    L(b, e) (b = 2 mod 4) or the slope-2/(b-2) decomposition of curly-L
-    (b = 0 mod 4), with cores alpha = (0,0,1,2) and alpha + beta,
-    beta = (b/2, 1, 0, 0)."""
-    if e != 1 or b % 2:
-        raise ValueError("diagonal twists need e = 1 and b even")
-    ratio = modulus_ratio("slope_2_b" if b % 4 == 2 else "curly_slope", b, e)
-    k1, k2 = twist_powers(ratio)
-    alpha = (0, 0, 1, 2)
-    beta = (b // 2, 1, 0, 0)
-    ab = tuple(x + y for x, y in zip(alpha, beta))
-    M = multitwist_matrix([(alpha, k1), (ab, k2)], handedness=1)
-    return tuple(tuple(x % 2 for x in row) for row in M)

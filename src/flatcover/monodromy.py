@@ -311,12 +311,15 @@ def orbit_partition(gens, vectors, mod: int) -> list[tuple]:
     bijections of a finite set.  Components sorted by least element.
 
     Input tuples already reduced mod m are kept as they are (no copy); M v
-    is four unrolled dot products mod m on M's entries."""
+    is four unrolled dot products mod m on M's entries.  Two inputs equal
+    mod m raise ValueError: the partition is of a set of residues."""
     vecs = []
     for v in vectors:
         w = tuple(x % mod for x in v)
         vecs.append(v if w == v else w)
     index = {v: i for i, v in enumerate(vecs)}
+    if len(index) != len(vecs):
+        raise ValueError("vectors repeat modulo the modulus")
     parent = list(range(len(vecs)))
 
     def find(i):

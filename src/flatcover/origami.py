@@ -495,9 +495,18 @@ class Origami:
     # -- homology ----------------------------------------------------------
 
     def _homology_data(self):
-        """Spanning-tree fundamental cycles, their Gram matrix and the cotree
-        edges ('E'|'N', square) that close them, cached as
-        (cycles, gram, cotree).
+        """Spanning-tree fundamental cycles, their Gram matrix and the
+        spanning tree, cached as (cycles, gram, tree).
+
+        The tree is a BFS of the square-adjacency graph from square 0, listed
+        in discovery order as (parent, child, edge, direction): edge is
+        ('E'|'N', s), the right or top edge of square s, and direction is +1
+        when the step crosses it forward (E, N) and -1 when backward (W, S).
+        Each edge off the tree closes one fundamental cycle, right edges
+        before top edges, by square.  `covers.cover_from_basis_values` takes
+        the crossing counts of the Poincare dual of a cover's holonomy as
+        edge weights and sums a potential down this tree to gauge every tree
+        edge to 0, so each other edge carries the holonomy of its cycle.
 
         The Gram matrix is `intersection` on the pairs i < j, summed over the
         nonzero sig/tau entries of cycle i, and gram[j][i] = -gram[i][j]:
@@ -514,21 +523,22 @@ class Origami:
         # the taxi path from square 0 to t along the tree
         path: list[str | None] = [None] * n
         path[0] = ""
-        used_edges: set[tuple[str, int]] = set()
+        tree: list[tuple[int, int, tuple[str, int], int]] = []
         order = [0]
         qi = 0
         while qi < len(order):
             s = order[qi]
             qi += 1
-            for mv, t, edge in (("E", h[s], ("E", s)), ("N", v[s], ("N", s)),
-                                ("W", hi[s], ("E", hi[s])), ("S", vi[s], ("N", vi[s]))):
+            for mv, t, edge, direction in (
+                    ("E", h[s], ("E", s), 1), ("N", v[s], ("N", s), 1),
+                    ("W", hi[s], ("E", hi[s]), -1), ("S", vi[s], ("N", vi[s]), -1)):
                 if path[t] is None:
                     path[t] = path[s] + mv
-                    used_edges.add(edge)
+                    tree.append((s, t, edge, direction))
                     order.append(t)
+        used_edges = {edge for _, _, edge, _ in tree}
 
         cycles: list[Cycle] = []
-        cotree: list[tuple[str, int]] = []
         for kind in ("E", "N"):
             for s in range(n):
                 if (kind, s) in used_edges:
@@ -536,7 +546,6 @@ class Origami:
                 t = h[s] if kind == "E" else v[s]
                 moves = path[s] + kind + "".join(_OPPOSITE[c] for c in reversed(path[t]))
                 cycles.append(Cycle.from_loop(self, 0, moves))
-                cotree.append((kind, s))
         if len(cycles) != n + 1:
             raise InvariantError(f"{len(cycles)} fundamental cycles, not n + 1")
         m = len(cycles)
@@ -550,12 +559,9 @@ class Origami:
                 g = sum(x * dsig[k] for k, x in sig) - sum(x * dtau[k] for k, x in tau)
                 row[j] = g
                 gram[j][i] = -g
-        self_hom = (cycles, gram, cotree)
+        self_hom = (cycles, gram, tree)
         object.__setattr__(self, "_homology", self_hom)
         return self_hom
-
-    def fundamental_cycles(self) -> list[Cycle]:
-        return list(self._homology_data()[0])
 
     def symplectic_basis(self) -> list[Cycle]:
         """2g cycles (a1, b1, a2, b2, ...) with standard symplectic Gram,
@@ -686,11 +692,6 @@ def sl2z_word(M) -> list[str]:
         b = -b
     emit("R", b)
     return tokens
-
-
-def mat2_mul(A, B):
-    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(2)) for j in range(2))
-                 for i in range(2))
 
 
 # ---------------------------------------------------------------------------

@@ -95,10 +95,6 @@ class Permutation:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(range(n))
-
-    @staticmethod
     def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
         """Build from 0-based cycles; elements not mentioned are fixed."""
         images = list(range(n))

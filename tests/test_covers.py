@@ -3,10 +3,12 @@ from math import gcd
 
 import pytest
 
+from flatcover.classify import square_spins
 from flatcover.covers import (all_double_covers, cover_from_basis_values,
                               cover_label, cyclic_covers,
                               primitive_vector_count)
-from flatcover.origami import Origami, l_origami
+from flatcover.monodromy import primitive_vectors
+from flatcover.origami import Origami, intersection, l_origami
 from flatcover.perms import Permutation, parse_cycles
 
 
@@ -64,7 +66,7 @@ def random_genus2_origamis(count, seed):
 def test_holonomy_matches_crossing_count():
     for o in random_genus2_origamis(6, seed=2024):
         basis = o.symplectic_basis()
-        cycles = o.fundamental_cycles() + basis
+        cycles = o._homology_data()[0] + basis
         for c in all_double_covers(o, basis) + cyclic_covers(o, 3, basis):
             for cyc in cycles:
                 assert c.holonomy(cyc) == reference_holonomy(c, cyc)
@@ -146,3 +148,74 @@ def test_cyclic_covers_enumeration():
     assert covers[0].deck_shift().order() == 3
     with pytest.raises(ValueError):
         cyclic_covers(o, 1, basis)
+
+
+# -- weights from the Poincare-dual cycle ------------------------------------
+
+#: H(2) surfaces that are not L-shaped, with generic symplectic bases
+OFF_L = ("n=5 h=(1,4,5)(2,3) v=(1,3,4)(2,5)",
+         "n=6 h=(1,4)(2,5,6,3) v=(1,5,3)(2,6,4)",
+         "n=7 h=(1,4)(2,7,3,5,6) v=(1,5,2)(3,6,7,4)")
+
+
+def reference_cover_weights(o, m, basis, values):
+    """(w_right, w_up) built one fundamental cycle at a time: 0 on the
+    spanning tree, and on the edge closing each cycle the value of the
+    homomorphism on it, from the cycle's coordinates in the basis read off
+    through the symplectic form."""
+    cycles, _, tree = o._homology_data()
+    used = {edge for _, _, edge, _ in tree}
+    cotree = [(kind, s) for kind in "EN" for s in range(o.n) if (kind, s) not in used]
+    w_right = [0] * o.n
+    w_up = [0] * o.n
+    for cyc, (kind, s) in zip(cycles, cotree):
+        w = 0
+        for k in range(0, len(basis), 2):
+            a, b = basis[k], basis[k + 1]
+            w += intersection(cyc, b) * values[k]      # coefficient along a_k
+            w += -intersection(cyc, a) * values[k + 1]  # coefficient along b_k
+        if kind == "E":
+            w_right[s] = w % m
+        else:
+            w_up[s] = w % m
+    return tuple(w_right), tuple(w_up)
+
+
+def assert_weights_match_reference(o, basis, moduli):
+    tree = o._homology_data()[2]
+    for m in moduli:
+        covers = cyclic_covers(o, m, basis)
+        for c, (x1, y1, x2, y2) in zip(covers, primitive_vectors(m)):
+            values = (y1, -x1 % m, y2, -x2 % m)
+            assert (c.w_right, c.w_up) == reference_cover_weights(o, m, basis, values)
+            for _, _, (kind, s), _ in tree:
+                assert (c.w_right if kind == "E" else c.w_up)[s] == 0
+
+
+def test_weights_match_reference_on_l_shapes():
+    for d in range(3, 13):
+        for b, e in square_spins(d):
+            assert_weights_match_reference(*lshape(b, e), (2, 3))
+
+
+def test_weights_match_reference_on_l_2_minus_1_up_to_m_7():
+    assert_weights_match_reference(*lshape(2, -1), range(3, 8))
+
+
+def test_weights_match_reference_off_l():
+    for text in OFF_L:
+        o = Origami.from_text(text)
+        assert_weights_match_reference(o, o.symplectic_basis(), (2, 5))
+
+
+def test_tree_lists_every_square_once_from_square_zero():
+    for o in [lshape(6, 1)[0]] + [Origami.from_text(t) for t in OFF_L]:
+        tree = o._homology_data()[2]
+        h, v = o.h.images, o.v.images
+        assert sorted(child for _, child, _, _ in tree) == list(range(1, o.n))
+        reached = {0}
+        for parent, child, (kind, s), direction in tree:
+            assert parent in reached
+            step = h if kind == "E" else v
+            assert (s, step[s]) == ((parent, child) if direction == 1 else (child, parent))
+            reached.add(child)

@@ -4,17 +4,20 @@ Library invariants raise `InvariantError`, which `python -O` keeps: `assert`
 statements vanish under `-O`, so a failed invariant would go unnoticed and a
 wrong result would be returned.  The library is also pure-stdlib and exact,
 so it imports nothing outside the standard library and uses no floating
-point.
+point.  Every name it defines has a caller in the library or the benchmark;
+helpers that only tests need live in the tests.
 """
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import flatcover
 
 PACKAGE = Path(flatcover.__file__).parent
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 FLOAT_NAMES = {"float", "complex"}
@@ -77,3 +80,20 @@ def test_invariant_error_survives_optimize_flag():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("InvariantError: intersection form is not unimodular")
+
+
+def referenced_names(nodes) -> Counter:
+    """How often each identifier is read as a `Name` or an `Attribute`."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in nodes if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_library_definition_has_a_library_or_benchmark_caller():
+    bench = [node for path in sorted(BENCH.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))]
+    total = referenced_names(node for _, node in library_nodes()) + referenced_names(bench)
+    unused = [f"{name}:{node.lineno} {node.name}" for name, node in library_nodes()
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not (node.name.startswith("__") and node.name.endswith("__"))
+              and total[node.name] == referenced_names(ast.walk(node))[node.name]]
+    assert not unused, f"library names without a library or benchmark caller: {unused}"

@@ -4,12 +4,45 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatcover.lshape import (PlanarPeriod, QuadraticElement,
-                              cylinder_modulus, diagonal_twist_mod2,
-                              horizontal_twist_matrix, lam, modulus_ratio,
-                              multitwist_matrix, period, rational,
-                              twist_powers, vertical_twist_matrix)
+                              cylinder_modulus, horizontal_twist_matrix, lam,
+                              modulus_ratio, multitwist_matrix, period,
+                              rational, vertical_twist_matrix)
 from flatcover.monodromy import (group_closure, is_symplectic, mat_H, mat_V,
                                  mat_X, mat_mod)
+
+
+def cmul(z, w):
+    """Complex multiplication of planar periods."""
+    a, b = z.horizontal, z.vertical
+    c, d = w.horizontal, w.vertical
+    return PlanarPeriod(a * c - b * d, a * d + b * c)
+
+
+def twist_powers(ratio):
+    """(k1, k2) with m1/m2 = k1/k2 in lowest terms: the twist powers in the
+    two cylinders of the smallest common multitwist."""
+    if isinstance(ratio, QuadraticElement):
+        ratio = ratio.as_fraction()
+    ratio = Q(ratio)
+    if ratio <= 0:
+        raise ValueError("ratio must be positive")
+    return ratio.numerator, ratio.denominator
+
+
+def diagonal_twist_mod2(b, e):
+    """Mod-2 matrix of the multitwist in the slope-2/b decomposition of
+    L(b, e) (b = 2 mod 4) or the slope-2/(b-2) decomposition of curly-L
+    (b = 0 mod 4), with cores alpha = (0,0,1,2) and alpha + beta,
+    beta = (b/2, 1, 0, 0)."""
+    if e != 1 or b % 2:
+        raise ValueError("diagonal twists need e = 1 and b even")
+    ratio = modulus_ratio("slope_2_b" if b % 4 == 2 else "curly_slope", b, e)
+    k1, k2 = twist_powers(ratio)
+    alpha = (0, 0, 1, 2)
+    beta = (b // 2, 1, 0, 0)
+    ab = tuple(x + y for x, y in zip(alpha, beta))
+    M = multitwist_matrix([(alpha, k1), (ab, k2)], handedness=1)
+    return tuple(tuple(x % 2 for x in row) for row in M)
 
 
 def quads(b, e, max_den=6):
@@ -89,7 +122,7 @@ def test_modulus_scale_invariant(x, y):
     z = PlanarPeriod(x, y)
     if z.is_zero():
         return
-    assert cylinder_modulus(z.cmul(core), z.cmul(crossing)) == \
+    assert cylinder_modulus(cmul(z, core), cmul(z, crossing)) == \
         cylinder_modulus(core, crossing)
 
 

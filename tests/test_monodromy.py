@@ -282,6 +282,17 @@ def test_decagon_orbits_mod2():
     assert [len(p) for p in parts] == [5, 5, 5]
 
 
+def test_orbit_partition_rejects_vectors_equal_mod_m():
+    # (3, 0, 0, 0) is label 1 mod 2; a second copy would be left behind as a
+    # spurious singleton component next to the three true orbits
+    gens = [mat_mod(rho_R(), 2), mat_mod(rho_T(), 2)]
+    vectors = [label_vector(l) for l in range(1, 16)]
+    with pytest.raises(ValueError, match="repeat"):
+        orbit_partition(gens, vectors + [(3, 0, 0, 0)], 2)
+    with pytest.raises(ValueError, match="repeat"):
+        orbit_partition(gens, vectors + vectors[:1], 2)
+
+
 def test_primitive_vectors():
     assert len(primitive_vectors(2)) == 15
     assert len(primitive_vectors(3)) == 80
