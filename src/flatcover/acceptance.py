@@ -19,8 +19,8 @@ from .monodromy import (constrained_subgroup, decagon_cyclic_echo_count,
                         mat_mod, mat_pow, mat_vec, nonzero_vectors_mod2,
                         orbit_partition, rho_R, rho_T, sp4_f2,
                         verify_decagon_periods, eigenbasis_checks)
-from .origami import Origami, l_origami
-from .perms import compose, parse_cycles
+from .origami import Origami, act_generator, l_origami
+from .perms import Permutation, parse_cycles
 
 TABLE1 = (3, 1, 3, 8, 3, 1, 3, 1, 24, 3, 3, 1, 3, 8)  # N(n) for n = 2..15
 
@@ -148,15 +148,16 @@ def check_veech_lemma(fast: bool = False):
     alpha = parse_cycles("(1,2)", n)
     beta = parse_cycles("(2,3,4,5)", n)
 
-    def lrl_pairs(a, b, deg):
-        # products are read left to right: "a b^-1" applies a first
-        gamma = compose(b.inverse(), a)                       # L: a b^-1
-        g3 = compose(gamma, compose(gamma, gamma))
-        delta = compose(g3.inverse(), b)                      # R^3: b gamma^-3
-        eps = compose(delta.inverse(), gamma)                 # L: gamma delta^-1
-        return gamma, delta, eps
+    def lrl_pairs(a, b):
+        # L, R^3, L; products read left to right ("a b^-1" applies a first):
+        # gamma = a b^-1, delta = b gamma^-3, eps = gamma delta^-1
+        h, v = act_generator(a.images, b.images, "L")
+        gamma = Permutation(h)
+        for _ in range(3):
+            h, v = act_generator(h, v, "R")
+        return gamma, Permutation(v), Permutation(act_generator(h, v, "L")[0])
 
-    gamma, delta, eps = lrl_pairs(alpha, beta, n)
+    gamma, delta, eps = lrl_pairs(alpha, beta)
     if (gamma != parse_cycles("(1,5,4,3,2)", n)
             or delta != parse_cycles("(1,4,3,2)", n)
             or eps != parse_cycles("(1,5)", n)):
@@ -172,7 +173,7 @@ def check_veech_lemma(fast: bool = False):
 
     ap = parse_cycles("(1,2)(6,7)(3,8)(4,9)(5,10)", 10)
     bp = parse_cycles("(2,3,4,5)(7,8,9,10)", 10)
-    gp, dp, ep = lrl_pairs(ap, bp, 10)
+    gp, dp, ep = lrl_pairs(ap, bp)
     if (ep != parse_cycles("(1,10)(5,6)", 10)
             or dp != parse_cycles("(1,4,8,2)(3,7,6,9)(5,10)", 10)):
         return False, "lifted (eps', delta') differ from the published ones"

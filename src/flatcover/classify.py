@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import InvariantError
 from .covers import all_double_covers, cover_label
-from .lshape import check_prototype
+from .lshape import IDENTITY4, check_prototype, symplectic_pairing
 from .monodromy import (label_vector, mat_H, mat_V, mat_X, mat_mod,
                         nonzero_vectors_mod2, orbit_partition,
                         primitive_vector_count, vector_label)
@@ -168,9 +168,8 @@ def primitive_cover_oracle(d: int, e: int, gamma) -> bool:
     w = tuple(x % 2 for x in gamma)
     if w == (0, 0, 0, 0):
         raise ValueError("gamma must be nonzero mod 2")
-    # mod-2 holonomy functional f(v) = <v, gamma> has weight vector
-    # (y1, x1, y2, x2) on the coordinates (x1, y1, x2, y2) of v
-    weights = (w[1], w[0], w[3], w[2])
+    # mod-2 holonomy functional f(v) = <v, gamma>, weight <e_k, gamma> on e_k
+    weights = tuple(symplectic_pairing(e, w) % 2 for e in IDENTITY4)
     i0 = weights.index(1)
     gens = [tuple(2 if i == i0 else 0 for i in range(4))]
     for j in range(4):

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import InvariantError
+from .lshape import IDENTITY4, symplectic_pairing
 from .monodromy import primitive_vector_count, primitive_vectors, vector_label
 from .origami import Cycle, Origami
 from .perms import Permutation
@@ -67,20 +68,19 @@ class Cover:
 
 def cover_from_basis_values(o: Origami, m: int, basis: list[Cycle],
                             values: tuple[int, ...]) -> Cover:
-    """The cover whose holonomy takes the given values on the symplectic basis.
+    """The cover whose holonomy takes the given values on the symplectic basis
+    (a1, b1, a2, b2) of a genus-2 origami.
 
-    Its holonomy is c -> c . dual for dual = sum_k values[k] b_k -
-    values[k+1] a_k, since a_k . dual = values[k] and b_k . dual =
-    values[k+1].  As c . dual = sum c.sig dual.dsig - c.tau dual.dtau, the
-    weights dual.dsig on right edges and -dual.dtau on top edges realise it;
-    a potential summed down the spanning tree then moves them to the gauge
-    with weight 0 on every tree edge.
+    Its holonomy is c -> c . dual for the dual class with coordinates
+    dual[k] = <values, e_k>, since then <e_k, dual> = values[k].  As
+    c . dual = sum c.sig dual.dsig - c.tau dual.dtau, the weights dual.dsig
+    on right edges and -dual.dtau on top edges realise it; a potential summed
+    down the spanning tree then moves them to the gauge with weight 0 on
+    every tree edge.
     """
-    if len(values) != len(basis):
-        raise ValueError("one value per basis cycle required")
-    dual = []   # (coefficient, basis cycle)
-    for k in range(0, len(basis), 2):
-        dual += [(values[k], basis[k + 1]), (-values[k + 1], basis[k])]
+    if len(basis) != 4 or len(values) != 4:
+        raise ValueError("a genus-2 basis and one value per basis cycle required")
+    dual = [(symplectic_pairing(values, e), c) for e, c in zip(IDENTITY4, basis)]
     n = o.n
     weights = {"E": [sum(x * c.dsig[s] for x, c in dual) for s in range(n)],
                "N": [-sum(x * c.dtau[s] for x, c in dual) for s in range(n)]}
@@ -105,12 +105,13 @@ def all_double_covers(o: Origami, basis: list[Cycle]) -> list[Cover]:
 
 
 def cover_label(basis, c: Cover) -> tuple[tuple[int, int, int, int], int]:
-    """Poincare-dual class gamma = (x1, y1, x2, y2) of a double cover and its
-    numbering x1 + 2 y1 + 4 x2 + 8 y2 in {1..15}."""
+    """Poincare-dual class gamma = (x1, y1, x2, y2) of a double cover,
+    gamma[k] = <holonomy values, e_k> mod 2, and its numbering
+    x1 + 2 y1 + 4 x2 + 8 y2 in {1..15}."""
     if c.m != 2:
         raise ValueError("labels are defined for double covers")
-    a1, b1, a2, b2 = basis
-    gamma = (c.holonomy(b1), c.holonomy(a1), c.holonomy(b2), c.holonomy(a2))
+    values = c.holonomy_on_basis(basis)
+    gamma = tuple(symplectic_pairing(values, e) % 2 for e in IDENTITY4)
     return gamma, vector_label(gamma)
 
 
@@ -121,9 +122,9 @@ def cyclic_covers(o: Origami, n: int, basis: list[Cycle]) -> list[Cover]:
     if o.stratum().genus != 2:
         raise ValueError("cyclic-cover enumeration needs a genus-2 base")
     covers = []
-    for x1, y1, x2, y2 in primitive_vectors(n):
+    for gamma in primitive_vectors(n):
         # holonomy of the functional <., gamma> on (a1, b1, a2, b2)
-        values = (y1, -x1 % n, y2, -x2 % n)
+        values = tuple(symplectic_pairing(e, gamma) % n for e in IDENTITY4)
         covers.append(cover_from_basis_values(o, n, basis, values))
     if len(covers) != primitive_vector_count(n):
         raise InvariantError(f"{len(covers)} Z/{n} covers, not J_4({n})")

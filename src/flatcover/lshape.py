@@ -169,9 +169,6 @@ class PlanarPeriod:
     horizontal: QuadraticElement
     vertical: QuadraticElement
 
-    def is_zero(self) -> bool:
-        return self.horizontal.sign() == 0 and self.vertical.sign() == 0
-
 
 def period(hx, vx, b: int, e: int) -> PlanarPeriod:
     def mk(v):

@@ -187,6 +187,8 @@ def group_closure(gens, mod: int, cap: int = 10 ** 5) -> frozenset:
     and a large modulus stops before the element BFS starts."""
     if mod < 2:
         raise ValueError("modulus must be at least 2")
+    if cap < 1:
+        raise ValueError("closure cap must be at least 1")
     gens = [mat_mod(g, mod) for g in gens]
     for g in gens:
         if not is_symplectic(g, mod):

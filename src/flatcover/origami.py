@@ -27,8 +27,8 @@ import json
 
 from . import InvariantError
 from .lshape import J4, check_prototype
-from .perms import (Permutation, _canonical_pair, commutator, compose,
-                    cycle_text, inverse_images, is_transitive, parse_cycles)
+from .perms import (Permutation, _canonical_pair, compose, cycle_text, cycles,
+                    inverse_images, is_transitive, parse_cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +97,6 @@ class Cycle:
         if s != start:
             raise ValueError("taxi path is not closed")
         return Cycle(n, tuple(sig), tuple(tau), tuple(dsig), tuple(dtau), moves)
-
-    @property
-    def period(self) -> tuple[int, int]:
-        return (sum(self.sig), sum(self.tau))
 
     def __add__(self, other: "Cycle") -> "Cycle":
         if self.n != other.n:
@@ -364,7 +360,9 @@ class Origami:
     def vertex_cycles(self) -> list[tuple[int, ...]]:
         """Cycles of the vertex rotation h v h^-1 v^-1; one per cone/marked
         point, the cycle listing squares with that point at bottom-left."""
-        return commutator(self.h, self.v).cycles(include_fixed=True)
+        h, v = self.h.images, self.v.images
+        hi, vi = inverse_images(h), inverse_images(v)
+        return cycles([h[v[hi[vi[s]]]] for s in range(self.n)], include_fixed=True)
 
     def stratum(self) -> Stratum:
         orders = sorted((len(c) - 1 for c in self.vertex_cycles() if len(c) >= 2),
@@ -376,28 +374,13 @@ class Origami:
 
     # -- SL(2,Z) action ----------------------------------------------------
 
-    def act_generator(self, g: str) -> "Origami":
-        h, v = self.h, self.v
-        if g == "L":
-            return Origami(compose(v.inverse(), h), v)
-        if g == "Linv":
-            return Origami(compose(v, h), v)
-        if g == "R":
-            return Origami(h, compose(h.inverse(), v))
-        if g == "Rinv":
-            return Origami(h, compose(h, v))
-        if g == "-I":
-            return Origami(h.inverse(), v.inverse())
-        raise ValueError(f"unknown generator {g!r}")
-
     def act_matrix(self, M) -> "Origami":
-        word = sl2z_word(M)
-        o = self
+        h, v = self.h.images, self.v.images
         # left action: act(act(o, A), B) = act(o, B A), so the rightmost
         # factor of the product is applied first
-        for tok in reversed(word):
-            o = o.act_generator(tok)
-        return o
+        for tok in reversed(sl2z_word(M)):
+            h, v = act_generator(h, v, tok)
+        return Origami(Permutation(h), Permutation(v))
 
     def veech_contains(self, M) -> bool:
         _check_det_one(M)
@@ -411,8 +394,10 @@ class Origami:
         and each of them acts on it as a bijection, so L^-1 and R^-1 act as
         powers of L and R there and the forward closure is the whole orbit.
         The pairs stay transitive, since <v^-1 h, v> = <h, v> = <h, h^-1 v>.
-        Raises OrbitCapExceeded once more than `cap` forms are found.
+        Raises OrbitCapExceeded once more than `cap` >= 1 forms are found.
         """
+        if cap < 1:
+            raise ValueError("orbit cap must be at least 1")
         first = self.canonical_form()
         seen = {first}
         queue = [first]
@@ -420,9 +405,8 @@ class Origami:
         while qi < len(queue):
             h, v = queue[qi]
             qi += 1
-            hi, vi = inverse_images(h), inverse_images(v)
-            for h2, v2 in (([vi[t] for t in h], v), (h, [hi[t] for t in v])):
-                enc = _canonical_pair(h2, v2)
+            for g in ("L", "R"):
+                enc = _canonical_pair(*act_generator(h, v, g))
                 if enc not in seen:
                     if len(seen) >= cap:
                         raise OrbitCapExceeded(len(seen))
@@ -471,20 +455,11 @@ class Origami:
            compose(t, self.v) != compose(self.v, t):
             raise ValueError("t does not commute with (h, v)")
         # orbits of <t>; free action means all orbits have size ord(t)
-        n = self.n
-        orbit = [-1] * n
-        orbits: list[list[int]] = []
-        for s in range(n):
-            if orbit[s] >= 0:
-                continue
-            idx = len(orbits)
-            members = []
-            x = s
-            while orbit[x] < 0:
+        orbits = cycles(t.images, include_fixed=True)
+        orbit = [0] * self.n
+        for idx, members in enumerate(orbits):
+            for x in members:
                 orbit[x] = idx
-                members.append(x)
-                x = t(x)
-            orbits.append(members)
         sizes = {len(m) for m in orbits}
         if len(sizes) != 1 or sizes == {1}:
             raise ValueError("translation does not act freely")
@@ -658,8 +633,27 @@ class Origami:
 
 
 # ---------------------------------------------------------------------------
-# SL(2,Z) matrix words
+# the SL(2,Z) action and matrix words
 # ---------------------------------------------------------------------------
+
+def act_generator(h, v, g: str):
+    """The image tuples of the origami (h, v) acted on by the generator g:
+    L: h -> v^-1 h, R: v -> h^-1 v, their inverses Linv: h -> v h and
+    Rinv: v -> h v, and -I: (h, v) -> (h^-1, v^-1)."""
+    if g == "L":
+        vi = inverse_images(v)
+        return tuple([vi[t] for t in h]), v
+    if g == "Linv":
+        return tuple([v[t] for t in h]), v
+    if g == "R":
+        hi = inverse_images(h)
+        return h, tuple([hi[t] for t in v])
+    if g == "Rinv":
+        return h, tuple([h[t] for t in v])
+    if g == "-I":
+        return tuple(inverse_images(h)), tuple(inverse_images(v))
+    raise ValueError(f"unknown generator {g!r}")
+
 
 def _check_det_one(M) -> tuple[int, int, int, int]:
     (a, b), (c, d) = M

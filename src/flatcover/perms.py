@@ -43,16 +43,12 @@ class Permutation:
         return hash(self.images)
 
     def __repr__(self) -> str:
-        return f"Permutation({self.format_cycles() or 'id'}, n={self.n})"
+        return f"Permutation({cycle_text(self.images) or 'id'}, n={self.n})"
 
     def __setattr__(self, *a):
         raise AttributeError("Permutation is immutable")
 
     # -- arithmetic --------------------------------------------------------
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """self * other = compose(self, other): first other, then self."""
-        return compose(self, other)
 
     def inverse(self) -> "Permutation":
         return Permutation(inverse_images(self.images))
@@ -66,31 +62,7 @@ class Permutation:
 
     def order(self) -> int:
         """The lcm of the cycle lengths."""
-        return lcm(*(len(c) for c in self.cycles()))
-
-    # -- cycle structure ---------------------------------------------------
-
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycles, each starting at its smallest element, sorted."""
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            j = self.images[start]
-            while j != start:
-                cyc.append(j)
-                seen[j] = True
-                j = self.images[j]
-            if len(cyc) > 1 or include_fixed:
-                out.append(tuple(cyc))
-        return out
-
-    def format_cycles(self) -> str:
-        """1-based disjoint-cycle text; identity formats as the empty string."""
-        return cycle_text(self.images)
+        return lcm(*map(len, cycles(self.images)))
 
     # -- constructors ------------------------------------------------------
 
@@ -126,11 +98,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     qi = q.images
     pi = p.images
     return Permutation(tuple(pi[qi[x]] for x in range(p.n)))
-
-
-def commutator(p: Permutation, q: Permutation) -> Permutation:
-    """p q p^-1 q^-1 under the compose convention."""
-    return compose(compose(p, q), compose(p.inverse(), q.inverse()))
 
 
 def is_transitive(gens: list[Permutation], n: int) -> bool:
@@ -221,24 +188,30 @@ def _canonical_pair(h: Sequence[int],
     return best_h, best_v
 
 
-def cycle_text(images: Sequence[int]) -> str:
-    """1-based disjoint-cycle text of the permutation with these images.
-
-    Cycles start at their smallest element and are listed in the order of
-    those elements; fixed points are left out, so the identity gives "".
-    """
+def cycles(images: Sequence[int],
+           include_fixed: bool = False) -> list[tuple[int, ...]]:
+    """Disjoint cycles of the permutation with these images, each starting at
+    its smallest element, listed in the order of those elements; fixed points
+    only with `include_fixed`."""
     seen = [False] * len(images)
-    parts = []
+    out = []
     for start, j in enumerate(images):
-        if seen[start] or j == start:
+        if seen[start] or (j == start and not include_fixed):
             continue
-        cyc = [str(start + 1)]
+        cyc = [start]
         while j != start:
             seen[j] = True
-            cyc.append(str(j + 1))
+            cyc.append(j)
             j = images[j]
-        parts.append("(" + ",".join(cyc) + ")")
-    return "".join(parts)
+        out.append(tuple(cyc))
+    return out
+
+
+def cycle_text(images: Sequence[int]) -> str:
+    """1-based disjoint-cycle text of the permutation with these images;
+    the identity gives ""."""
+    return "".join("(" + ",".join(str(i + 1) for i in c) + ")"
+                   for c in cycles(images))
 
 
 def parse_cycles(text: str, n: int) -> Permutation:

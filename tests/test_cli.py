@@ -43,6 +43,12 @@ def test_orbit_cap_error(run):
     assert "error" in err
 
 
+def test_orbit_cap_below_one_error(run):
+    for cap in ("0", "-5"):
+        code, out, err = run("orbit", "--cap", cap, "--origami", "n=1 h= v=")
+        assert code == 2 and out == "" and "error" in err
+
+
 def test_orbit_bad_origami(run):
     for text in ("n=4 h=(1,2) v=(3,4)",              # not transitive
                  "n=3 h=(1,2) v=(1,2,3) z=9",        # unknown key

@@ -7,7 +7,8 @@ from flatcover.classify import square_spins
 from flatcover.covers import (all_double_covers, cover_from_basis_values,
                               cover_label, cyclic_covers,
                               primitive_vector_count)
-from flatcover.monodromy import primitive_vectors
+from flatcover.lshape import IDENTITY4, symplectic_pairing
+from flatcover.monodromy import primitive_vectors, vector_label
 from flatcover.origami import Origami, intersection, l_origami
 from flatcover.perms import Permutation, parse_cycles
 
@@ -31,6 +32,19 @@ def test_holonomy_matches_construction():
         values = tuple((code >> k) & 1 for k in range(4))
         c = cover_from_basis_values(o, 2, basis, values)
         assert c.holonomy_on_basis(basis) == values
+
+
+def test_cyclic_cover_holonomy_is_pairing_with_dual_class():
+    o, basis = lshape(2, -1)
+    for m in range(2, 6):
+        gammas = primitive_vectors(m)
+        covers = cyclic_covers(o, m, basis)
+        assert len(covers) == len(gammas)
+        for gamma, c in zip(gammas, covers):
+            assert c.holonomy_on_basis(basis) == tuple(
+                symplectic_pairing(e, gamma) % m for e in IDENTITY4)
+            if m == 2:
+                assert cover_label(basis, c) == (gamma, vector_label(gamma))
 
 
 def reference_holonomy(cover, cycle):

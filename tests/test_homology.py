@@ -12,6 +12,11 @@ from flatcover.perms import parse_cycles
 
 J4 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
 
+
+def period(c):
+    """The planar period (horizontal, vertical) of a cycle."""
+    return (sum(c.sig), sum(c.tau))
+
 TORUS = Origami.from_text("n=1 h= v=")
 FIVE = Origami(parse_cycles("(1,2)", 5), parse_cycles("(2,3,4,5)", 5))
 
@@ -28,7 +33,7 @@ def test_torus_intersection():
     assert intersection(e, n) == 1
     assert intersection(n, e) == -1
     assert intersection(e, e) == 0
-    assert e.period == (1, 0) and n.period == (0, 1)
+    assert period(e) == (1, 0) and period(n) == (0, 1)
 
 
 def test_loop_must_close():
@@ -39,10 +44,10 @@ def test_loop_must_close():
 def test_cycle_arithmetic():
     e = Cycle.from_loop(TORUS, 0, "E")
     n = Cycle.from_loop(TORUS, 0, "N")
-    assert (e + n).period == (1, 1)
-    assert (e - e).period == (0, 0)
-    assert (3 * n).period == (0, 3)
-    assert (-e).period == (-1, 0)
+    assert period(e + n) == (1, 1)
+    assert period(e - e) == (0, 0)
+    assert period(3 * n) == (0, 3)
+    assert period(-e) == (-1, 0)
 
 
 @settings(max_examples=30)
@@ -83,7 +88,7 @@ def test_l_origami_pinned_basis_is_symplectic():
         gram = [[intersection(x, y) for y in L.basis] for x in L.basis]
         assert gram == J4
         lam = L.lam
-        assert [c.period for c in L.basis] == [(1, 0), (0, lam), (lam - e, 0), (0, 1)]
+        assert [period(c) for c in L.basis] == [(1, 0), (0, lam), (lam - e, 0), (0, 1)]
 
 
 def test_symplectic_reduce():

@@ -82,18 +82,31 @@ def test_invariant_error_survives_optimize_flag():
     assert proc.stdout.startswith("InvariantError: intersection form is not unimodular")
 
 
-def referenced_names(nodes) -> Counter:
-    """How often each identifier is read as a `Name` or an `Attribute`."""
+def referenced_names(nodes, attributes_only: bool = False) -> Counter:
+    """How often each identifier is read as a `Name` or an `Attribute`, or
+    only as an `Attribute` (`.name`)."""
+    kinds = ast.Attribute if attributes_only else (ast.Name, ast.Attribute)
     return Counter(n.id if isinstance(n, ast.Name) else n.attr
-                   for n in nodes if isinstance(n, (ast.Name, ast.Attribute)))
+                   for n in nodes if isinstance(n, kinds))
 
 
 def test_every_library_definition_has_a_library_or_benchmark_caller():
-    bench = [node for path in sorted(BENCH.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))]
-    total = referenced_names(node for _, node in library_nodes()) + referenced_names(bench)
-    unused = [f"{name}:{node.lineno} {node.name}" for name, node in library_nodes()
-              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-              and not (node.name.startswith("__") and node.name.endswith("__"))
-              and total[node.name] == referenced_names(ast.walk(node))[node.name]]
+    """A function or class needs a read of its name outside its own body; a
+    method needs an attribute read `.name`, so that a bare name of another
+    definition (a module function of the same name) does not count for it."""
+    library = list(library_nodes())
+    nodes = [node for _, node in library] + [
+        node for path in sorted(BENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))]
+    total = {False: referenced_names(nodes), True: referenced_names(nodes, True)}
+    methods = {id(member) for _, node in library if isinstance(node, ast.ClassDef)
+               for member in node.body}
+    unused = []
+    for name, node in library:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not (node.name.startswith("__") and node.name.endswith("__"))):
+            method = id(node) in methods
+            own = referenced_names(ast.walk(node), method)[node.name]
+            if total[method][node.name] == own:
+                unused.append(f"{name}:{node.lineno} {node.name}")
     assert not unused, f"library names without a library or benchmark caller: {unused}"

@@ -120,7 +120,7 @@ def test_modulus_scale_invariant(x, y):
     core = period(lam(7, 1), 1, 7, 1)
     crossing = period(2, lam(7, 1) - 1, 7, 1)
     z = PlanarPeriod(x, y)
-    if z.is_zero():
+    if z.horizontal.sign() == 0 and z.vertical.sign() == 0:
         return
     assert cylinder_modulus(cmul(z, core), cmul(z, crossing)) == \
         cylinder_modulus(core, crossing)

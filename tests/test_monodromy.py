@@ -102,6 +102,9 @@ def test_closure_errors():
         group_closure([((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (0, 0, 0, 1))], 2)
     with pytest.raises(ClosureCapExceeded):
         group_closure([mat_H(2, 0), mat_V(2, 0)], 2, cap=3)
+    for gens in ([], [mat_H(2, 0)]):
+        with pytest.raises(ValueError):
+            group_closure(gens, 2, cap=0)
 
 
 def reference_closure(gens, mod, cap=10 ** 5):
@@ -163,7 +166,7 @@ def test_closure_cap_is_exact():
     assert len(group_closure(gens, 3, cap=order)) == order
     with pytest.raises(ClosureCapExceeded):
         group_closure(gens, 3, cap=order - 1)
-    assert group_closure([], 2, cap=0) == {mat_mod(IDENTITY4, 2)}
+    assert group_closure([], 2, cap=1) == {mat_mod(IDENTITY4, 2)}
 
 
 def test_closure_cap_fails_fast_for_large_moduli():

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatcover.covers import cover_from_basis_values
-from flatcover.origami import (Origami, OrbitCapExceeded, intersection,
-                               l_origami, lattice_index, sl2z_word)
-from flatcover.perms import Permutation, parse_cycles
+from flatcover.origami import (Origami, OrbitCapExceeded, act_generator,
+                               intersection, l_origami, lattice_index, sl2z_word)
+from flatcover.perms import Permutation, compose, cycles, parse_cycles
 
 
 def mat2_mul(A, B):
@@ -16,6 +16,33 @@ def mat2_mul(A, B):
 
 def make_origami(h_text, v_text, n):
     return Origami(parse_cycles(h_text, n), parse_cycles(v_text, n))
+
+
+def period(c):
+    """The planar period (horizontal, vertical) of a cycle."""
+    return (sum(c.sig), sum(c.tau))
+
+
+def commutator(p, q):
+    """p q p^-1 q^-1 under the compose convention."""
+    return compose(compose(p, q), compose(p.inverse(), q.inverse()))
+
+
+def act(o, g):
+    """The action of a generator on an Origami object, composing validated
+    Permutations: the reference for `act_generator` on image tuples."""
+    h, v = o.h, o.v
+    if g == "L":
+        return Origami(compose(v.inverse(), h), v)
+    if g == "Linv":
+        return Origami(compose(v, h), v)
+    if g == "R":
+        return Origami(h, compose(h.inverse(), v))
+    if g == "Rinv":
+        return Origami(h, compose(h, v))
+    if g == "-I":
+        return Origami(h.inverse(), v.inverse())
+    raise ValueError(f"unknown generator {g!r}")
 
 
 FIVE = make_origami("(1,2)", "(2,3,4,5)", 5)
@@ -131,22 +158,28 @@ def test_stratum_examples():
     assert lift.stratum().genus == 3
 
 
+@settings(max_examples=40, deadline=None)
+@given(origamis(max_n=8))
+def test_vertex_cycles_are_cycles_of_commutator(o):
+    assert o.vertex_cycles() == cycles(commutator(o.h, o.v).images, include_fixed=True)
+
+
 # -- the SL(2,Z) action ------------------------------------------------------
 
 def test_generator_consistency():
     for g, ginv in (("L", "Linv"), ("R", "Rinv")):
-        assert FIVE.act_generator(g).act_generator(ginv) == FIVE
+        assert act(act(FIVE, g), ginv) == FIVE
 
 
 def test_published_lrl_action():
     # L, then R^3, then L on the 5-square surface
-    o = FIVE.act_generator("L")
+    o = act(FIVE, "L")
     assert o.h == parse_cycles("(1,5,4,3,2)", 5)
     assert o.v == parse_cycles("(2,3,4,5)", 5)
     for _ in range(3):
-        o = o.act_generator("R")
+        o = act(o, "R")
     assert o == Origami(parse_cycles("(1,5,4,3,2)", 5), parse_cycles("(1,4,3,2)", 5))
-    o = o.act_generator("L")
+    o = act(o, "L")
     assert o == Origami(parse_cycles("(1,5)", 5), parse_cycles("(1,4,3,2)", 5))
     assert o == FIVE  # conjugate pairs define the same origami
 
@@ -162,13 +195,23 @@ GENERATOR_MATRICES = {"L": ((1, 0), (1, 1)), "R": ((1, 1), (0, 1)),
                       "-I": ((-1, 0), (0, -1))}
 
 
+@settings(max_examples=40, deadline=None)
+@given(origamis(max_n=8))
+def test_act_generator_matches_object_action(o):
+    for g in GENERATOR_MATRICES:
+        want = act(o, g)
+        assert act_generator(o.h.images, o.v.images, g) == (want.h.images, want.v.images)
+    with pytest.raises(ValueError):
+        act_generator(o.h.images, o.v.images, "S")
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.sampled_from(["L", "R", "Linv", "Rinv"]), min_size=0, max_size=6))
 def test_sl2z_word_reconstructs_matrix_action(word):
     M = ((1, 0), (0, 1))
     o = FIVE
     for g in word:
-        o = o.act_generator(g)
+        o = act(o, g)
         M = mat2_mul(GENERATOR_MATRICES[g], M)
     assert FIVE.act_matrix(M) == o
 
@@ -230,6 +273,11 @@ def test_orbit_cap():
         l_origami(6, 1).origami.sl2z_orbit_forms(cap=17)
     assert exc.value.partial_count == 17
     assert len(l_origami(6, 1).origami.sl2z_orbit_forms(cap=18)) == 18
+    torus = Origami.from_text("n=1 h= v=")
+    for cap in (0, -5):
+        with pytest.raises(ValueError):
+            torus.sl2z_orbit_forms(cap=cap)
+    assert len(torus.sl2z_orbit_forms(cap=1)) == 1
 
 
 def reference_orbit_forms(o):
@@ -239,7 +287,7 @@ def reference_orbit_forms(o):
     queue = [o]
     for o in queue:
         for g in ("L", "R", "Linv", "Rinv"):
-            o2 = o.act_generator(g)
+            o2 = act(o, g)
             enc = reference_canonical_form(o2)
             if enc not in seen:
                 seen.add(enc)
@@ -265,7 +313,7 @@ def test_orbit_closed_under_inverse_generators(o):
         member = origami_of(form)
         assert member.canonical_form() == form
         for g in ("Linv", "Rinv"):
-            assert member.act_generator(g).canonical_form() in forms
+            assert act(member, g).canonical_form() in forms
 
 
 def test_orbit_of_lift_matches_reference():
@@ -340,7 +388,7 @@ def test_sparse_gram_of_lifts():
 def test_l_origami_shape():
     L = l_origami(6, 1)
     assert (L.d, L.lam, L.n) == (5, 3, 5)
-    assert [c.period for c in L.basis] == [(1, 0), (0, 3), (2, 0), (0, 1)]
+    assert [period(c) for c in L.basis] == [(1, 0), (0, 3), (2, 0), (0, 1)]
 
 
 def test_l_origami_validation():
@@ -411,7 +459,7 @@ def reference_is_reduced(o):
                 if b not in pos:
                     pos[b] = (x + dx, y + dy)
                     stack.append(b)
-    gens = [c.period for c in o._homology_data()[0]]
+    gens = [period(c) for c in o._homology_data()[0]]
     zeros = [pos[i] for i, cyc in enumerate(vcycles) if len(cyc) >= 2]
     gens += [(x - zeros[0][0], y - zeros[0][1]) for x, y in zeros[1:]]
     return reference_hnf2(gens) == ((1, 0), (0, 1))
@@ -429,7 +477,7 @@ def test_reduced():
     assert l_origami(6, 1).origami.is_reduced()
     two_square_torus = make_origami("(1,2)", "", 2)
     assert not two_square_torus.is_reduced()
-    periods = [c.period for c in two_square_torus._homology_data()[0]]
+    periods = [period(c) for c in two_square_torus._homology_data()[0]]
     assert lattice_index(periods) == 2
 
 

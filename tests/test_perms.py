@@ -1,8 +1,35 @@
+from math import lcm
+
 import pytest
 from hypothesis import given, strategies as st
 
-from flatcover.perms import (Permutation, commutator, compose, cycle_text,
+from flatcover.perms import (Permutation, compose, cycle_text, cycles,
                              is_transitive, parse_cycles)
+
+
+def reference_cycles(p, include_fixed=False):
+    """Disjoint cycles of a Permutation, each starting at its smallest
+    element, sorted: the per-object walk, kept as a reference."""
+    seen = [False] * p.n
+    out = []
+    for start in range(p.n):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        j = p.images[start]
+        while j != start:
+            cyc.append(j)
+            seen[j] = True
+            j = p.images[j]
+        if len(cyc) > 1 or include_fixed:
+            out.append(tuple(cyc))
+    return out
+
+
+def commutator(p, q):
+    """p q p^-1 q^-1 under the compose convention."""
+    return compose(compose(p, q), compose(p.inverse(), q.inverse()))
 
 
 def perms(max_n=8):
@@ -38,8 +65,8 @@ def test_inverse(p):
 @given(perm_pairs())
 def test_conjugate_preserves_cycle_type(pair):
     p, g = pair
-    type_before = sorted(len(c) for c in p.cycles())
-    type_after = sorted(len(c) for c in p.conjugate(g).cycles())
+    type_before = sorted(len(c) for c in cycles(p.images))
+    type_after = sorted(len(c) for c in cycles(p.conjugate(g).images))
     assert type_before == type_after
 
 
@@ -51,7 +78,7 @@ def test_commutator_identity_iff_commute(pair):
 
 @given(perms())
 def test_cycle_text_roundtrip(p):
-    assert parse_cycles(p.format_cycles(), p.n) == p
+    assert parse_cycles(cycle_text(p.images), p.n) == p
 
 
 def test_compose_convention():
@@ -69,8 +96,8 @@ def test_order():
 
 def test_cycles_and_fixed_points():
     p = parse_cycles("(1,2)", 4)
-    assert p.cycles() == [(0, 1)]
-    assert p.cycles(include_fixed=True) == [(0, 1), (2,), (3,)]
+    assert cycles(p.images) == [(0, 1)]
+    assert cycles(p.images, include_fixed=True) == [(0, 1), (2,), (3,)]
 
 
 def test_from_cycles_validation():
@@ -105,4 +132,11 @@ def test_transitivity():
 @given(perms())
 def test_cycle_text_matches_cycles(p):
     assert cycle_text(p.images) == "".join(
-        "(" + ",".join(str(i + 1) for i in cyc) + ")" for cyc in p.cycles())
+        "(" + ",".join(str(i + 1) for i in cyc) + ")" for cyc in reference_cycles(p))
+
+
+@given(perms())
+def test_cycles_match_reference(p):
+    for include_fixed in (False, True):
+        assert cycles(p.images, include_fixed) == reference_cycles(p, include_fixed)
+    assert p.order() == lcm(*(len(c) for c in reference_cycles(p)))
