@@ -259,6 +259,20 @@ def check_sts_eleven(fast: bool = False):
     if fast:
         return True, "skipped in fast mode (n <= 7)"
     census = verify_sts_orbits(11)
+    # second derivation: direct orbit enumeration of each orbit's first lift
+    for spin in census["spins"]:
+        base = l_origami(spin["b"], spin["e"])
+        basis = list(base.basis)
+        lifts = {cover_label(basis, c)[1]: c.lift()
+                 for c in all_double_covers(base.origami, basis)}
+        for o in spin["orbits"]:
+            members = lifts[o["labels"][0]].sl2z_orbit_forms()
+            labels = sorted(label for label, lift in lifts.items()
+                            if lift.canonical_form() in members)
+            if len(members) != o["size"] or labels != o["labels"]:
+                return False, (f"spin e={spin['e']}: orbit of labels {o['labels']} "
+                               f"(size {o['size']}) differs from the direct orbit: "
+                               f"labels {labels}, size {len(members)}")
     spin1 = next(s for s in census["spins"] if (s["d"] - s["e"]) % 4 == 2)
     sizes1 = sorted(o["size"] for o in spin1["orbits"])
     if not {1080, 180} <= set(sizes1):

@@ -7,10 +7,12 @@ H_1(base, Z/m) -> Z/m on a symplectic cycle basis.  That homomorphism is
 c -> c . dual for its Poincare-dual cycle, and c . dual counts the crossings
 of c's edges by dual, so dual's crossing counts are edge weights realising
 it.  Subtracting the coboundary of a potential summed down the spanning tree
-of `Origami._homology_data` fixes the gauge: tree edges get weight zero and
-each other edge the holonomy of its fundamental cycle.
+of `Origami._homology_data` fixes the gauge (`gauge_fixed`): tree edges get
+weight zero and each other edge the holonomy of its fundamental cycle.
 The double covers are the Z/2 cyclic covers: the primitive vectors of
-(Z/2)^4 are its 15 nonzero vectors.
+(Z/2)^4 are its 15 nonzero vectors.  SL(2,Z) acts on a cover through its
+edge cocycle, so `double_cover_orbits` finds the orbits of the lifts on the
+orbit graph of the base.
 """
 from __future__ import annotations
 
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 from . import InvariantError
 from .lshape import IDENTITY4, symplectic_pairing
 from .monodromy import primitive_vector_count, primitive_vectors, vector_label
-from .origami import Cycle, Origami
+from .origami import (Cycle, Origami, OrbitGraph, act_generator, sl2z_orbit_graph,
+                      spanning_tree)
 from .perms import Permutation
 
 
@@ -66,6 +69,20 @@ class Cover:
                                  for t in range(m) for s in range(n)))
 
 
+def gauge_fixed(h, v, tree, w_right, w_up, m: int
+                ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The edge cocycle (w_right, w_up) of the origami (h, v), minus the
+    coboundary of a potential summed down `tree` (in the format of
+    `origami.spanning_tree`), reduced mod m: the cohomologous cocycle with
+    weight 0 on every tree edge."""
+    weights = {"E": w_right, "N": w_up}
+    potential = [0] * len(h)
+    for parent, child, (kind, s), direction in tree:
+        potential[child] = potential[parent] + direction * weights[kind][s]
+    return (tuple([(w + potential[s] - potential[h[s]]) % m for s, w in enumerate(w_right)]),
+            tuple([(w + potential[s] - potential[v[s]]) % m for s, w in enumerate(w_up)]))
+
+
 def cover_from_basis_values(o: Origami, m: int, basis: list[Cycle],
                             values: tuple[int, ...]) -> Cover:
     """The cover whose holonomy takes the given values on the symplectic basis
@@ -74,25 +91,17 @@ def cover_from_basis_values(o: Origami, m: int, basis: list[Cycle],
     Its holonomy is c -> c . dual for the dual class with coordinates
     dual[k] = <values, e_k>, since then <e_k, dual> = values[k].  As
     c . dual = sum c.sig dual.dsig - c.tau dual.dtau, the weights dual.dsig
-    on right edges and -dual.dtau on top edges realise it; a potential summed
-    down the spanning tree then moves them to the gauge with weight 0 on
-    every tree edge.
+    on right edges and -dual.dtau on top edges realise it; `gauge_fixed`
+    then moves them to weight 0 on every edge of the spanning tree.
     """
     if len(basis) != 4 or len(values) != 4:
         raise ValueError("a genus-2 basis and one value per basis cycle required")
     dual = [(symplectic_pairing(values, e), c) for e, c in zip(IDENTITY4, basis)]
     n = o.n
-    weights = {"E": [sum(x * c.dsig[s] for x, c in dual) for s in range(n)],
-               "N": [-sum(x * c.dtau[s] for x, c in dual) for s in range(n)]}
-    potential = [0] * n
-    for parent, child, (kind, s), direction in o._homology_data()[2]:
-        potential[child] = potential[parent] + direction * weights[kind][s]
-    h, v = o.h.images, o.v.images
-    w_right = tuple((w + potential[s] - potential[h[s]]) % m
-                    for s, w in enumerate(weights["E"]))
-    w_up = tuple((w + potential[s] - potential[v[s]]) % m
-                 for s, w in enumerate(weights["N"]))
-    cover = Cover(o, m, w_right, w_up)
+    w_right = [sum(x * c.dsig[s] for x, c in dual) for s in range(n)]
+    w_up = [-sum(x * c.dtau[s] for x, c in dual) for s in range(n)]
+    cover = Cover(o, m, *gauge_fixed(o.h.images, o.v.images, o._homology_data()[2],
+                                     w_right, w_up, m))
     if cover.holonomy_on_basis(basis) != tuple(x % m for x in values):
         raise InvariantError("cover holonomy differs from the prescribed values")
     return cover
@@ -129,3 +138,66 @@ def cyclic_covers(o: Origami, n: int, basis: list[Cycle]) -> list[Cover]:
     if len(covers) != primitive_vector_count(n):
         raise InvariantError(f"{len(covers)} Z/{n} covers, not J_4({n})")
     return covers
+
+
+def double_cover_orbits(covers: list[Cover]) -> tuple[OrbitGraph, list[int], list[int]]:
+    """SL(2,Z)-orbits of double covers of one base, with no canonical form
+    of a lift: the components of the skew product of the base's orbit graph
+    with its Z/2 edge cocycles.
+
+    A node is (member index, cocycle gauge-fixed on the member's spanning
+    tree).  L sends h to h' = v^-1 h and w_right to w_right[s] - w_up[h'[s]];
+    R sends v to v' = h^-1 v and w_up to w_up[s] - w_right[v'[s]] (these are
+    the actions on `Cover.lift`).  The result is relabelled by the edge's
+    `order` and gauge-fixed on the target's tree.  Each cover enters at
+    member 0, relabelled by the graph's `seed_order`.
+
+    Components are orbits of the lifted origamis when the base has no
+    nontrivial translation (checked: it raises InvariantError) and each
+    lift's translations are its deck group (left to the caller).  Returns
+    the orbit graph of the base, the component of each cover (numbered in
+    order of first appearance) and the size of each component.  Raises
+    ValueError unless m = 2: for m > 2 the cocycles c and u c, u a unit of
+    Z/m, have one lifted origami, and a component counts both.
+    """
+    base = covers[0].base
+    if any(c.m != 2 for c in covers):
+        raise ValueError("the skew-product orbits are for double covers")
+    if len(base.translations()) != 1:
+        raise InvariantError("the base has a nontrivial translation")
+    graph = sl2z_orbit_graph(base.h.images, base.v.images)
+    trees = [spanning_tree(h, v) for h, v in graph.members]
+    # per member and generator: target, order, and the squares whose weights
+    # the generator subtracts (h'[order[k]] for L, v'[order[k]] for R)
+    steps = []
+    for (h, v), ((jl, order_l), (jr, order_r)) in zip(graph.members, graph.edges):
+        hl = act_generator(h, v, "L")[0]
+        vr = act_generator(h, v, "R")[1]
+        steps.append(((jl, order_l, [hl[s] for s in order_l]),
+                      (jr, order_r, [vr[s] for s in order_r])))
+
+    def node(i, w_right, w_up):
+        h, v = graph.members[i]
+        return i, gauge_fixed(h, v, trees[i], w_right, w_up, 2)
+
+    order = graph.seed_order
+    seen: dict = {}
+    sizes: list[int] = []
+    components = []
+    for c in covers:
+        start = node(0, [c.w_right[s] for s in order], [c.w_up[s] for s in order])
+        if start not in seen:
+            k = seen[start] = len(sizes)
+            queue = [start]
+            for i, (w_right, w_up) in queue:
+                (jl, order_l, hl), (jr, order_r, vr) = steps[i]
+                for nxt in (node(jl, [w_right[s] - w_up[t] for s, t in zip(order_l, hl)],
+                                 [w_up[s] for s in order_l]),
+                            node(jr, [w_right[s] for s in order_r],
+                                 [w_up[s] - w_right[t] for s, t in zip(order_r, vr)])):
+                    if nxt not in seen:
+                        seen[nxt] = k
+                        queue.append(nxt)
+            sizes.append(len(queue))
+        components.append(seen[start])
+    return graph, components, sizes

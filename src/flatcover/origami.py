@@ -345,8 +345,8 @@ class Origami:
         so far, and vn is compared only when hn ties (see `_canonical_pair`).
         """
         if self._canon is None:
-            object.__setattr__(self, "_canon",
-                               _canonical_pair(self.h.images, self.v.images))
+            hn, vn, _ = _canonical_pair(self.h.images, self.v.images)
+            object.__setattr__(self, "_canon", (hn, vn))
         return self._canon
 
     def __eq__(self, other) -> bool:
@@ -387,32 +387,10 @@ class Origami:
         return self.act_matrix(M).canonical_form() == self.canonical_form()
 
     def sl2z_orbit_forms(self, cap: int = 10**6) -> set:
-        """Canonical forms of the full SL(2,Z)-orbit.
-
-        BFS over L: h -> v^-1 h and R: v -> h^-1 v only, applied to the
-        canonical image pairs.  L and R generate SL(2,Z), the orbit is finite
-        and each of them acts on it as a bijection, so L^-1 and R^-1 act as
-        powers of L and R there and the forward closure is the whole orbit.
-        The pairs stay transitive, since <v^-1 h, v> = <h, v> = <h, h^-1 v>.
-        Raises OrbitCapExceeded once more than `cap` >= 1 forms are found.
-        """
-        if cap < 1:
-            raise ValueError("orbit cap must be at least 1")
-        first = self.canonical_form()
-        seen = {first}
-        queue = [first]
-        qi = 0
-        while qi < len(queue):
-            h, v = queue[qi]
-            qi += 1
-            for g in ("L", "R"):
-                enc = _canonical_pair(*act_generator(h, v, g))
-                if enc not in seen:
-                    if len(seen) >= cap:
-                        raise OrbitCapExceeded(len(seen))
-                    seen.add(enc)
-                    queue.append(enc)
-        return seen
+        """Canonical forms of the full SL(2,Z)-orbit: the members of
+        `sl2z_orbit_graph`.  Raises OrbitCapExceeded once more than
+        `cap` >= 1 forms are found."""
+        return set(sl2z_orbit_graph(self.h.images, self.v.images, cap).members)
 
     def sl2z_orbit(self, cap: int = 10**6) -> OrbitReport:
         reps = sorted(self.sl2z_orbit_forms(cap))
@@ -473,15 +451,12 @@ class Origami:
         """Spanning-tree fundamental cycles, their Gram matrix and the
         spanning tree, cached as (cycles, gram, tree).
 
-        The tree is a BFS of the square-adjacency graph from square 0, listed
-        in discovery order as (parent, child, edge, direction): edge is
-        ('E'|'N', s), the right or top edge of square s, and direction is +1
-        when the step crosses it forward (E, N) and -1 when backward (W, S).
-        Each edge off the tree closes one fundamental cycle, right edges
-        before top edges, by square.  `covers.cover_from_basis_values` takes
-        the crossing counts of the Poincare dual of a cover's holonomy as
-        edge weights and sums a potential down this tree to gauge every tree
-        edge to 0, so each other edge carries the holonomy of its cycle.
+        The tree is `spanning_tree`.  Each edge off the tree closes one
+        fundamental cycle, right edges before top edges, by square.
+        `covers.cover_from_basis_values` takes the crossing counts of the
+        Poincare dual of a cover's holonomy as edge weights and gauges every
+        tree edge to 0 (`covers.gauge_fixed`), so each other edge carries
+        the holonomy of its cycle.
 
         The Gram matrix is `intersection` on the pairs i < j, summed over the
         nonzero sig/tau entries of cycle i, and gram[j][i] = -gram[i][j]:
@@ -493,24 +468,11 @@ class Origami:
             return self._homology
         n = self.n
         h, v = self.h.images, self.v.images
-        hi, vi = inverse_images(h), inverse_images(v)
-        # BFS spanning tree of the square-adjacency (dual) graph; path[t] is
-        # the taxi path from square 0 to t along the tree
-        path: list[str | None] = [None] * n
-        path[0] = ""
-        tree: list[tuple[int, int, tuple[str, int], int]] = []
-        order = [0]
-        qi = 0
-        while qi < len(order):
-            s = order[qi]
-            qi += 1
-            for mv, t, edge, direction in (
-                    ("E", h[s], ("E", s), 1), ("N", v[s], ("N", s), 1),
-                    ("W", hi[s], ("E", hi[s]), -1), ("S", vi[s], ("N", vi[s]), -1)):
-                if path[t] is None:
-                    path[t] = path[s] + mv
-                    tree.append((s, t, edge, direction))
-                    order.append(t)
+        tree = spanning_tree(h, v)
+        # path[t] is the taxi path from square 0 to t along the tree
+        path = [""] * n
+        for parent, child, (kind, _), direction in tree:
+            path[child] = path[parent] + (kind if direction == 1 else _OPPOSITE[kind])
         used_edges = {edge for _, _, edge, _ in tree}
 
         cycles: list[Cycle] = []
@@ -653,6 +615,73 @@ def act_generator(h, v, g: str):
     if g == "-I":
         return tuple(inverse_images(h)), tuple(inverse_images(v))
     raise ValueError(f"unknown generator {g!r}")
+
+
+def spanning_tree(h, v) -> list[tuple[int, int, tuple[str, int], int]]:
+    """The BFS spanning tree from square 0 of the square-adjacency graph of
+    the origami (h, v), with edge order (h, v, h^-1, v^-1), listed in
+    discovery order as (parent, child, edge, direction): edge is ('E'|'N', s),
+    the right or top edge of square s, and direction is +1 when the step
+    crosses it forward (E, N) and -1 when backward (W, S).
+    """
+    hi, vi = inverse_images(h), inverse_images(v)
+    seen = [False] * len(h)
+    seen[0] = True
+    tree = []
+    order = [0]
+    for s in order:
+        for t, edge, direction in ((h[s], ("E", s), 1), (v[s], ("N", s), 1),
+                                   (hi[s], ("E", hi[s]), -1), (vi[s], ("N", vi[s]), -1)):
+            if not seen[t]:
+                seen[t] = True
+                tree.append((s, t, edge, direction))
+                order.append(t)
+    return tree
+
+
+@dataclass(frozen=True)
+class OrbitGraph:
+    """The SL(2,Z)-orbit of an origami as a graph on canonical forms.
+
+    members[0] is the canonical form of the input pair and `seed_order` its
+    relabelling: seed_order[k] is the input square with label k.  edges[i]
+    holds, for L and then R, the pair (j, order): act_generator(members[i], g)
+    relabelled by `order` (its square order[k] gets label k) is members[j].
+    """
+
+    members: list[tuple[tuple[int, ...], tuple[int, ...]]]
+    edges: list[tuple[tuple[int, list[int]], tuple[int, list[int]]]]
+    seed_order: list[int]
+
+
+def sl2z_orbit_graph(h, v, cap: int = 10**6) -> OrbitGraph:
+    """The SL(2,Z)-orbit graph of the origami (h, v), by BFS over L and R.
+
+    L and R generate SL(2,Z), the orbit is finite and each of them acts on it
+    as a bijection, so L^-1 and R^-1 act as powers of L and R there and the
+    forward closure is the whole orbit.  The pairs stay transitive, since
+    <v^-1 h, v> = <h, v> = <h, h^-1 v>.  Raises OrbitCapExceeded once more
+    than `cap` >= 1 forms are found.
+    """
+    if cap < 1:
+        raise ValueError("orbit cap must be at least 1")
+    hn, vn, seed_order = _canonical_pair(h, v)
+    members = [(hn, vn)]
+    index = {members[0]: 0}
+    edges = []
+    for h, v in members:
+        out = []
+        for g in ("L", "R"):
+            hn, vn, order = _canonical_pair(*act_generator(h, v, g))
+            j = index.get((hn, vn))
+            if j is None:
+                if len(members) >= cap:
+                    raise OrbitCapExceeded(len(members))
+                j = index[hn, vn] = len(members)
+                members.append((hn, vn))
+            out.append((j, order))
+        edges.append(tuple(out))
+    return OrbitGraph(members, edges, seed_order)
 
 
 def _check_det_one(M) -> tuple[int, int, int, int]:

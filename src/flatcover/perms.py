@@ -121,14 +121,16 @@ def is_transitive(gens: list[Permutation], n: int) -> bool:
     return count == n
 
 
-def _canonical_pair(h: Sequence[int],
-                    v: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _canonical_pair(h: Sequence[int], v: Sequence[int]
+                    ) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
     """Canonical relabelling of a transitive pair of image tuples under
     simultaneous conjugation.
 
     A BFS from a start square with edge order (h, v, h^-1, v^-1) numbers the
     squares in visiting order and gives the relabelled pair (hn, vn); the
-    result is the lexicographically least (hn, vn) over all start squares.
+    result is the lexicographically least (hn, vn) over all start squares,
+    with the winning start's visiting `order`: order[k] is the square that
+    gets label k, so hn[k] = order.index(h[order[k]]).
 
     The BFS fixes hn[k] = new[h[order[k]]] as soon as it takes node k from
     the queue, so a start is dropped at the first entry where its hn exceeds
@@ -144,7 +146,7 @@ def _canonical_pair(h: Sequence[int],
     starts = ([s for s in range(n) if h[s] == s]
               or [s for s in range(n) if h[h[s]] == s]
               or range(n))
-    best_h = best_v = None
+    best_h = best_v = best_order = None
     for start in starts:
         new = [-1] * n
         new[start] = 0
@@ -182,10 +184,10 @@ def _canonical_pair(h: Sequence[int],
             vn = tuple([new[v[s]] for s in order])
             if not tied:
                 best_h = tuple([new[h[s]] for s in order])
-                best_v = vn
+                best_v, best_order = vn, order
             elif vn < best_v:
-                best_v = vn
-    return best_h, best_v
+                best_v, best_order = vn, order
+    return best_h, best_v, best_order
 
 
 def cycles(images: Sequence[int],

@@ -1,12 +1,16 @@
 import json
+from collections import Counter
 
 import pytest
 
+from flatcover import origami
 from flatcover.classify import (EchoTable, HYP_LABELS, branched_cover_types,
                                 census_to_json, count_formulas, echoes_of_WD,
                                 is_primitive_cover, primitive_cover_oracle,
                                 primitive_echo_table, square_spins,
                                 verify_sts_orbits)
+from flatcover.covers import all_double_covers, cover_label
+from flatcover.origami import l_origami
 
 # expected orbit tables by discriminant class mod 8
 TABLE2 = {
@@ -150,7 +154,71 @@ def test_sts_orbit_sizes_five():
 
 def test_sts_cap():
     with pytest.raises(ValueError):
-        verify_sts_orbits(13)
+        verify_sts_orbits(22)
+
+
+def test_sts_census_thirteen():
+    census = verify_sts_orbits(13)
+    assert census["ok"] and census["orbit_count"] == 10
+    assert count_formulas(13) == (378, 315)
+    assert sorted(s["base_orbit_size"] for s in census["spins"]) == [315, 378]
+    for spin in census["spins"]:
+        assert spin["base_orbit_size"] == spin["expected_base_size"]
+        for orbit in spin["orbits"]:
+            assert orbit["size_matches_product"]
+            assert orbit["size"] == spin["base_orbit_size"] * orbit["block_size"]
+
+
+def reference_census(n):
+    """The direct census: the orbit of each double cover's 2n-square lift by
+    breadth-first enumeration of its canonical forms, labels grouped by
+    lifted orbit.  Per spin, the sorted (size, labels, arf, translation
+    order) of its orbits."""
+    out = []
+    for b, e in square_spins(n):
+        base = l_origami(b, e)
+        basis = list(base.basis)
+        seeds = sorted((cover_label(basis, c)[1], c.lift())
+                       for c in all_double_covers(base.origami, basis))
+        orbit_of = {}
+        orbits = []
+        for label, lift in seeds:
+            o = orbit_of.get(lift.canonical_form())
+            if o is not None:
+                o["labels"].append(label)
+                o["arfs"].add(lift.arf_invariant())
+                continue
+            members = lift.sl2z_orbit_forms()
+            o = {"labels": [label], "size": len(members),
+                 "arfs": {lift.arf_invariant()},
+                 "translation_order": len(lift.translations())}
+            orbit_of.update(dict.fromkeys(members, o))
+            orbits.append(o)
+        out.append(sorted((o["size"], o["labels"], o["arfs"].pop(), o["translation_order"])
+                          for o in orbits))
+    return out
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_census_matches_direct_enumeration(n):
+    census = verify_sts_orbits(n)
+    got = [sorted((o["size"], o["labels"], o["arf"], o["translation_order"])
+                  for o in spin["orbits"]) for spin in census["spins"]]
+    assert got == reference_census(n)
+
+
+def test_census_computes_no_canonical_form_of_a_lift(monkeypatch):
+    calls = Counter()
+    canonical_pair = origami._canonical_pair
+
+    def counting(h, v):
+        calls[len(h)] += 1
+        return canonical_pair(h, v)
+
+    monkeypatch.setattr(origami, "_canonical_pair", counting)
+    verify_sts_orbits(7)
+    assert calls[7] > 0
+    assert calls[14] == 0, calls
 
 
 def test_census_json_roundtrip():

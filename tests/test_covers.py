@@ -3,13 +3,15 @@ from math import gcd
 
 import pytest
 
+from flatcover import InvariantError
 from flatcover.classify import square_spins
-from flatcover.covers import (all_double_covers, cover_from_basis_values,
-                              cover_label, cyclic_covers,
-                              primitive_vector_count)
+from flatcover.covers import (Cover, all_double_covers, cover_from_basis_values,
+                              cover_label, cyclic_covers, double_cover_orbits,
+                              gauge_fixed, primitive_vector_count)
 from flatcover.lshape import IDENTITY4, symplectic_pairing
 from flatcover.monodromy import primitive_vectors, vector_label
-from flatcover.origami import Origami, intersection, l_origami
+from flatcover.origami import (Origami, act_generator, intersection, l_origami,
+                               spanning_tree)
 from flatcover.perms import Permutation, parse_cycles
 
 
@@ -233,3 +235,58 @@ def test_tree_lists_every_square_once_from_square_zero():
             step = h if kind == "E" else v
             assert (s, step[s]) == ((parent, child) if direction == 1 else (child, parent))
             reached.add(child)
+
+
+# -- the SL(2,Z) action on cocycles ------------------------------------------
+
+def test_cocycle_action_is_the_action_on_lifts():
+    # L: h' = v^-1 h, w_right'[s] = w_right[s] - w_up[h'[s]]
+    # R: v' = h^-1 v, w_up'[s] = w_up[s] - w_right[v'[s]]
+    # give exactly the image tuples of the generator acting on the lift
+    for b, e in ((6, 1), (4, 0), (2, -1)):
+        o, basis = lshape(b, e)
+        h, v = o.h.images, o.v.images
+        hl = act_generator(h, v, "L")[0]
+        vr = act_generator(h, v, "R")[1]
+        for c in all_double_covers(o, basis) + cyclic_covers(o, 3, basis)[:20]:
+            m, n = c.m, o.n
+            lift = c.lift()
+            by_l = Cover(Origami(Permutation(hl), o.v), m,
+                         tuple((c.w_right[s] - c.w_up[hl[s]]) % m for s in range(n)),
+                         c.w_up)
+            by_r = Cover(Origami(o.h, Permutation(vr)), m, c.w_right,
+                         tuple((c.w_up[s] - c.w_right[vr[s]]) % m for s in range(n)))
+            for g, acted in (("L", by_l), ("R", by_r)):
+                image = act_generator(lift.h.images, lift.v.images, g)
+                assert (acted.lift().h.images, acted.lift().v.images) == image
+
+
+def test_gauge_fixed_keeps_the_cover_and_zeroes_the_tree():
+    rng = random.Random(7)
+    for o in random_genus2_origamis(6, seed=11):
+        h, v = o.h.images, o.v.images
+        tree = spanning_tree(h, v)
+        for m in (2, 3, 5):
+            w_right = [rng.randrange(-m, 2 * m) for _ in range(o.n)]
+            w_up = [rng.randrange(-m, 2 * m) for _ in range(o.n)]
+            fixed = gauge_fixed(h, v, tree, w_right, w_up, m)
+            for _, _, (kind, s), _ in tree:
+                assert fixed[kind == "N"][s] == 0
+            assert gauge_fixed(h, v, tree, *fixed, m) == fixed
+            raw = Cover(o, m, tuple(w % m for w in w_right), tuple(w % m for w in w_up))
+            try:
+                lift = raw.lift()
+            except ValueError:
+                continue
+            assert Cover(o, m, *fixed).lift() == lift
+
+
+def test_double_cover_orbits_guards():
+    # the 2x2 torus has translations, so a cover class and its translates
+    # would give one lifted origami
+    torus = Origami.from_text("n=4 h=(1,2)(3,4) v=(1,3)(2,4)")
+    with pytest.raises(InvariantError):
+        double_cover_orbits([Cover(torus, 2, (1, 1, 0, 0), (0, 0, 0, 0))])
+    o, basis = lshape(2, -1)
+    with pytest.raises(ValueError):
+        double_cover_orbits(cyclic_covers(o, 3, basis))

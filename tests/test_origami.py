@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from flatcover.covers import cover_from_basis_values
 from flatcover.origami import (Origami, OrbitCapExceeded, act_generator,
-                               intersection, l_origami, lattice_index, sl2z_word)
+                               intersection, l_origami, lattice_index,
+                               sl2z_orbit_graph, sl2z_word)
 from flatcover.perms import Permutation, compose, cycles, parse_cycles
 
 
@@ -324,6 +325,37 @@ def test_orbit_of_lift_matches_reference():
     assert report.size == len(forms) == 36
     assert report.representatives == tuple(origami_of(f).to_text()
                                            for f in sorted(forms))
+
+
+def relabelled(h, v, order):
+    """The pair (h, v) with square order[k] given label k."""
+    new = [0] * len(order)
+    for k, s in enumerate(order):
+        new[s] = k
+    return (tuple(new[h[s]] for s in order), tuple(new[v[s]] for s in order))
+
+
+def assert_orbit_graph_contract(o):
+    graph = sl2z_orbit_graph(o.h.images, o.v.images)
+    assert graph.members[0] == o.canonical_form()
+    assert relabelled(o.h.images, o.v.images, graph.seed_order) == graph.members[0]
+    assert len(set(graph.members)) == len(graph.members) == len(graph.edges)
+    assert set(graph.members) == o.sl2z_orbit_forms()
+    for i, (h, v) in enumerate(graph.members):
+        for g, (j, order) in zip(("L", "R"), graph.edges[i]):
+            assert relabelled(*act_generator(h, v, g), order) == graph.members[j]
+
+
+@settings(max_examples=25, deadline=None)
+@given(origamis(max_n=7))
+def test_orbit_graph_edges_relabel_to_their_targets(o):
+    assert_orbit_graph_contract(o)
+
+
+def test_orbit_graph_of_lifts_and_l_shapes():
+    assert_orbit_graph_contract(l_origami(6, 1).origami)
+    assert_orbit_graph_contract(
+        make_origami("(1,2)(6,7)(3,8)(4,9)(5,10)", "(2,3,4,5)(7,8,9,10)", 10))
 
 
 # -- translations and quotients ---------------------------------------------
