@@ -343,6 +343,9 @@ class Origami:
 
         A start is dropped as soon as an entry of its hn exceeds the best hn
         so far, and vn is compared only when hn ties (see `_canonical_pair`).
+        `sl2z_orbit_graph` also passes the seed's translations, so that the
+        translation images of earlier starts are skipped; the result and the
+        relabelling `order` do not change.
         """
         if self._canon is None:
             hn, vn, _ = _canonical_pair(self.h.images, self.v.images)
@@ -401,30 +404,9 @@ class Origami:
 
     def translations(self) -> list[Permutation]:
         """All permutations commuting with both h and v (the deck group of
-        the origami over its translation quotients)."""
-        n = self.n
-        maps = (self.h.images, self.v.images,
-                inverse_images(self.h.images), inverse_images(self.v.images))
-        result = []
-        for k in range(n):
-            t = [-1] * n
-            t[0] = k
-            stack = [0]
-            ok = True
-            while stack and ok:
-                s = stack.pop()
-                for m in maps:
-                    s2 = m[s]
-                    im = m[t[s]]
-                    if t[s2] < 0:
-                        t[s2] = im
-                        stack.append(s2)
-                    elif t[s2] != im:
-                        ok = False
-                        break
-            if ok:
-                result.append(Permutation(t))
-        return result
+        the origami over its translation quotients); see
+        `translation_images`."""
+        return [Permutation(t) for t in translation_images(self.h.images, self.v.images)]
 
     def quotient_by_translation(self, t: Permutation) -> "Origami":
         if t.n != self.n or t.is_identity():
@@ -617,6 +599,34 @@ def act_generator(h, v, g: str):
     raise ValueError(f"unknown generator {g!r}")
 
 
+def translation_images(h, v) -> list[list[int]]:
+    """Image lists of all permutations commuting with both h and v, for the
+    transitive pair (h, v): the one sending square 0 to k, for each k that
+    admits one, in increasing k (the identity first)."""
+    n = len(h)
+    maps = (h, v, inverse_images(h), inverse_images(v))
+    result = []
+    for k in range(n):
+        t = [-1] * n
+        t[0] = k
+        stack = [0]
+        ok = True
+        while stack and ok:
+            s = stack.pop()
+            for m in maps:
+                s2 = m[s]
+                im = m[t[s]]
+                if t[s2] < 0:
+                    t[s2] = im
+                    stack.append(s2)
+                elif t[s2] != im:
+                    ok = False
+                    break
+        if ok:
+            result.append(t)
+    return result
+
+
 def spanning_tree(h, v) -> list[tuple[int, int, tuple[str, int], int]]:
     """The BFS spanning tree from square 0 of the square-adjacency graph of
     the origami (h, v), with edge order (h, v, h^-1, v^-1), listed in
@@ -662,23 +672,47 @@ def sl2z_orbit_graph(h, v, cap: int = 10**6) -> OrbitGraph:
     forward closure is the whole orbit.  The pairs stay transitive, since
     <v^-1 h, v> = <h, v> = <h, h^-1 v>.  Raises OrbitCapExceeded once more
     than `cap` >= 1 forms are found.
+
+    A translation t of (h, v) commutes with v^-1 h and h^-1 v too, so every
+    member has the seed's translation group; along an edge relabelled by
+    `order` (pos its inverse) t becomes [pos[t[x]] for x in order].  A
+    generating set of it goes with each member until the member is expanded,
+    and `_canonical_pair` skips the translation images of earlier starts.
     """
     if cap < 1:
         raise ValueError("orbit cap must be at least 1")
-    hn, vn, seed_order = _canonical_pair(h, v)
+    # a translation is fixed by its image of square 0, so a greedy generating
+    # set grows `reached`, the orbit of 0, until no translation is left out
+    gens = []
+    reached = {0}
+    for t in translation_images(h, v):
+        if t[0] not in reached:
+            gens.append(t)
+            queue = list(reached)
+            for x in queue:
+                for g in gens:
+                    if g[x] not in reached:
+                        reached.add(g[x])
+                        queue.append(g[x])
+    hn, vn, seed_order = _canonical_pair(h, v, gens)
+    pos = inverse_images(seed_order)
     members = [(hn, vn)]
+    pending = [[[pos[t[x]] for x in seed_order] for t in gens]]
     index = {members[0]: 0}
     edges = []
-    for h, v in members:
+    for i, (h, v) in enumerate(members):
+        gens, pending[i] = pending[i], None
         out = []
         for g in ("L", "R"):
-            hn, vn, order = _canonical_pair(*act_generator(h, v, g))
+            hn, vn, order = _canonical_pair(*act_generator(h, v, g), gens)
             j = index.get((hn, vn))
             if j is None:
                 if len(members) >= cap:
                     raise OrbitCapExceeded(len(members))
                 j = index[hn, vn] = len(members)
                 members.append((hn, vn))
+                pos = inverse_images(order)
+                pending.append([[pos[t[x]] for x in order] for t in gens])
             out.append((j, order))
         edges.append(tuple(out))
     return OrbitGraph(members, edges, seed_order)

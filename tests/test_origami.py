@@ -1,13 +1,16 @@
+from itertools import permutations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from flatcover.covers import cover_from_basis_values
+from flatcover import origami
+from flatcover.covers import Cover, cover_from_basis_values
 from flatcover.origami import (Origami, OrbitCapExceeded, act_generator,
                                intersection, l_origami, lattice_index,
-                               sl2z_orbit_graph, sl2z_word)
-from flatcover.perms import Permutation, compose, cycles, parse_cycles
+                               sl2z_orbit_graph, sl2z_word, translation_images)
+from flatcover.perms import (Permutation, _canonical_pair, compose, cycles,
+                             parse_cycles)
 
 
 def mat2_mul(A, B):
@@ -380,6 +383,133 @@ def test_escalator_quotients():
 def test_quotient_rejects_non_translation():
     with pytest.raises(ValueError):
         FIVE.quotient_by_translation(parse_cycles("(1,2)", 5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(origamis())
+def test_translation_images_are_the_whole_commutant(o):
+    h, v = o.h.images, o.v.images
+    want = [list(t) for t in permutations(range(o.n))
+            if all(t[h[s]] == h[t[s]] and t[v[s]] == v[t[s]] for s in range(o.n))]
+    assert translation_images(h, v) == want
+    assert [t.images for t in o.translations()] == [tuple(t) for t in want]
+
+
+# -- canonical forms skipping translation images of earlier starts -----------
+
+@st.composite
+def lifted_origamis(draw, max_n=5, max_m=4):
+    """Connected Z/m covers of small origamis, relabelled: each has the deck
+    shift as a translation, besides any of its base."""
+    base = draw(origamis(max_n=max_n))
+    m = draw(st.integers(2, max_m))
+    weights = st.lists(st.integers(0, m - 1), min_size=base.n, max_size=base.n)
+    cover = Cover(base, m, tuple(draw(weights)), tuple(draw(weights)))
+    try:
+        lift = cover.lift()
+    except ValueError:
+        assume(False)
+    return relabel(lift, draw(st.integers(0, 2 ** 30)))
+
+
+def generating_subsets(o):
+    """Generating sets to try: every nontrivial translation alone, all of
+    them, and every pair."""
+    trans = [t for t in translation_images(o.h.images, o.v.images) if t[0] != 0]
+    return [[t] for t in trans] + [trans] + [[a, b] for a in trans for b in trans if a < b]
+
+
+def assert_translations_change_nothing(o):
+    h, v = o.h.images, o.v.images
+    want = _canonical_pair(h, v)
+    for gens in generating_subsets(o):
+        assert _canonical_pair(h, v, gens) == want
+
+
+def cyclic_lift(b, e, m, values=(1, 0, 0, 0)):
+    base = l_origami(b, e)
+    return cover_from_basis_values(base.origami, m, list(base.basis), values).lift()
+
+
+def test_translations_keep_the_canonical_pair_of_cyclic_lifts():
+    for b, e in ((2, -1), (6, 1)):
+        for m in range(2, 8):
+            for values in ((1, 0, 0, 0), (0, 1, 1, 0), (1, 1, 0, m - 1)):
+                lift = cyclic_lift(b, e, m, values)
+                for seed in range(2):
+                    o = relabel(lift, seed)
+                    deck = [t for t in translation_images(o.h.images, o.v.images)
+                            if Permutation(t).order() == m]
+                    assert deck
+                    h, v = o.h.images, o.v.images
+                    want = _canonical_pair(h, v)
+                    assert all(_canonical_pair(h, v, [t]) == want for t in deck)
+
+
+def test_translations_keep_the_canonical_pair_of_the_escalator():
+    # the translation group is dihedral of order 8: a pair of reflections
+    # generates it only through products the skipping must close over
+    assert len(translation_images(ESCALATOR.h.images, ESCALATOR.v.images)) == 8
+    for seed in range(5):
+        assert_translations_change_nothing(relabel(ESCALATOR, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(origamis(max_n=8))
+def test_translations_keep_the_canonical_pair(o):
+    assert_translations_change_nothing(o)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifted_origamis())
+def test_translations_keep_the_canonical_pair_of_lifts(o):
+    assert len(translation_images(o.h.images, o.v.images)) > 1
+    assert_translations_change_nothing(o)
+
+
+def reference_orbit_graph(h, v):
+    """The orbit BFS over L and R with no translations passed: every start
+    square is tried in every canonical form."""
+    hn, vn, seed_order = _canonical_pair(h, v)
+    members = [(hn, vn)]
+    index = {members[0]: 0}
+    edges = []
+    for h, v in members:
+        out = []
+        for g in ("L", "R"):
+            hn, vn, order = _canonical_pair(*act_generator(h, v, g))
+            j = index.setdefault((hn, vn), len(members))
+            if j == len(members):
+                members.append((hn, vn))
+            out.append((j, order))
+        edges.append(tuple(out))
+    return members, edges, seed_order
+
+
+def test_orbit_graph_with_translations_matches_reference():
+    for o in (relabel(cyclic_lift(2, -1, 2), 1), relabel(cyclic_lift(2, -1, 5), 2),
+              relabel(cyclic_lift(2, -1, 7), 3), relabel(ESCALATOR, 4)):
+        graph = sl2z_orbit_graph(o.h.images, o.v.images)
+        assert (graph.members, graph.edges, graph.seed_order) == \
+            reference_orbit_graph(o.h.images, o.v.images)
+
+
+def test_orbit_graph_passes_translations_only_when_there_are_some(monkeypatch):
+    passed = []
+    canonical_pair = origami._canonical_pair
+
+    def recording(h, v, translations=()):
+        passed.append(translations)
+        return canonical_pair(h, v, translations)
+
+    monkeypatch.setattr(origami, "_canonical_pair", recording)
+    lift = relabel(cyclic_lift(2, -1, 3), 0)
+    sl2z_orbit_graph(lift.h.images, lift.v.images)
+    assert passed and all(passed)
+    passed.clear()
+    base = l_origami(6, 1).origami
+    sl2z_orbit_graph(base.h.images, base.v.images)
+    assert passed and not any(passed)
 
 
 @settings(max_examples=60, deadline=None)
