@@ -7,12 +7,15 @@ decagon period map.
 Matrices are tuples of 4 rows acting on column vectors; the intersection form
 is `lshape.J4` = diag([[0,1],[-1,0]], [[0,1],[-1,0]]).
 
-The two kernels over (Z/m)^4 work on index maps, not on matrix products.
-`group_closure` numbers the orbit of the unit rows under r -> r g (every row
-of every product lies in it, so it has at most 4 |G| rows and a cap of c
-stops it at 4 c rows) and multiplies elements as 4-tuples of row indices.
-`orbit_partition` computes M v by unrolled dot products and looks the image
-up in a dict of the input vectors.
+The two kernels over (Z/m)^4 work on index maps and image tuples, not on
+matrix products.  `group_closure` numbers the orbit of the unit rows under
+r -> r g (every row of every product lies in it, so it has at most 4 |G| rows
+and a cap of c stops it at 4 c rows) and multiplies elements as 4-tuples of
+row indices.  `orbit_partition` labels components by depth-first search: M v
+is four unrolled dot products, and one dict from each input vector to its
+component label both tests membership and marks the visited vectors, with no
+union-find.  `mat_mul`, used by the symplectic and commutation tests, is
+unrolled the same way.
 """
 from __future__ import annotations
 
@@ -32,14 +35,36 @@ Mat = tuple  # 4-tuple of 4-tuples of ints
 # ---------------------------------------------------------------------------
 
 def mat_mul(A: Mat, B: Mat, mod: int = 0) -> Mat:
-    rows = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            x = sum(A[i][k] * B[k][j] for k in range(4))
-            row.append(x % mod if mod else x)
-        rows.append(tuple(row))
-    return tuple(rows)
+    """A B with the 16 entries unrolled, reduced mod m when `mod` is set."""
+    (a00, a01, a02, a03), (a10, a11, a12, a13), \
+        (a20, a21, a22, a23), (a30, a31, a32, a33) = A
+    (b00, b01, b02, b03), (b10, b11, b12, b13), \
+        (b20, b21, b22, b23), (b30, b31, b32, b33) = B
+    c00 = a00 * b00 + a01 * b10 + a02 * b20 + a03 * b30
+    c01 = a00 * b01 + a01 * b11 + a02 * b21 + a03 * b31
+    c02 = a00 * b02 + a01 * b12 + a02 * b22 + a03 * b32
+    c03 = a00 * b03 + a01 * b13 + a02 * b23 + a03 * b33
+    c10 = a10 * b00 + a11 * b10 + a12 * b20 + a13 * b30
+    c11 = a10 * b01 + a11 * b11 + a12 * b21 + a13 * b31
+    c12 = a10 * b02 + a11 * b12 + a12 * b22 + a13 * b32
+    c13 = a10 * b03 + a11 * b13 + a12 * b23 + a13 * b33
+    c20 = a20 * b00 + a21 * b10 + a22 * b20 + a23 * b30
+    c21 = a20 * b01 + a21 * b11 + a22 * b21 + a23 * b31
+    c22 = a20 * b02 + a21 * b12 + a22 * b22 + a23 * b32
+    c23 = a20 * b03 + a21 * b13 + a22 * b23 + a23 * b33
+    c30 = a30 * b00 + a31 * b10 + a32 * b20 + a33 * b30
+    c31 = a30 * b01 + a31 * b11 + a32 * b21 + a33 * b31
+    c32 = a30 * b02 + a31 * b12 + a32 * b22 + a33 * b32
+    c33 = a30 * b03 + a31 * b13 + a32 * b23 + a33 * b33
+    if mod:
+        return ((c00 % mod, c01 % mod, c02 % mod, c03 % mod),
+                (c10 % mod, c11 % mod, c12 % mod, c13 % mod),
+                (c20 % mod, c21 % mod, c22 % mod, c23 % mod),
+                (c30 % mod, c31 % mod, c32 % mod, c33 % mod))
+    return ((c00, c01, c02, c03),
+            (c10, c11, c12, c13),
+            (c20, c21, c22, c23),
+            (c30, c31, c32, c33))
 
 
 def mat_vec(A: Mat, v, mod: int = 0):
@@ -310,43 +335,55 @@ def dihedral_structure(group, mod: int) -> int | None:
 def orbit_partition(gens, vectors, mod: int) -> list[tuple]:
     """Connected components of the graph v -- M v on the given vectors, for
     each generator M; equals the group-orbit partition since generators are
-    bijections of a finite set.  Components sorted by least element.
+    bijections of a finite set.  Components sorted by least element, each
+    component sorted.
 
-    Input tuples already reduced mod m are kept as they are (no copy); M v
-    is four unrolled dot products mod m on M's entries.  Two inputs equal
-    mod m raise ValueError: the partition is of a set of residues."""
-    vecs = []
+    The components are labelled by depth-first search: one dict maps each
+    input vector, reduced mod m, to its component label (-1 while unvisited),
+    and M v is four unrolled dot products mod m on M's entries.  The search
+    starts from the vectors in sorted order, so labels count up in order of
+    least element.  Input tuples already reduced mod m are kept as they are
+    (no copy).  Two inputs equal mod m raise ValueError: the partition is of
+    a set of residues."""
+    if mod < 1:
+        raise ValueError("modulus must be at least 1")
+    label = {}
     for v in vectors:
-        w = tuple(x % mod for x in v)
-        vecs.append(v if w == v else w)
-    index = {v: i for i, v in enumerate(vecs)}
-    if len(index) != len(vecs):
-        raise ValueError("vectors repeat modulo the modulus")
-    parent = list(range(len(vecs)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for g in gens:
-        (g00, g01, g02, g03), (g10, g11, g12, g13), \
-            (g20, g21, g22, g23), (g30, g31, g32, g33) = g
-        for (x0, x1, x2, x3), i in index.items():
-            j = index.get(((g00 * x0 + g01 * x1 + g02 * x2 + g03 * x3) % mod,
-                           (g10 * x0 + g11 * x1 + g12 * x2 + g13 * x3) % mod,
-                           (g20 * x0 + g21 * x1 + g22 * x2 + g23 * x3) % mod,
-                           (g30 * x0 + g31 * x1 + g32 * x2 + g33 * x3) % mod))
-            if j is None:
-                raise ValueError("vector set is not closed under the generators")
-            a, b = find(i), find(j)
-            if a != b:
-                parent[a] = b
-    comps: dict[int, list] = {}
-    for i, v in enumerate(vecs):
-        comps.setdefault(find(i), []).append(v)
-    return sorted((tuple(sorted(c)) for c in comps.values()), key=lambda c: c[0])
+        x0, x1, x2, x3 = v
+        w = (x0 % mod, x1 % mod, x2 % mod, x3 % mod)
+        if w == v:
+            w = v
+        if w in label:
+            raise ValueError("vectors repeat modulo the modulus")
+        label[w] = -1
+    order = sorted(label)
+    flat = [tuple(x for row in g for x in row) for g in gens]
+    get = label.get
+    count = 0
+    for v in order:
+        if label[v] >= 0:
+            continue
+        label[v] = count
+        stack = [v]
+        while stack:
+            x0, x1, x2, x3 = stack.pop()
+            for g00, g01, g02, g03, g10, g11, g12, g13, \
+                    g20, g21, g22, g23, g30, g31, g32, g33 in flat:
+                w = ((g00 * x0 + g01 * x1 + g02 * x2 + g03 * x3) % mod,
+                     (g10 * x0 + g11 * x1 + g12 * x2 + g13 * x3) % mod,
+                     (g20 * x0 + g21 * x1 + g22 * x2 + g23 * x3) % mod,
+                     (g30 * x0 + g31 * x1 + g32 * x2 + g33 * x3) % mod)
+                c = get(w)
+                if c is None:
+                    raise ValueError("vector set is not closed under the generators")
+                if c < 0:
+                    label[w] = count
+                    stack.append(w)
+        count += 1
+    comps = [[] for _ in range(count)]
+    for v in order:
+        comps[label[v]].append(v)
+    return [tuple(c) for c in comps]
 
 
 def primitive_vector_count(n: int, length: int = 4) -> int:
@@ -464,7 +501,7 @@ def eigenbasis_checks(b: int, n: int) -> dict:
     invariant takes one value per divisor of n, so there are at most d(n)
     classes.  The report says whether it is constant on each class and
     complete (distinct classes, distinct values), and cross-checks the class
-    count by a union-find over all of (Z/n)^4 (`orbit_partition`).  The
+    count by an orbit partition of all of (Z/n)^4 (`orbit_partition`).  The
     reference bound "at least phi(n) classes" is reported on its own as
     `phi_bound_met`; since d(n) < phi(n) for odd n >= 5 it cannot hold
     there, and it is not part of `ok`.

@@ -1,5 +1,8 @@
+import random
 import time
+import tracemalloc
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +42,32 @@ def test_mat_pow():
     assert mat_pow(R, 7, mod=5) == mat_mod(mat_pow(R, 7), 5)
     with pytest.raises(ValueError):
         mat_pow(R, -3)
+
+
+def reference_mat_mul(A, B, mod=0):
+    """The triple loop over i, j, k."""
+    rows = []
+    for i in range(4):
+        row = []
+        for j in range(4):
+            x = sum(A[i][k] * B[k][j] for k in range(4))
+            row.append(x % mod if mod else x)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_mat_mul_matches_reference():
+    rng = random.Random(15)
+    for mod in (0, 2, 3, 4, 5, 6, 7):
+        for _ in range(50):
+            A, B = (tuple(tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(4))
+                    for _ in range(2))
+            got = mat_mul(A, B, mod)
+            assert got == reference_mat_mul(A, B, mod)
+            assert type(got) is tuple and all(type(row) is tuple for row in got)
+            if mod:
+                assert all(0 <= x < mod for row in got for x in row)
+    assert mat_mul(rho_R(), rho_T()) == reference_mat_mul(rho_R(), rho_T())
 
 
 # -- generator identities ----------------------------------------------------
@@ -182,11 +211,23 @@ def test_closure_cap_fails_fast_for_large_moduli():
 
 
 def test_partition_matches_reference():
+    rng = random.Random(3)
     for n in range(2, 10):
         # rho(R), rho(T) have negative entries and enter unreduced
         gens = [rho_R(), rho_T()]
         vectors = primitive_vectors(n)
-        assert orbit_partition(gens, vectors, n) == reference_partition(gens, vectors, n)
+        ref = reference_partition(gens, vectors, n)
+        assert orbit_partition(gens, vectors, n) == ref
+        # the input order, its form and its representatives mod n do not matter
+        shuffled = vectors[:]
+        rng.shuffle(shuffled)
+        assert orbit_partition(gens, shuffled, n) == ref
+        assert orbit_partition(gens, vectors[::-1], n) == ref
+        lifted = [tuple(x + n * rng.randint(-3, 2) for x in v) for v in shuffled]
+        assert min(x for v in lifted for x in v) < 0
+        assert orbit_partition(gens, lifted, n) == ref
+        assert orbit_partition(gens, (v for v in lifted), n) == ref
+        assert orbit_partition([], lifted, n) == reference_partition([], vectors, n)
     for m in (2, 3, 4, 5):
         for b, e in PARAMS:
             gens = [mat_H(b, e), mat_V(b, e)]
@@ -206,6 +247,30 @@ def test_partition_keeps_reduced_input():
     parts = orbit_partition([rho_R(), rho_T()], shifted, 3)
     assert parts == reference_partition([rho_R(), rho_T()], vectors, 3)
     assert all(type(w) is tuple and min(w) >= 0 for c in parts for w in c)
+
+
+def test_partition_rejects_modulus_below_one():
+    vectors = [label_vector(l) for l in range(1, 16)]
+    for mod in (0, -3):
+        with pytest.raises(ValueError, match="modulus must be at least 1"):
+            orbit_partition([rho_R(), rho_T()], vectors, mod)
+    # every vector is zero mod 1: one vector, one component
+    assert orbit_partition([rho_R(), rho_T()], [(3, -1, 0, 2)], 1) == [((0, 0, 0, 0),)]
+
+
+def test_partition_peak_memory():
+    # the bench keeps every pass's outputs, so a kernel whose own peak grows
+    # shows as a larger peak RSS however fast it is
+    gens = [rho_R(), rho_T()]
+    vectors = primitive_vectors(12)
+    tracemalloc.start()
+    try:
+        parts = orbit_partition(gens, vectors, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(parts) == 3
+    assert peak < 1.5e6, f"orbit_partition on (Z/12)^4 peaked at {peak / 1e6:.2f} MB"
 
 
 def test_sp4_f2_and_transvections():
@@ -303,10 +368,15 @@ def test_primitive_vectors():
 
 
 def test_decagon_echo_counts():
-    # N(n) for n = 2..15
-    expected = [3, 1, 3, 8, 3, 1, 3, 1, 24, 3, 3, 1, 3, 8]
-    got = [decagon_cyclic_echo_count(n) for n in range(2, 16)]
-    assert got == expected
+    # N(n) for n = 2..15 (Table 1), and beyond it for n = 16..20
+    expected = [3, 1, 3, 8, 3, 1, 3, 1, 24, 3, 3, 1, 3, 8, 3, 1, 3, 3, 24]
+    N = {n: decagon_cyclic_echo_count(n) for n in range(2, 21)}
+    assert [N[n] for n in range(2, 21)] == expected
+    # N is multiplicative over coprime moduli
+    for m in range(2, 21):
+        for n in range(m + 1, 20 // m + 1):
+            if gcd(m, n) == 1:
+                assert N[m * n] == N[m] * N[n], (m, n)
     with pytest.raises(ValueError):
         decagon_cyclic_echo_count(1)
 
