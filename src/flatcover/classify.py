@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import InvariantError
-from .covers import all_double_covers, cover_label, double_cover_orbits
+from .covers import affine_action_mod2, all_double_covers, cover_label
 from .lshape import IDENTITY4, check_prototype, symplectic_pairing
 from .monodromy import (label_vector, mat_H, mat_V, mat_X, mat_mod,
                         nonzero_vectors_mod2, orbit_partition,
@@ -238,17 +238,20 @@ def verify_sts_orbits(n: int, cap: int = 21) -> dict:
     """Census of SL(2,Z)-orbits of the genus-3 double covers of the n-square
     eigenform surfaces (n <= cap), by the action on homology mod 2.
 
-    For each spin component: build the orbit graph of the L-shaped base and
-    carry the 15 double covers along it as Z/2 edge cocycles
-    (`covers.double_cover_orbits`); an orbit of lifted 2n-square surfaces is
-    a component of that skew product, so no lift gets a canonical form.
-    This needs each lift's translations to be its deck group: an orbit whose
-    first lift has more is cross-checked by direct enumeration of the lift's
-    orbit.  Cross-checks: base sizes against the counting formulas (odd n),
-    Arf invariants against the hyperelliptic label set, and lifted sizes
-    against base size x monodromy block size (valid when the lift has
-    translation group of order 2).  Acceptance criterion 12 checks n = 11
-    against direct enumeration of every lifted orbit.
+    For each spin component: read the affine group's action on the dual
+    classes mod 2 off the L-shaped base, one F_2 matrix per edge of its orbit
+    graph (`covers.affine_action_mod2`), and partition the 15 classes by
+    `orbit_partition` under those matrices.  The orbit of a lifted 2n-square
+    surface is the base orbit times the block of its class, so its size is
+    base size x block size and no lift gets a canonical form.  This needs
+    each lift's translations to be its deck group: an orbit whose first
+    lift has more is cross-checked by direct enumeration of the lift's
+    orbit.  The lifts give each orbit its Arf invariant and translation
+    order.  Cross-checks: the blocks read off the surface against the echo
+    table of W_{n^2} (as sets), base sizes against the counting formulas
+    (odd n) and Arf invariants against the hyperelliptic label set.
+    Acceptance criterion 12 checks n = 11 against direct enumeration of
+    every lifted orbit.
     """
     if n > cap:
         raise ValueError(f"n={n} exceeds cap {cap}")
@@ -260,42 +263,36 @@ def verify_sts_orbits(n: int, cap: int = 21) -> dict:
         # the Table-2 labels are defined against the pinned (a1, b1, a2, b2)
         # basis of the L-shaped surface, not an arbitrary symplectic basis
         basis = list(base.basis)
-        labelled = sorted((cover_label(basis, c)[1], c)
-                          for c in all_double_covers(base.origami, basis))
-        graph, components, sizes = double_cover_orbits([c for _, c in labelled])
+        lifts = {cover_label(basis, c)[1]: c.lift()
+                 for c in all_double_covers(base.origami, basis)}
+        graph, matrices = affine_action_mod2(base.origami, basis)
         base_size = len(graph.members)
+        blocks = [tuple(sorted(vector_label(v) for v in part))
+                  for part in orbit_partition(set(matrices), nonzero_vectors_mod2(), 2)]
+        if set(blocks) != set(table.hyp_orbits + table.odd_orbits):
+            raise InvariantError(f"orbits {blocks} of the affine action differ "
+                                 f"from the echo table of D={table.D}")
 
-        orbits = [None] * len(sizes)
-        for (label, c), k in zip(labelled, components):
-            lift = c.lift()
-            o = orbits[k]
-            if o is not None:
-                o["labels"].append(label)
-                o["arfs"].append(lift.arf_invariant())
-                continue
-            o = orbits[k] = {
-                "labels": [label],
-                "size": sizes[k],
-                "block_size": len(table.block_of(label)),
-                "arfs": [lift.arf_invariant()],
+        orbits = []
+        for labels in blocks:
+            lift = lifts[labels[0]]
+            o = {
+                "labels": list(labels),
+                "size": base_size * len(labels),
+                "block_size": len(table.block_of(labels[0])),
                 "translation_order": len(lift.translations()),
             }
-            if o["translation_order"] != 2 and len(lift.sl2z_orbit_forms()) != sizes[k]:
-                raise InvariantError(f"skew-product orbit of label {label} differs "
-                                     f"from the direct orbit of its lift")
-
-        for o in orbits:
-            arfs = set(o["arfs"])
+            if o["translation_order"] != 2 and len(lift.sl2z_orbit_forms()) != o["size"]:
+                raise InvariantError(f"orbit of label {labels[0]} read off the base "
+                                     f"differs from the direct orbit of its lift")
+            arfs = {lifts[label].arf_invariant() for label in labels}
             if len(arfs) != 1:
                 raise InvariantError(f"Arf not constant on the orbit of {o['labels']}")
             o["arf"] = arfs.pop()
-            if (o["arf"] == 0) != (o["labels"][0] in HYP_LABELS):
+            if (o["arf"] == 0) != (labels[0] in HYP_LABELS):
                 raise InvariantError(f"Arf {o['arf']} contradicts labels {o['labels']}")
-            o["size_matches_product"] = (
-                o["size"] == base_size * o["block_size"])
-            if o["translation_order"] == 2 and not o["size_matches_product"]:
-                raise InvariantError(f"orbit size of {o['labels']} breaks the product rule")
-            del o["arfs"]
+            o["size_matches_product"] = o["size"] == base_size * o["block_size"]
+            orbits.append(o)
 
         spin = {
             "b": b, "e": e, "d": base.d,

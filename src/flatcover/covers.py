@@ -11,16 +11,20 @@ of `Origami._homology_data` fixes the gauge (`gauge_fixed`): tree edges get
 weight zero and each other edge the holonomy of its fundamental cycle.
 The double covers are the Z/2 cyclic covers: the primitive vectors of
 (Z/2)^4 are its 15 nonzero vectors.  SL(2,Z) acts on a cover through its
-edge cocycle, so `double_cover_orbits` finds the orbits of the lifts on the
-orbit graph of the base.
+edge cocycle, so `affine_action_mod2` reads the action of the base's affine
+group on H_1 mod 2 off its orbit graph, as one F_2 matrix per edge.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import xor
 
 from . import InvariantError
-from .lshape import IDENTITY4, symplectic_pairing
-from .monodromy import primitive_vector_count, primitive_vectors, vector_label
+from .lshape import IDENTITY4, J4, symplectic_pairing
+from .monodromy import (nonzero_vectors_mod2, primitive_vector_count, primitive_vectors,
+                        vector_label)
 from .origami import (Cycle, Origami, OrbitGraph, act_generator, sl2z_orbit_graph,
                       spanning_tree)
 from .perms import Permutation
@@ -140,64 +144,61 @@ def cyclic_covers(o: Origami, n: int, basis: list[Cycle]) -> list[Cover]:
     return covers
 
 
-def double_cover_orbits(covers: list[Cover]) -> tuple[OrbitGraph, list[int], list[int]]:
-    """SL(2,Z)-orbits of double covers of one base, with no canonical form
-    of a lift: the components of the skew product of the base's orbit graph
-    with its Z/2 edge cocycles.
+def affine_action_mod2(o: Origami, basis: list[Cycle]) -> tuple[OrbitGraph, list[tuple]]:
+    """The SL(2,Z)-orbit graph of the genus-2 origami o and the action of its
+    affine group on the dual classes gamma of H_1 mod 2, in the coordinates
+    of `basis`: matrices[2 i] and matrices[2 i + 1] are the 4x4 F_2 matrices
+    of the L and R edges of member i, sending coordinates x to M x.
 
-    A node is (member index, cocycle gauge-fixed on the member's spanning
-    tree).  L sends h to h' = v^-1 h and w_right to w_right[s] - w_up[h'[s]];
-    R sends v to v' = h^-1 v and w_up to w_up[s] - w_right[v'[s]] (these are
-    the actions on `Cover.lift`).  The result is relabelled by the edge's
-    `order` and gauge-fixed on the target's tree.  Each cover enters at
-    member 0, relabelled by the graph's `seed_order`.
+    A double cover of a member is its edge cocycle, gauge-fixed on the
+    member's spanning tree; that representative is unique per class.  L
+    sends h to h' = v^-1 h and w_right to w_right[s] - w_up[h'[s]]; R sends
+    v to v' = h^-1 v and w_up to w_up[s] - w_right[v'[s]] (these are the
+    actions on `Cover.lift`).  The image is relabelled by the edge's `order`
+    and gauge-fixed on the target's tree.  The frame of member 0 is the
+    covers with gamma = e_1..e_4, relabelled by the graph's `seed_order`;
+    the edge that first reaches a member carries its source's frame there,
+    so the edges of the BFS tree act as the identity.  Column k of an edge's
+    matrix is the coordinate vector of the image of frame cover k, looked up
+    in the target's table of the 15 sums of its frame.
 
-    Components are orbits of the lifted origamis when the base has no
-    nontrivial translation (checked: it raises InvariantError) and each
-    lift's translations are its deck group (left to the caller).  Returns
-    the orbit graph of the base, the component of each cover (numbered in
-    order of first appearance) and the size of each component.  Raises
-    ValueError unless m = 2: for m > 2 the cocycles c and u c, u a unit of
-    Z/m, have one lifted origami, and a component counts both.
+    So the component of (member 0, gamma) in the skew product of the graph
+    with the covers is every member times the orbit of gamma under the
+    matrices.  It is the orbit of the lifted origami when the base has no
+    nontrivial translation (checked: it raises InvariantError) and the
+    lift's translations are its deck group (left to the caller).
     """
-    base = covers[0].base
-    if any(c.m != 2 for c in covers):
-        raise ValueError("the skew-product orbits are for double covers")
-    if len(base.translations()) != 1:
+    if len(o.translations()) != 1:
         raise InvariantError("the base has a nontrivial translation")
-    graph = sl2z_orbit_graph(base.h.images, base.v.images)
-    trees = [spanning_tree(h, v) for h, v in graph.members]
-    # per member and generator: target, order, and the squares whose weights
-    # the generator subtracts (h'[order[k]] for L, v'[order[k]] for R)
-    steps = []
-    for (h, v), ((jl, order_l), (jr, order_r)) in zip(graph.members, graph.edges):
-        hl = act_generator(h, v, "L")[0]
-        vr = act_generator(h, v, "R")[1]
-        steps.append(((jl, order_l, [hl[s] for s in order_l]),
-                      (jr, order_r, [vr[s] for s in order_r])))
+    graph = sl2z_orbit_graph(o.h.images, o.v.images)
+    gauges = [(h, v, spanning_tree(h, v)) for h, v in graph.members]
+    frames: list = [None] * len(gauges)
+    tables: list = [None] * len(gauges)
+    vectors = nonzero_vectors_mod2()
 
-    def node(i, w_right, w_up):
-        h, v = graph.members[i]
-        return i, gauge_fixed(h, v, trees[i], w_right, w_up, 2)
+    def land(j, cocycles):
+        fixed = [gauge_fixed(*gauges[j], w_right, w_up, 2) for w_right, w_up in cocycles]
+        # one int per cocycle, a byte per edge weight, so xor adds mod 2
+        keys = [int.from_bytes(bytes(w_right + w_up), "big") for w_right, w_up in fixed]
+        if tables[j] is None:
+            frames[j] = fixed
+            tables[j] = {reduce(xor, compress(keys, x)): x for x in vectors}
+        columns = [tables[j].get(k) for k in keys]
+        if None in columns:
+            raise InvariantError(f"an image cover is not a double cover of member {j}")
+        return tuple(zip(*columns))
 
+    # row k of J4 is -<e_i, e_k> over i: mod 2 the values of the cover with gamma = e_k
     order = graph.seed_order
-    seen: dict = {}
-    sizes: list[int] = []
-    components = []
-    for c in covers:
-        start = node(0, [c.w_right[s] for s in order], [c.w_up[s] for s in order])
-        if start not in seen:
-            k = seen[start] = len(sizes)
-            queue = [start]
-            for i, (w_right, w_up) in queue:
-                (jl, order_l, hl), (jr, order_r, vr) = steps[i]
-                for nxt in (node(jl, [w_right[s] - w_up[t] for s, t in zip(order_l, hl)],
-                                 [w_up[s] for s in order_l]),
-                            node(jr, [w_right[s] for s in order_r],
-                                 [w_up[s] - w_right[t] for s, t in zip(order_r, vr)])):
-                    if nxt not in seen:
-                        seen[nxt] = k
-                        queue.append(nxt)
-            sizes.append(len(queue))
-        components.append(seen[start])
-    return graph, components, sizes
+    seed = [cover_from_basis_values(o, 2, basis, values) for values in J4]
+    land(0, [([c.w_right[s] for s in order], [c.w_up[s] for s in order]) for c in seed])
+    matrices = []
+    for i, ((jl, order_l), (jr, order_r)) in enumerate(graph.edges):
+        hl = act_generator(*graph.members[i], "L")[0]
+        vr = act_generator(*graph.members[i], "R")[1]
+        matrices.append(land(jl, [([w_right[s] ^ w_up[hl[s]] for s in order_l],
+                                   [w_up[s] for s in order_l]) for w_right, w_up in frames[i]]))
+        matrices.append(land(jr, [([w_right[s] for s in order_r],
+                                   [w_up[s] ^ w_right[vr[s]] for s in order_r])
+                                  for w_right, w_up in frames[i]]))
+    return graph, matrices

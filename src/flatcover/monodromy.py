@@ -404,15 +404,17 @@ def primitive_vector_count(n: int, length: int = 4) -> int:
 
 
 def primitive_vectors(n: int):
+    """The vectors of (Z/n)^4 whose entries generate Z/n, in lexicographic
+    order.  Which y2 qualify depends only on the divisor g = gcd(x1, y1, x2, n)
+    of n: those with gcd(g, y2) = 1, which is every y2 when g = 1."""
+    admissible = {g: [y for y in range(n) if gcd(g, y) == 1]
+                  for g in range(1, n + 1) if n % g == 0}
     out = []
     for x1 in range(n):
         for y1 in range(n):
-            g1 = gcd(x1, y1)
+            g1 = gcd(x1, y1, n)
             for x2 in range(n):
-                g2 = gcd(g1, x2)
-                for y2 in range(n):
-                    if gcd(gcd(g2, y2), n) == 1:
-                        out.append((x1, y1, x2, y2))
+                out += [(x1, y1, x2, y2) for y2 in admissible[gcd(g1, x2)]]
     return out
 
 

@@ -4,12 +4,14 @@ from math import gcd
 import pytest
 
 from flatcover import InvariantError
-from flatcover.classify import square_spins
-from flatcover.covers import (Cover, all_double_covers, cover_from_basis_values,
-                              cover_label, cyclic_covers, double_cover_orbits,
+from flatcover.classify import echoes_of_WD, square_spins
+from flatcover.covers import (Cover, affine_action_mod2, all_double_covers,
+                              cover_from_basis_values, cover_label, cyclic_covers,
                               gauge_fixed, primitive_vector_count)
 from flatcover.lshape import IDENTITY4, symplectic_pairing
-from flatcover.monodromy import primitive_vectors, vector_label
+from flatcover.monodromy import (group_closure, mat_H, mat_mod, mat_V, mat_X,
+                                 nonzero_vectors_mod2, orbit_partition, primitive_vectors,
+                                 vector_label)
 from flatcover.origami import (Origami, act_generator, intersection, l_origami,
                                spanning_tree)
 from flatcover.perms import Permutation, parse_cycles
@@ -281,12 +283,27 @@ def test_gauge_fixed_keeps_the_cover_and_zeroes_the_tree():
             assert Cover(o, m, *fixed).lift() == lift
 
 
-def test_double_cover_orbits_guards():
+def test_affine_action_mod2_guards():
     # the 2x2 torus has translations, so a cover class and its translates
     # would give one lifted origami
     torus = Origami.from_text("n=4 h=(1,2)(3,4) v=(1,3)(2,4)")
     with pytest.raises(InvariantError):
-        double_cover_orbits([Cover(torus, 2, (1, 1, 0, 0), (0, 0, 0, 0))])
-    o, basis = lshape(2, -1)
-    with pytest.raises(ValueError):
-        double_cover_orbits(cyclic_covers(o, 3, basis))
+        affine_action_mod2(torus, torus.symplectic_basis())
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_affine_action_mod2_gives_the_echo_table(n):
+    # read off the surface, the mod-2 action has the orbits of Table 2 and
+    # is the group <H, V> (odd n: with X) mod 2, as a set of matrices
+    for b, e in square_spins(n):
+        o, basis = lshape(b, e)
+        graph, matrices = affine_action_mod2(o, basis)
+        assert len(matrices) == 2 * len(graph.members)
+        blocks = {tuple(sorted(vector_label(v) for v in part))
+                  for part in orbit_partition(matrices, nonzero_vectors_mod2(), 2)}
+        table = echoes_of_WD(n * n, e)
+        assert blocks == set(table.hyp_orbits + table.odd_orbits)
+        group = group_closure(set(matrices), 2)
+        assert len(group) == (12 if n % 2 else 8)
+        hand = [mat_mod(mat_H(b, e), 2), mat_mod(mat_V(b, e), 2)] + ([mat_X()] if n % 2 else [])
+        assert group == group_closure(hand, 2)

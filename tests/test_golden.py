@@ -24,6 +24,12 @@ def sha256(text: str) -> str:
     (5, "9e6d3c30e198e9add6e0990c14b82960b70eb1586c4d803c0d0f1adb98c96b2c"),
     (6, "f185691399c009494df4ef2e78bd788223724bd0b79467de901cce3732d34679"),
     (7, "55077a51f356fc368573039cb683921f52f47cf39342cf49efa8b41cd60902d8"),
+    (8, "f1b5d7222c13a8cc3a738893f81616addd63d4196151fb5b3362571056f35904"),
+    (9, "d1326699ab5233bd0b7e6b605b2bcea0da460f74daa3a34e8e714c1ea4ce7c20"),
+    (10, "1a7a7cf97f819d046deb366999bc607a69ef4ecaac1d3cff5805f53b4b51187c"),
+    (11, "cf17ad170cc410bb4f179c85c8bc48ba2120e6eb825ba4da3b50f1fce8c5fffd"),
+    (12, "6028b9a87fc45b6072c2d2e038b6130c3b036a79be600b906129e9401eb40be1"),
+    (13, "d852474b82851cba734d1008d9bfdcf636d52a836e8a0292a9362e2534719eeb"),
 ])
 def test_census_json_digest(n, digest):
     assert sha256(census_to_json(verify_sts_orbits(n))) == digest

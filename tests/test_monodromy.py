@@ -15,7 +15,8 @@ from flatcover.monodromy import (ClosureCapExceeded, IDENTITY4, J4, commutes,
                                  group_closure, is_symplectic, label_vector,
                                  mat_H, mat_T, mat_V, mat_X, mat_det,
                                  mat_inverse_mod, mat_mod, mat_mul, mat_pow,
-                                 mat_vec, orbit_partition, primitive_vectors,
+                                 mat_vec, orbit_partition, primitive_vector_count,
+                                 primitive_vectors,
                                  rho_R, rho_T, self_adjoint, sp4_f2,
                                  vector_label, verify_decagon_periods)
 
@@ -365,6 +366,13 @@ def test_primitive_vectors():
     assert len(primitive_vectors(2)) == 15
     assert len(primitive_vectors(3)) == 80
     assert all(v != (0, 0, 0, 0) for v in primitive_vectors(2))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_primitive_vectors_match_brute_force(n):
+    vectors = primitive_vectors(n)
+    assert vectors == [v for v in product(range(n), repeat=4) if gcd(*v, n) == 1]
+    assert len(vectors) == primitive_vector_count(n)
 
 
 def test_decagon_echo_counts():
