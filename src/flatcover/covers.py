@@ -9,6 +9,9 @@ of c's edges by dual, so dual's crossing counts are edge weights realising
 it.  Subtracting the coboundary of a potential summed down the spanning tree
 of `Origami._homology_data` fixes the gauge (`gauge_fixed`): tree edges get
 weight zero and each other edge the holonomy of its fundamental cycle.
+The cocycle is linear in the dual class gamma: it is sum gamma[k] G_k mod m
+over the gauge-fixed dual cocycles G_k of the four basis cycles, so the
+covers of one surface and modulus take one walk of the tree in all.
 The double covers are the Z/2 cyclic covers: the primitive vectors of
 (Z/2)^4 are its 15 nonzero vectors.  SL(2,Z) acts on a cover through its
 edge cocycle, so `affine_action_mod2` reads the action of the base's affine
@@ -23,8 +26,8 @@ from operator import xor
 
 from . import InvariantError
 from .lshape import IDENTITY4, J4, symplectic_pairing
-from .monodromy import (nonzero_vectors_mod2, primitive_vector_count, primitive_vectors,
-                        vector_label)
+from .monodromy import (mat_vec, nonzero_vectors_mod2, primitive_vector_count,
+                        primitive_vectors, vector_label)
 from .origami import (Cycle, Origami, OrbitGraph, act_generator, sl2z_orbit_graph,
                       spanning_tree)
 from .perms import Permutation
@@ -73,18 +76,55 @@ class Cover:
                                  for t in range(m) for s in range(n)))
 
 
-def gauge_fixed(h, v, tree, w_right, w_up, m: int
-                ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The edge cocycle (w_right, w_up) of the origami (h, v), minus the
-    coboundary of a potential summed down `tree` (in the format of
-    `origami.spanning_tree`), reduced mod m: the cohomologous cocycle with
-    weight 0 on every tree edge."""
-    weights = {"E": w_right, "N": w_up}
-    potential = [0] * len(h)
+def gauge_fixed(h, v, tree, cocycles, m: int
+                ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each edge cocycle (w_right, w_up) in `cocycles` on the origami (h, v),
+    minus the coboundary of a potential summed down `tree` (in the format of
+    `origami.spanning_tree`), reduced mod m: the cohomologous cocycles with
+    weight 0 on every tree edge, in the order given.  One walk of the tree
+    sums the potentials of all of them."""
+    potentials = [[0] * len(h) for _ in cocycles]
     for parent, child, (kind, s), direction in tree:
-        potential[child] = potential[parent] + direction * weights[kind][s]
-    return (tuple([(w + potential[s] - potential[h[s]]) % m for s, w in enumerate(w_right)]),
-            tuple([(w + potential[s] - potential[v[s]]) % m for s, w in enumerate(w_up)]))
+        k = kind == "N"
+        for p, cocycle in zip(potentials, cocycles):
+            p[child] = p[parent] + direction * cocycle[k][s]
+    return [(tuple([(w + a - p[b]) % m for w, a, b in zip(w_right, p, h)]),
+             tuple([(w + a - p[b]) % m for w, a, b in zip(w_up, p, v)]))
+            for p, (w_right, w_up) in zip(potentials, cocycles)]
+
+
+def _cover_maker(o: Origami, m: int, basis: list[Cycle]):
+    """make(dual, values): the Z/m cover of o whose holonomy is c -> c . dual
+    for the dual class with coordinates `dual` in the symplectic basis
+    (a1, b1, a2, b2), checked to take the given values on the basis.
+
+    As c . dual = sum c.sig dual.dsig - c.tau dual.dtau, basis cycle k gives
+    the cocycle G_k with weights e_k.dsig on right edges and -e_k.dtau on top
+    edges.  `gauge_fixed` is linear and commutes with reduction mod m, so it
+    runs once on the four G_k, and each cover's cocycle is
+    sum dual[k] G_k mod m.  Its holonomy on each basis cycle is then read off
+    its own weights, over the nonzero sig/tau entries of the cycle.
+    """
+    if len(basis) != 4:
+        raise ValueError("a genus-2 basis of four cycles required")
+    n = o.n
+    fixed = gauge_fixed(o.h.images, o.v.images, o._homology_data()[2],
+                        [(c.dsig, [-x for x in c.dtau]) for c in basis], m)
+    columns = list(zip(*[w_right + w_up for w_right, w_up in fixed]))
+    crossings = [[(i, x) for i, x in enumerate(c.sig + c.tau) if x] for c in basis]
+
+    def make(dual, values) -> Cover:
+        a, b, c, d = dual
+        w = [(a * x + b * y + c * z + d * t) % m for x, y, z, t in columns]
+        for terms, value in zip(crossings, values):
+            total = 0
+            for i, x in terms:
+                total += x * w[i]
+            if (total - value) % m:
+                raise InvariantError("cover holonomy differs from the prescribed values")
+        return Cover(o, m, tuple(w[:n]), tuple(w[n:]))
+
+    return make
 
 
 def cover_from_basis_values(o: Origami, m: int, basis: list[Cycle],
@@ -93,22 +133,13 @@ def cover_from_basis_values(o: Origami, m: int, basis: list[Cycle],
     (a1, b1, a2, b2) of a genus-2 origami.
 
     Its holonomy is c -> c . dual for the dual class with coordinates
-    dual[k] = <values, e_k>, since then <e_k, dual> = values[k].  As
-    c . dual = sum c.sig dual.dsig - c.tau dual.dtau, the weights dual.dsig
-    on right edges and -dual.dtau on top edges realise it; `gauge_fixed`
-    then moves them to weight 0 on every edge of the spanning tree.
+    dual[k] = <values, e_k>, since then <e_k, dual> = values[k]; the cocycle
+    and the holonomy check are those of `_cover_maker`.
     """
-    if len(basis) != 4 or len(values) != 4:
-        raise ValueError("a genus-2 basis and one value per basis cycle required")
-    dual = [(symplectic_pairing(values, e), c) for e, c in zip(IDENTITY4, basis)]
-    n = o.n
-    w_right = [sum(x * c.dsig[s] for x, c in dual) for s in range(n)]
-    w_up = [-sum(x * c.dtau[s] for x, c in dual) for s in range(n)]
-    cover = Cover(o, m, *gauge_fixed(o.h.images, o.v.images, o._homology_data()[2],
-                                     w_right, w_up, m))
-    if cover.holonomy_on_basis(basis) != tuple(x % m for x in values):
-        raise InvariantError("cover holonomy differs from the prescribed values")
-    return cover
+    if len(values) != 4:
+        raise ValueError("one value per basis cycle required")
+    make = _cover_maker(o, m, basis)
+    return make(tuple(symplectic_pairing(values, e) for e in IDENTITY4), values)
 
 
 def all_double_covers(o: Origami, basis: list[Cycle]) -> list[Cover]:
@@ -129,16 +160,16 @@ def cover_label(basis, c: Cover) -> tuple[tuple[int, int, int, int], int]:
 
 
 def cyclic_covers(o: Origami, n: int, basis: list[Cycle]) -> list[Cover]:
-    """One connected Z/n cover per primitive dual vector in (Z/n)^4."""
+    """One connected Z/n cover per primitive dual vector gamma in (Z/n)^4, in
+    the order of `primitive_vectors`: the cocycle sum gamma[k] G_k mod n of
+    `_cover_maker`, one tree walk for all of them."""
     if n < 2:
         raise ValueError("modulus must be at least 2")
     if o.stratum().genus != 2:
         raise ValueError("cyclic-cover enumeration needs a genus-2 base")
-    covers = []
-    for gamma in primitive_vectors(n):
-        # holonomy of the functional <., gamma> on (a1, b1, a2, b2)
-        values = tuple(symplectic_pairing(e, gamma) % n for e in IDENTITY4)
-        covers.append(cover_from_basis_values(o, n, basis, values))
+    make = _cover_maker(o, n, basis)
+    # row k of J4 is <e_k, .>: J4 gamma is the holonomy of <., gamma> on the basis
+    covers = [make(gamma, mat_vec(J4, gamma)) for gamma in primitive_vectors(n)]
     if len(covers) != primitive_vector_count(n):
         raise InvariantError(f"{len(covers)} Z/{n} covers, not J_4({n})")
     return covers
@@ -177,7 +208,7 @@ def affine_action_mod2(o: Origami, basis: list[Cycle]) -> tuple[OrbitGraph, list
     vectors = nonzero_vectors_mod2()
 
     def land(j, cocycles):
-        fixed = [gauge_fixed(*gauges[j], w_right, w_up, 2) for w_right, w_up in cocycles]
+        fixed = gauge_fixed(*gauges[j], cocycles, 2)
         # one int per cocycle, a byte per edge weight, so xor adds mod 2
         keys = [int.from_bytes(bytes(w_right + w_up), "big") for w_right, w_up in fixed]
         if tables[j] is None:
@@ -188,9 +219,9 @@ def affine_action_mod2(o: Origami, basis: list[Cycle]) -> tuple[OrbitGraph, list
             raise InvariantError(f"an image cover is not a double cover of member {j}")
         return tuple(zip(*columns))
 
-    # row k of J4 is -<e_i, e_k> over i: mod 2 the values of the cover with gamma = e_k
     order = graph.seed_order
-    seed = [cover_from_basis_values(o, 2, basis, values) for values in J4]
+    make = _cover_maker(o, 2, basis)
+    seed = [make(e, mat_vec(J4, e)) for e in IDENTITY4]
     land(0, [([c.w_right[s] for s in order], [c.w_up[s] for s in order]) for c in seed])
     matrices = []
     for i, ((jl, order_l), (jr, order_r)) in enumerate(graph.edges):

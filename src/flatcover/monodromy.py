@@ -68,8 +68,17 @@ def mat_mul(A: Mat, B: Mat, mod: int = 0) -> Mat:
 
 
 def mat_vec(A: Mat, v, mod: int = 0):
-    out = tuple(sum(A[i][k] * v[k] for k in range(4)) for i in range(4))
-    return tuple(x % mod for x in out) if mod else out
+    """A v with the 4 entries unrolled, reduced mod m when `mod` is set."""
+    (a00, a01, a02, a03), (a10, a11, a12, a13), \
+        (a20, a21, a22, a23), (a30, a31, a32, a33) = A
+    v0, v1, v2, v3 = v
+    c0 = a00 * v0 + a01 * v1 + a02 * v2 + a03 * v3
+    c1 = a10 * v0 + a11 * v1 + a12 * v2 + a13 * v3
+    c2 = a20 * v0 + a21 * v1 + a22 * v2 + a23 * v3
+    c3 = a30 * v0 + a31 * v1 + a32 * v2 + a33 * v3
+    if mod:
+        return (c0 % mod, c1 % mod, c2 % mod, c3 % mod)
+    return (c0, c1, c2, c3)
 
 
 def mat_pow(A: Mat, k: int, mod: int = 0) -> Mat:

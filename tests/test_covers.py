@@ -223,7 +223,7 @@ def test_weights_match_reference_on_l_2_minus_1_up_to_m_7():
 def test_weights_match_reference_off_l():
     for text in OFF_L:
         o = Origami.from_text(text)
-        assert_weights_match_reference(o, o.symplectic_basis(), (2, 5))
+        assert_weights_match_reference(o, o.symplectic_basis(), range(2, 8))
 
 
 def test_tree_lists_every_square_once_from_square_zero():
@@ -269,18 +269,34 @@ def test_gauge_fixed_keeps_the_cover_and_zeroes_the_tree():
         h, v = o.h.images, o.v.images
         tree = spanning_tree(h, v)
         for m in (2, 3, 5):
-            w_right = [rng.randrange(-m, 2 * m) for _ in range(o.n)]
-            w_up = [rng.randrange(-m, 2 * m) for _ in range(o.n)]
-            fixed = gauge_fixed(h, v, tree, w_right, w_up, m)
-            for _, _, (kind, s), _ in tree:
-                assert fixed[kind == "N"][s] == 0
-            assert gauge_fixed(h, v, tree, *fixed, m) == fixed
-            raw = Cover(o, m, tuple(w % m for w in w_right), tuple(w % m for w in w_up))
-            try:
-                lift = raw.lift()
-            except ValueError:
-                continue
-            assert Cover(o, m, *fixed).lift() == lift
+            cocycles = [([rng.randrange(-m, 2 * m) for _ in range(o.n)],
+                         [rng.randrange(-m, 2 * m) for _ in range(o.n)]) for _ in range(4)]
+            batch = gauge_fixed(h, v, tree, cocycles, m)
+            # one walk for the batch gives the one-at-a-time results
+            assert batch == [gauge_fixed(h, v, tree, [c], m)[0] for c in cocycles]
+            assert gauge_fixed(h, v, tree, batch, m) == batch
+            assert gauge_fixed(h, v, tree, [], m) == []
+            for (w_right, w_up), fixed in zip(cocycles, batch):
+                for _, _, (kind, s), _ in tree:
+                    assert fixed[kind == "N"][s] == 0
+                raw = Cover(o, m, tuple(w % m for w in w_right), tuple(w % m for w in w_up))
+                try:
+                    lift = raw.lift()
+                except ValueError:
+                    continue
+                assert Cover(o, m, *fixed).lift() == lift
+
+
+def test_cover_holonomy_is_checked_on_every_cover():
+    # with a1 and b1 swapped the basis is not symplectic, so the cocycle of
+    # the dual class does not take the prescribed values on it
+    for b, e in ((2, -1), (6, 1)):
+        o, basis = lshape(b, e)
+        bad = [basis[1], basis[0], basis[2], basis[3]]
+        with pytest.raises(InvariantError):
+            cyclic_covers(o, 3, bad)
+        with pytest.raises(InvariantError):
+            cover_from_basis_values(o, 5, bad, (1, 0, 0, 0))
 
 
 def test_affine_action_mod2_guards():

@@ -71,6 +71,23 @@ def test_mat_mul_matches_reference():
     assert mat_mul(rho_R(), rho_T()) == reference_mat_mul(rho_R(), rho_T())
 
 
+
+def test_mat_vec_matches_reference():
+    rng = random.Random(16)
+    for mod in (0, 2, 3, 4, 5, 6, 7):
+        for _ in range(50):
+            A = tuple(tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(4))
+            v = tuple(rng.randint(-9, 9) for _ in range(4))
+            want = []
+            for i in range(4):
+                x = 0
+                for k in range(4):
+                    x += A[i][k] * v[k]
+                want.append(x % mod if mod else x)
+            got = mat_vec(A, v, mod)
+            assert got == tuple(want) and type(got) is tuple
+            assert mat_vec(A, list(v), mod) == got
+
 # -- generator identities ----------------------------------------------------
 
 def test_generators_are_symplectic():
