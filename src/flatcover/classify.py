@@ -251,7 +251,9 @@ def verify_sts_orbits(n: int, cap: int = 21) -> dict:
     table of W_{n^2} (as sets), base sizes against the counting formulas
     (odd n) and Arf invariants against the hyperelliptic label set.
     Acceptance criterion 12 checks n = 11 against direct enumeration of
-    every lifted orbit.
+    every lifted orbit.  As the blocks must equal the echo table's, the
+    orbit fields `block_size` and `size_matches_product` restate
+    len(labels) and True; they are kept only for the golden census digests.
     """
     if n > cap:
         raise ValueError(f"n={n} exceeds cap {cap}")

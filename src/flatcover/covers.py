@@ -13,23 +13,19 @@ The cocycle is linear in the dual class gamma: it is sum gamma[k] G_k mod m
 over the gauge-fixed dual cocycles G_k of the four basis cycles, so the
 covers of one surface and modulus take one walk of the tree in all.
 The double covers are the Z/2 cyclic covers: the primitive vectors of
-(Z/2)^4 are its 15 nonzero vectors.  SL(2,Z) acts on a cover through its
-edge cocycle, so `affine_action_mod2` reads the action of the base's affine
-group on H_1 mod 2 off its orbit graph, as one F_2 matrix per edge.
+(Z/2)^4 are its 15 nonzero vectors.  A cover's dual class moves under
+SL(2,Z) as a homology class, so `affine_action_mod2` carries four classes
+mod 2 along the base's orbit graph and reads one F_2 matrix per edge off
+their intersection numbers, checking each image's Gram matrix.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import compress
-from operator import xor
 
 from . import InvariantError
 from .lshape import IDENTITY4, J4, symplectic_pairing
-from .monodromy import (mat_vec, nonzero_vectors_mod2, primitive_vector_count,
-                        primitive_vectors, vector_label)
-from .origami import (Cycle, Origami, OrbitGraph, act_generator, sl2z_orbit_graph,
-                      spanning_tree)
+from .monodromy import mat_vec, primitive_vector_count, primitive_vectors, vector_label
+from .origami import Cycle, Origami, OrbitGraph, act_generator, sl2z_orbit_graph
 from .perms import Permutation
 
 
@@ -176,60 +172,63 @@ def cyclic_covers(o: Origami, n: int, basis: list[Cycle]) -> list[Cover]:
 
 
 def affine_action_mod2(o: Origami, basis: list[Cycle]) -> tuple[OrbitGraph, list[tuple]]:
-    """The SL(2,Z)-orbit graph of the genus-2 origami o and the action of its
-    affine group on the dual classes gamma of H_1 mod 2, in the coordinates
-    of `basis`: matrices[2 i] and matrices[2 i + 1] are the 4x4 F_2 matrices
-    of the L and R edges of member i, sending coordinates x to M x.
+    """The SL(2,Z)-orbit graph of the genus-2 origami o, and the 4x4 F_2
+    matrices of its affine group's action on H_1 mod 2 (so on the gamma of
+    `cover_label`) in the coordinates of `basis` (a1, b1, a2, b2): x -> M x
+    for M = matrices[2 i], matrices[2 i + 1] on the L, R edges of member i.
 
-    A double cover of a member is its edge cocycle, gauge-fixed on the
-    member's spanning tree; that representative is unique per class.  L
-    sends h to h' = v^-1 h and w_right to w_right[s] - w_up[h'[s]]; R sends
-    v to v' = h^-1 v and w_up to w_up[s] - w_right[v'[s]] (these are the
-    actions on `Cover.lift`).  The image is relabelled by the edge's `order`
-    and gauge-fixed on the target's tree.  The frame of member 0 is the
-    covers with gamma = e_1..e_4, relabelled by the graph's `seed_order`;
-    the edge that first reaches a member carries its source's frame there,
-    so the edges of the BFS tree act as the identity.  Column k of an edge's
-    matrix is the coordinate vector of the image of frame cover k, looked up
-    in the target's table of the 15 sums of its frame.
+    Each member carries a frame of four classes mod 2, in both forms of a
+    `Cycle`: skeleton (sig, tau) and crossing (dsig, dtau).  L sends h to
+    h' = v^-1 h and an E step to E then N: tau[h'[s]] += sig[s] and
+    dsig[s] += dtau[h'[s]].  R sends v to v' = h^-1 v and an N step to N then
+    E: sig[v'[s]] += tau[s] and dtau[s] += dsig[v'[s]].  The image is
+    relabelled by the edge's `order`.  Member 0's frame is the basis
+    relabelled by `seed_order`, and the edge that first reaches a member
+    carries its frame there, so the BFS tree edges act as the identity.
+    Entry (l, k) of a matrix is the intersection number mod 2 of image class
+    k with target class l ^ 1.  The Gram matrix mod 2 of every image frame
+    must be J4 mod 2 (InvariantError otherwise); at member 0 this rejects a
+    basis that is not symplectic mod 2.
 
     So the component of (member 0, gamma) in the skew product of the graph
-    with the covers is every member times the orbit of gamma under the
-    matrices.  It is the orbit of the lifted origami when the base has no
-    nontrivial translation (checked: it raises InvariantError) and the
-    lift's translations are its deck group (left to the caller).
+    with the covers is every member times gamma's orbit under the matrices:
+    the lifted origami's orbit when the base has no nontrivial translation
+    (checked: InvariantError) and the lift's translations are its deck group.
     """
     if len(o.translations()) != 1:
         raise InvariantError("the base has a nontrivial translation")
     graph = sl2z_orbit_graph(o.h.images, o.v.images)
-    gauges = [(h, v, spanning_tree(h, v)) for h, v in graph.members]
-    frames: list = [None] * len(gauges)
-    tables: list = [None] * len(gauges)
-    vectors = nonzero_vectors_mod2()
+    carried = {}  # the frames of the members reached and not yet expanded
+    crossings: list = [None] * len(graph.members)
+    gram = tuple(tuple(x % 2 for x in row) for row in J4)
 
-    def land(j, cocycles):
-        fixed = gauge_fixed(*gauges[j], cocycles, 2)
-        # one int per cocycle, a byte per edge weight, so xor adds mod 2
-        keys = [int.from_bytes(bytes(w_right + w_up), "big") for w_right, w_up in fixed]
-        if tables[j] is None:
-            frames[j] = fixed
-            tables[j] = {reduce(xor, compress(keys, x)): x for x in vectors}
-        columns = [tables[j].get(k) for k in keys]
-        if None in columns:
-            raise InvariantError(f"an image cover is not a double cover of member {j}")
-        return tuple(zip(*columns))
+    def land(j, frame):
+        # a byte per 0/1 entry, so the bits of skel & cross count crossings
+        skel = [int.from_bytes(bytes(sig + tau), "big") for sig, tau, _, _ in frame]
+        cross = [int.from_bytes(bytes(dsig + dtau), "big") for _, _, dsig, dtau in frame]
+        if tuple(tuple((a & c).bit_count() & 1 for c in cross) for a in skel) != gram:
+            raise InvariantError(f"the image frame at member {j} is not symplectic mod 2")
+        if crossings[j] is None:
+            carried[j], crossings[j] = frame, cross
+        return tuple(tuple((a & crossings[j][l ^ 1]).bit_count() & 1 for a in skel)
+                     for l in range(4))
 
-    order = graph.seed_order
-    make = _cover_maker(o, 2, basis)
-    seed = [make(e, mat_vec(J4, e)) for e in IDENTITY4]
-    land(0, [([c.w_right[s] for s in order], [c.w_up[s] for s in order]) for c in seed])
+    land(0, [tuple([x[s] & 1 for s in graph.seed_order]
+                   for x in (c.sig, c.tau, c.dsig, c.dtau)) for c in basis])
     matrices = []
     for i, ((jl, order_l), (jr, order_r)) in enumerate(graph.edges):
+        # hl = v^-1 h and vr = h^-1 v are inverse to each other
         hl = act_generator(*graph.members[i], "L")[0]
         vr = act_generator(*graph.members[i], "R")[1]
-        matrices.append(land(jl, [([w_right[s] ^ w_up[hl[s]] for s in order_l],
-                                   [w_up[s] for s in order_l]) for w_right, w_up in frames[i]]))
-        matrices.append(land(jr, [([w_right[s] for s in order_r],
-                                   [w_up[s] ^ w_right[vr[s]] for s in order_r])
-                                  for w_right, w_up in frames[i]]))
+        frame = carried.pop(i)
+        matrices.append(land(jl, [([sig[s] for s in order_l],
+                                   [tau[s] ^ sig[vr[s]] for s in order_l],
+                                   [dsig[s] ^ dtau[hl[s]] for s in order_l],
+                                   [dtau[s] for s in order_l])
+                                  for sig, tau, dsig, dtau in frame]))
+        matrices.append(land(jr, [([sig[s] ^ tau[hl[s]] for s in order_r],
+                                   [tau[s] for s in order_r],
+                                   [dsig[s] for s in order_r],
+                                   [dtau[s] ^ dsig[vr[s]] for s in order_r])
+                                  for sig, tau, dsig, dtau in frame]))
     return graph, matrices

@@ -9,7 +9,7 @@ from flatcover.covers import (Cover, affine_action_mod2, all_double_covers,
                               cover_from_basis_values, cover_label, cyclic_covers,
                               gauge_fixed, primitive_vector_count)
 from flatcover.lshape import IDENTITY4, symplectic_pairing
-from flatcover.monodromy import (group_closure, mat_H, mat_mod, mat_V, mat_X,
+from flatcover.monodromy import (group_closure, is_symplectic, mat_H, mat_mod, mat_V, mat_X,
                                  nonzero_vectors_mod2, orbit_partition, primitive_vectors,
                                  vector_label)
 from flatcover.origami import (Origami, act_generator, intersection, l_origami,
@@ -305,6 +305,12 @@ def test_affine_action_mod2_guards():
     torus = Origami.from_text("n=4 h=(1,2)(3,4) v=(1,3)(2,4)")
     with pytest.raises(InvariantError):
         affine_action_mod2(torus, torus.symplectic_basis())
+    # (a1, a2, b1, b2) is not a symplectic basis, so member 0's frame fails
+    # the Gram check
+    for b, e in ((6, 1), (2, -1)):
+        o, (a1, b1, a2, b2) = lshape(b, e)
+        with pytest.raises(InvariantError):
+            affine_action_mod2(o, [a1, a2, b1, b2])
 
 
 @pytest.mark.parametrize("n", range(3, 14))
@@ -315,6 +321,15 @@ def test_affine_action_mod2_gives_the_echo_table(n):
         o, basis = lshape(b, e)
         graph, matrices = affine_action_mod2(o, basis)
         assert len(matrices) == 2 * len(graph.members)
+        assert all(is_symplectic(M, 2) for M in matrices)
+        # the edge that first reaches a member carries the frame there
+        reached = {0}
+        for i, edges in enumerate(graph.edges):
+            for g, (j, _) in enumerate(edges):
+                if j not in reached:
+                    reached.add(j)
+                    assert matrices[2 * i + g] == IDENTITY4
+        assert len(reached) == len(graph.members)
         blocks = {tuple(sorted(vector_label(v) for v in part))
                   for part in orbit_partition(matrices, nonzero_vectors_mod2(), 2)}
         table = echoes_of_WD(n * n, e)

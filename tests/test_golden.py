@@ -1,19 +1,23 @@
-"""Pinned outputs: sha256 digests of census JSON and of CLI stdout.
+"""Pinned outputs: sha256 digests of census JSON, of the affine action's
+edge matrices and of CLI stdout.
 
 The census digests pin the whole census report (labels, orbit sizes, Arf
-invariants, flags).  The `orbit` digest pins the representatives, which are
-the canonical forms in sorted order written as cycle text: a different
-canonical labelling or text format changes it, which no other test checks
-value for value.  The other CLI digests pin the cover labels (which depend
-on `symplectic_basis` for `covers --origami`), echo and primitive tables and
-the decagon counts.
+invariants, flags).  The matrix digests pin each edge matrix of
+`affine_action_mod2`, which the census sees only through its orbits.  The
+`orbit` digest pins the representatives, which are the canonical forms in
+sorted order written as cycle text: a different canonical labelling or text
+format changes it, which no other test checks value for value.  The other
+CLI digests pin the cover labels (which depend on `symplectic_basis` for
+`covers --origami`), echo and primitive tables and the decagon counts.
 """
 import hashlib
 
 import pytest
 
-from flatcover.classify import census_to_json, verify_sts_orbits
+from flatcover.classify import census_to_json, square_spins, verify_sts_orbits
 from flatcover.cli import main
+from flatcover.covers import affine_action_mod2
+from flatcover.origami import l_origami
 
 
 def sha256(text: str) -> str:
@@ -30,9 +34,34 @@ def sha256(text: str) -> str:
     (11, "cf17ad170cc410bb4f179c85c8bc48ba2120e6eb825ba4da3b50f1fce8c5fffd"),
     (12, "6028b9a87fc45b6072c2d2e038b6130c3b036a79be600b906129e9401eb40be1"),
     (13, "d852474b82851cba734d1008d9bfdcf636d52a836e8a0292a9362e2534719eeb"),
+    (14, "494e0ece862fda7f4b9ce7ee8ce96bd39c7d2110f364e9cf101eb810dc004921"),
+    (15, "ff068c1bff93b806cdf4affa54be2838451a37e83a2c9a9a3556dd543dbdcc17"),
+    (16, "193cb5aeb2b1aa2f2d36febce06b20fc7d331dc33a6ac43d9feb0e07a31ebad3"),
+    (17, "099d9fc8bb4a3b640bb4c09f3e478685dc11ac281edf075788551e14df61a4e9"),
+    (18, "87bec6cc2759986cf22783b4d2ecfc353f0470627f446872f81a8fadc0d698df"),
 ])
 def test_census_json_digest(n, digest):
     assert sha256(census_to_json(verify_sts_orbits(n))) == digest
+
+
+@pytest.mark.parametrize("n, digest", [
+    (5, "36ccab298632f70c67310f98a197bd6d221489bac2866e8f7785ed1b33ac0282"),
+    (6, "beb8a29b51dfa3d6731521457d040ee6094e81570902eb293a63cb18d10fb2c5"),
+    (7, "b8d79c1d69ec4bede3b5b15d4e453b51a77e592d251615d76bfe6b25468f627c"),
+    (8, "f2a57ca343a1f04ac6c5efc867953c723b1f19ce2b25e5521d088432cb564168"),
+    (9, "0a883a721bdba5253226b88a93c99f857bd975d640c14b56a98cef3773a78b88"),
+    (10, "6e48d8ec54fd65b02325d13f139466f556486c5de73c3636750c17e2893f5b6b"),
+    (11, "e5b02107a55eaf9ef0a129da3b6f62dbed32f27fd9b886e30a89137636b76c96"),
+    (12, "5f9cb172c2276a1ee09d286b2d664056e5e1428458582190844fd5c66ea076a3"),
+    (13, "35c9eec1109322ec471d9fb2bad69786ffaf25a14dc984bea3e37e0cde24da7e"),
+])
+def test_affine_action_mod2_digest(n, digest):
+    # every edge matrix of every spin, in graph order
+    matrices = []
+    for b, e in square_spins(n):
+        L = l_origami(b, e)
+        matrices.append(affine_action_mod2(L.origami, list(L.basis))[1])
+    assert sha256(repr(matrices)) == digest
 
 
 def test_orbit_json_digest(capsys):
