@@ -5,18 +5,18 @@ top edge of each base square.  Crossing an edge adds its weight to the sheet
 coordinate.  Covers are built from the values of their holonomy homomorphism
 H_1(base, Z/m) -> Z/m on a symplectic cycle basis.  That homomorphism is
 c -> c . dual for its Poincare-dual cycle, and c . dual counts the crossings
-of c's edges by dual, so dual's crossing counts are edge weights realising
-it.  Subtracting the coboundary of a potential summed down the spanning tree
-of `Origami._homology_data` fixes the gauge (`gauge_fixed`): tree edges get
-weight zero and each other edge the holonomy of its fundamental cycle.
-The cocycle is linear in the dual class gamma: it is sum gamma[k] G_k mod m
-over the gauge-fixed dual cocycles G_k of the four basis cycles, so the
-covers of one surface and modulus take one walk of the tree in all.
-The double covers are the Z/2 cyclic covers: the primitive vectors of
-(Z/2)^4 are its 15 nonzero vectors.  A cover's dual class moves under
-SL(2,Z) as a homology class, so `affine_action_mod2` carries four classes
-mod 2 along the base's orbit graph and reads one F_2 matrix per edge off
-their intersection numbers, checking each image's Gram matrix.
+of c's edges by dual, so dual's crossing counts, its own chain read through
+v^-1 and h^-1, are edge weights realising it.  Subtracting the coboundary of
+a potential summed down `origami.spanning_tree` fixes the gauge
+(`gauge_fixed`): tree edges get weight zero and each other edge the holonomy
+of its fundamental cycle.  The cocycle is linear in the dual class gamma: it
+is sum gamma[k] G_k mod m over the gauge-fixed dual cocycles G_k of the four
+basis cycles, so the covers of one surface and modulus take one walk of the
+tree in all.  The double covers are the Z/2 cyclic covers: the primitive
+vectors of (Z/2)^4 are its 15 nonzero vectors.  A cover's dual class moves
+under SL(2,Z) as a homology class, so `affine_action_mod2` carries four
+chains mod 2 along the base's orbit graph and reads one F_2 matrix per edge
+off their intersection numbers, checking each image's Gram matrix.
 """
 from __future__ import annotations
 
@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from . import InvariantError
 from .lshape import IDENTITY4, J4, symplectic_pairing
 from .monodromy import mat_vec, primitive_vector_count, primitive_vectors, vector_label
-from .origami import Cycle, Origami, OrbitGraph, act_generator, sl2z_orbit_graph
-from .perms import Permutation
+from .origami import (Cycle, Origami, OrbitGraph, act_generator, sl2z_orbit_graph,
+                      spanning_tree)
+from .perms import Permutation, inverse_images
 
 
 @dataclass(frozen=True)
@@ -39,11 +40,8 @@ class Cover:
     w_up: tuple[int, ...]
 
     def holonomy(self, cycle: Cycle) -> int:
-        """Sum of edge weights crossed by the cycle, mod m.
-
-        The cycle crosses the right edge of square s sig[s] times and its top
-        edge tau[s] times, since dtau[h[s]] = sig[s] and dsig[v[s]] = tau[s].
-        """
+        """Sum of edge weights crossed by the cycle, mod m: it crosses the
+        right edge of square s sig[s] times and its top edge tau[s] times."""
         return (sum(x * w for x, w in zip(cycle.sig, self.w_right))
                 + sum(x * w for x, w in zip(cycle.tau, self.w_up))) % self.m
 
@@ -94,18 +92,22 @@ def _cover_maker(o: Origami, m: int, basis: list[Cycle]):
     for the dual class with coordinates `dual` in the symplectic basis
     (a1, b1, a2, b2), checked to take the given values on the basis.
 
-    As c . dual = sum c.sig dual.dsig - c.tau dual.dtau, basis cycle k gives
-    the cocycle G_k with weights e_k.dsig on right edges and -e_k.dtau on top
-    edges.  `gauge_fixed` is linear and commutes with reduction mod m, so it
-    runs once on the four G_k, and each cover's cocycle is
+    As c . dual = sum_s c.sig[s] dual.tau[v^-1[s]] - c.tau[s] dual.sig[h^-1[s]]
+    (`origami.intersection`), basis cycle k gives the cocycle G_k with weight
+    tau_k[v^-1[s]] on the right edge of s and -sig_k[h^-1[s]] on its top edge.
+    `gauge_fixed` is linear and commutes with reduction mod m, so it runs once
+    on the four G_k along `spanning_tree`, and each cover's cocycle is
     sum dual[k] G_k mod m.  Its holonomy on each basis cycle is then read off
     its own weights, over the nonzero sig/tau entries of the cycle.
     """
     if len(basis) != 4:
         raise ValueError("a genus-2 basis of four cycles required")
     n = o.n
-    fixed = gauge_fixed(o.h.images, o.v.images, o._homology_data()[2],
-                        [(c.dsig, [-x for x in c.dtau]) for c in basis], m)
+    h, v = o.h.images, o.v.images
+    hi, vi = inverse_images(h), inverse_images(v)
+    fixed = gauge_fixed(h, v, spanning_tree(h, v),
+                        [([c.tau[t] for t in vi], [-c.sig[t] for t in hi])
+                         for c in basis], m)
     columns = list(zip(*[w_right + w_up for w_right, w_up in fixed]))
     crossings = [[(i, x) for i, x in enumerate(c.sig + c.tau) if x] for c in basis]
 
@@ -177,18 +179,19 @@ def affine_action_mod2(o: Origami, basis: list[Cycle]) -> tuple[OrbitGraph, list
     `cover_label`) in the coordinates of `basis` (a1, b1, a2, b2): x -> M x
     for M = matrices[2 i], matrices[2 i + 1] on the L, R edges of member i.
 
-    Each member carries a frame of four classes mod 2, in both forms of a
-    `Cycle`: skeleton (sig, tau) and crossing (dsig, dtau).  L sends h to
-    h' = v^-1 h and an E step to E then N: tau[h'[s]] += sig[s] and
-    dsig[s] += dtau[h'[s]].  R sends v to v' = h^-1 v and an N step to N then
-    E: sig[v'[s]] += tau[s] and dtau[s] += dsig[v'[s]].  The image is
-    relabelled by the edge's `order`.  Member 0's frame is the basis
-    relabelled by `seed_order`, and the edge that first reaches a member
-    carries its frame there, so the BFS tree edges act as the identity.
-    Entry (l, k) of a matrix is the intersection number mod 2 of image class
-    k with target class l ^ 1.  The Gram matrix mod 2 of every image frame
-    must be J4 mod 2 (InvariantError otherwise); at member 0 this rejects a
-    basis that is not symplectic mod 2.
+    Each member carries a frame of four classes mod 2, as the chains
+    (sig, tau) of a `Cycle`.  L sends h to h' = v^-1 h and an E step to E
+    then N: tau[h'[s]] += sig[s].  R sends v to v' = h^-1 v and an N step to
+    N then E: sig[v'[s]] += tau[s].  The image is relabelled by the edge's
+    `order`.  Member 0's frame is the basis relabelled by `seed_order`, and
+    the edge that first reaches a member carries its frame there, so the BFS
+    tree edges act as the identity.  Entry (l, k) of a matrix is the
+    intersection number mod 2 of image class k with target class l ^ 1, as
+    in `origami.intersection` on the target member (h_j, v_j): the parity of
+    sig[v_j[t]] tau'[t] + tau[h_j[t]] sig'[t] summed over t.  The Gram
+    matrix mod 2 of every image frame must be J4 mod 2 (InvariantError
+    otherwise); at member 0 this rejects a basis that is not symplectic
+    mod 2.
 
     So the component of (member 0, gamma) in the skew product of the graph
     with the covers is every member times gamma's orbit under the matrices:
@@ -199,36 +202,35 @@ def affine_action_mod2(o: Origami, basis: list[Cycle]) -> tuple[OrbitGraph, list
         raise InvariantError("the base has a nontrivial translation")
     graph = sl2z_orbit_graph(o.h.images, o.v.images)
     carried = {}  # the frames of the members reached and not yet expanded
-    crossings: list = [None] * len(graph.members)
+    targets: list = [None] * len(graph.members)
     gram = tuple(tuple(x % 2 for x in row) for row in J4)
 
     def land(j, frame):
-        # a byte per 0/1 entry, so the bits of skel & cross count crossings
-        skel = [int.from_bytes(bytes(sig + tau), "big") for sig, tau, _, _ in frame]
-        cross = [int.from_bytes(bytes(dsig + dtau), "big") for _, _, dsig, dtau in frame]
-        if tuple(tuple((a & c).bit_count() & 1 for c in cross) for a in skel) != gram:
+        # a byte per 0/1 entry, so the bits of read & packed count crossings
+        hj, vj = graph.members[j]
+        read = [int.from_bytes(bytes([sig[t] for t in vj] + [tau[t] for t in hj]), "big")
+                for sig, tau in frame]
+        packed = [int.from_bytes(bytes(tau + sig), "big") for sig, tau in frame]
+        if tuple(tuple((a & b).bit_count() & 1 for b in packed) for a in read) != gram:
             raise InvariantError(f"the image frame at member {j} is not symplectic mod 2")
-        if crossings[j] is None:
-            carried[j], crossings[j] = frame, cross
-        return tuple(tuple((a & crossings[j][l ^ 1]).bit_count() & 1 for a in skel)
+        if targets[j] is None:
+            carried[j], targets[j] = frame, packed
+        return tuple(tuple((a & targets[j][l ^ 1]).bit_count() & 1 for a in read)
                      for l in range(4))
 
-    land(0, [tuple([x[s] & 1 for s in graph.seed_order]
-                   for x in (c.sig, c.tau, c.dsig, c.dtau)) for c in basis])
+    land(0, [tuple([x[s] & 1 for s in graph.seed_order] for x in (c.sig, c.tau))
+             for c in basis])
     matrices = []
     for i, ((jl, order_l), (jr, order_r)) in enumerate(graph.edges):
-        # hl = v^-1 h and vr = h^-1 v are inverse to each other
+        # hl = v^-1 h and vr = h^-1 v are inverse to each other, so the push
+        # rules read tau'[t] = tau[t] + sig[vr[t]] and sig'[t] = sig[t] + tau[hl[t]]
         hl = act_generator(*graph.members[i], "L")[0]
         vr = act_generator(*graph.members[i], "R")[1]
         frame = carried.pop(i)
         matrices.append(land(jl, [([sig[s] for s in order_l],
-                                   [tau[s] ^ sig[vr[s]] for s in order_l],
-                                   [dsig[s] ^ dtau[hl[s]] for s in order_l],
-                                   [dtau[s] for s in order_l])
-                                  for sig, tau, dsig, dtau in frame]))
+                                   [tau[s] ^ sig[vr[s]] for s in order_l])
+                                  for sig, tau in frame]))
         matrices.append(land(jr, [([sig[s] ^ tau[hl[s]] for s in order_r],
-                                   [tau[s] for s in order_r],
-                                   [dsig[s] for s in order_r],
-                                   [dtau[s] ^ dsig[vr[s]] for s in order_r])
-                                  for sig, tau, dsig, dtau in frame]))
+                                   [tau[s] for s in order_r])
+                                  for sig, tau in frame]))
     return graph, matrices

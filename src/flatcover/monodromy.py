@@ -194,11 +194,9 @@ def commutes(A: Mat, B: Mat, mod: int = 0) -> bool:
     return mat_mul(A, B, mod) == mat_mul(B, A, mod)
 
 
-def self_adjoint(T: Mat, mod: int = 0) -> bool:
+def self_adjoint(T: Mat) -> bool:
     """T^t J = J T: T is self-adjoint for the intersection form."""
-    L = mat_mul(mat_transpose(T), J4)
-    R = mat_mul(J4, T)
-    return mat_mod(L, mod) == mat_mod(R, mod) if mod else L == R
+    return mat_mul(mat_transpose(T), J4) == mat_mul(J4, T)
 
 
 # ---------------------------------------------------------------------------

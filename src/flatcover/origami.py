@@ -6,13 +6,14 @@ up to simultaneous conjugation; `canonical_form` computes a canonical
 relabeling, and equality/hashing go through it.
 
 Homology is handled through "taxi paths": closed paths of unit moves
-(E, N, W, S) between square centers.  Each closed path determines
- * skeleton coefficients: how often it is homologous to running along the
-   bottom edge (sigma_s) and left edge (tau_s) of each square, and
- * dual crossing counts: how often it crosses each such edge transversely.
-The algebraic intersection number of two classes is the signed sum of
-crossings of one path's edges by the other, which makes intersection numbers,
-symplectic bases, winding numbers and the Arf invariant exactly computable.
+(E, N, W, S) between square centers.  A closed path is stored as one
+chain, its skeleton coefficients: how often it is homologous to running along
+the bottom edge (sigma_s) and left edge (tau_s) of each square.  These are also
+its crossing counts of the right and top edges of each square, so the
+algebraic intersection number of two classes, the signed count of crossings of
+one path's edges by the other, is read off the two chains through h and v.
+This makes intersection numbers, symplectic bases, winding numbers and the Arf
+invariant exactly computable.
 
 The spanning-tree cycles and their Gram matrix are built once per origami.
 The Arf invariant is computed from them over F_2, by a symplectic
@@ -42,26 +43,26 @@ _OPPOSITE = {mv: _MOVES[(i + 2) % 4] for i, mv in enumerate(_MOVES)}
 
 @dataclass(frozen=True)
 class Cycle:
-    """An integer homology chain on an origami, stored redundantly.
+    """An integer homology chain on an origami.
 
     sig/tau are coefficients of the path pushed onto the edge skeleton
     (sigma_s = bottom edge of square s, rightward; tau_s = left edge, upward).
-    dsig/dtau are transverse crossing counts of the same edges (upward and
-    rightward positive).  `moves` keeps the taxi moves when the cycle came
-    from a single closed loop.
+    An E step from s runs along sigma_s and crosses the right edge of s, an N
+    step runs along tau_s and crosses the top edge of s, so the path crosses
+    the right edge of s sig[s] times (rightward positive) and the top edge
+    tau[s] times (upward positive).  `moves` keeps the taxi moves when the
+    cycle came from a single closed loop.
     """
 
     n: int
     sig: tuple[int, ...]
     tau: tuple[int, ...]
-    dsig: tuple[int, ...]
-    dtau: tuple[int, ...]
     moves: str | None = None
 
     @staticmethod
     def zero(n: int) -> "Cycle":
         z = (0,) * n
-        return Cycle(n, z, z, z, z)
+        return Cycle(n, z, z)
 
     @staticmethod
     def from_loop(o: "Origami", start: int, moves: str) -> "Cycle":
@@ -70,59 +71,54 @@ class Cycle:
         hi, vi = inverse_images(h), inverse_images(v)
         sig = [0] * n
         tau = [0] * n
-        dsig = [0] * n
-        dtau = [0] * n
         s = start
         for ch in moves:
             if ch == "E":
                 sig[s] += 1
-                dtau[h[s]] += 1
                 s = h[s]
             elif ch == "W":
-                s2 = hi[s]
-                sig[s2] -= 1
-                dtau[s] -= 1
-                s = s2
+                s = hi[s]
+                sig[s] -= 1
             elif ch == "N":
                 tau[s] += 1
-                dsig[v[s]] += 1
                 s = v[s]
             elif ch == "S":
-                s2 = vi[s]
-                tau[s2] -= 1
-                dsig[s] -= 1
-                s = s2
+                s = vi[s]
+                tau[s] -= 1
             else:
                 raise ValueError(f"unknown move {ch!r}")
         if s != start:
             raise ValueError("taxi path is not closed")
-        return Cycle(n, tuple(sig), tuple(tau), tuple(dsig), tuple(dtau), moves)
+        return Cycle(n, tuple(sig), tuple(tau), moves)
 
     def __add__(self, other: "Cycle") -> "Cycle":
         if self.n != other.n:
             raise ValueError("cycles live on different origamis")
         add = lambda a, b: tuple(x + y for x, y in zip(a, b))
-        return Cycle(self.n, add(self.sig, other.sig), add(self.tau, other.tau),
-                     add(self.dsig, other.dsig), add(self.dtau, other.dtau))
+        return Cycle(self.n, add(self.sig, other.sig), add(self.tau, other.tau))
 
     def __sub__(self, other: "Cycle") -> "Cycle":
         return self + (-1) * other
 
     def __rmul__(self, k: int) -> "Cycle":
         mul = lambda a: tuple(k * x for x in a)
-        return Cycle(self.n, mul(self.sig), mul(self.tau),
-                     mul(self.dsig), mul(self.dtau))
+        return Cycle(self.n, mul(self.sig), mul(self.tau))
 
     def __neg__(self) -> "Cycle":
         return (-1) * self
 
 
-def intersection(a: Cycle, b: Cycle) -> int:
-    """Algebraic intersection number a . b (signed crossing count)."""
-    if a.n != b.n:
+def intersection(o: Origami, a: Cycle, b: Cycle) -> int:
+    """Algebraic intersection number a . b on the origami o: the signed count
+    of b's crossings of a's edges.  b crosses the top edge of t, which is
+    sigma_{v[t]}, b.tau[t] times upward, and the right edge of t, which is
+    tau_{h[t]}, b.sig[t] times rightward, so
+    a . b = sum_t b.tau[t] a.sig[v[t]] - b.sig[t] a.tau[h[t]]."""
+    if not a.n == b.n == o.n:
         raise ValueError("cycles live on different origamis")
-    return (sum(x * y for x, y in zip(a.sig, b.dsig))
-            - sum(x * y for x, y in zip(a.tau, b.dtau)))
+    h, v = o.h.images, o.v.images
+    return sum(y * a.sig[v[t]] - x * a.tau[h[t]]
+               for t, (x, y) in enumerate(zip(b.sig, b.tau)))
 
 
 def _reduce_cyclic(moves: list[str]) -> list[str]:
@@ -430,21 +426,18 @@ class Origami:
     # -- homology ----------------------------------------------------------
 
     def _homology_data(self):
-        """Spanning-tree fundamental cycles, their Gram matrix and the
-        spanning tree, cached as (cycles, gram, tree).
+        """Spanning-tree fundamental cycles and their Gram matrix, cached as
+        (cycles, gram).
 
         The tree is `spanning_tree`.  Each edge off the tree closes one
         fundamental cycle, right edges before top edges, by square.
-        `covers.cover_from_basis_values` takes the crossing counts of the
-        Poincare dual of a cover's holonomy as edge weights and gauges every
-        tree edge to 0 (`covers.gauge_fixed`), so each other edge carries
-        the holonomy of its cycle.
 
-        The Gram matrix is `intersection` on the pairs i < j, summed over the
-        nonzero sig/tau entries of cycle i, and gram[j][i] = -gram[i][j]:
-        `intersection` is antisymmetric with zero diagonal on closed loops
-        (the tests compare with the dense matrix).  No symplectic basis is
-        built here; `symplectic_basis` builds one on demand.
+        The Gram matrix is `intersection` on the pairs j < i: cycle i is read
+        through v and h once, and the sum runs over the nonzero sig/tau
+        entries of cycle j; gram[j][i] = -gram[i][j], as `intersection` is
+        antisymmetric with zero diagonal on closed loops (the tests compare
+        with the dense matrix).  No symplectic basis is built here;
+        `symplectic_basis` builds one on demand.
         """
         if self._homology is not None:
             return self._homology
@@ -469,23 +462,26 @@ class Origami:
             raise InvariantError(f"{len(cycles)} fundamental cycles, not n + 1")
         m = len(cycles)
         gram = [[0] * m for _ in range(m)]
+        sigs = [[(t, x) for t, x in enumerate(b.sig) if x] for b in cycles]
+        taus = [[(t, y) for t, y in enumerate(b.tau) if y] for b in cycles]
         for i, a in enumerate(cycles):
-            sig = [(k, x) for k, x in enumerate(a.sig) if x]
-            tau = [(k, x) for k, x in enumerate(a.tau) if x]
+            # a . b = sum_t b.tau[t] a.sig[v[t]] - b.sig[t] a.tau[h[t]]
+            sig_v = [a.sig[t] for t in v]
+            tau_h = [a.tau[t] for t in h]
             row = gram[i]
-            for j in range(i + 1, m):
-                dsig, dtau = cycles[j].dsig, cycles[j].dtau
-                g = sum(x * dsig[k] for k, x in sig) - sum(x * dtau[k] for k, x in tau)
+            for j in range(i):
+                g = (sum(y * sig_v[t] for t, y in taus[j])
+                     - sum(x * tau_h[t] for t, x in sigs[j]))
                 row[j] = g
                 gram[j][i] = -g
-        self_hom = (cycles, gram, tree)
+        self_hom = (cycles, gram)
         object.__setattr__(self, "_homology", self_hom)
         return self_hom
 
     def symplectic_basis(self) -> list[Cycle]:
         """2g cycles (a1, b1, a2, b2, ...) with standard symplectic Gram,
         reduced from the fundamental cycles' Gram matrix on every call."""
-        cycles, gram, _ = self._homology_data()
+        cycles, gram = self._homology_data()
         out = []
         for vec in symplectic_reduce(gram):
             c = Cycle.zero(self.n)
@@ -500,23 +496,18 @@ class Origami:
     def is_reduced(self) -> bool:
         """Whether the relative periods span Z^2.
 
-        One walk over h, v, h^-1, v^-1 places the bottom-left corner of
-        every square in the plane.  Each right or top gluing then gives a
-        period (zero on tree edges, an absolute period on the others), and
-        the corners of the zeros give the periods between zeros.
+        The steps of `spanning_tree` place the bottom-left corner of every
+        square in the plane: a step across a right edge moves by (+-1, 0),
+        one across a top edge by (0, +-1).  Each right or top gluing then
+        gives a period (zero on tree edges, an absolute period on the others;
+        the lattice they span does not depend on the tree), and the corners
+        of the zeros give the periods between zeros.
         """
         h, v = self.h.images, self.v.images
-        hi, vi = inverse_images(h), inverse_images(v)
-        pos: list[tuple[int, int] | None] = [None] * self.n
-        pos[0] = (0, 0)
-        stack = [0]
-        while stack:
-            s = stack.pop()
-            x, y = pos[s]
-            for t, dx, dy in ((h[s], 1, 0), (v[s], 0, 1), (hi[s], -1, 0), (vi[s], 0, -1)):
-                if pos[t] is None:
-                    pos[t] = (x + dx, y + dy)
-                    stack.append(t)
+        pos = [(0, 0)] * self.n
+        for parent, child, (kind, _), direction in spanning_tree(h, v):
+            x, y = pos[parent]
+            pos[child] = (x + direction, y) if kind == "E" else (x, y + direction)
         gens = []
         for s, (x, y) in enumerate(pos):
             (xh, yh), (xv, yv) = pos[h[s]], pos[v[s]]
@@ -545,7 +536,7 @@ class Origami:
         st = self.stratum()
         if any(k % 2 for k in st.zero_orders):
             raise ValueError("Arf invariant needs all zero orders even")
-        cycles, gram, _ = self._homology_data()
+        cycles, gram = self._homology_data()
         vecs = []
         for i, (c, row) in enumerate(zip(cycles, gram)):
             g = sum(1 << j for j, x in enumerate(row) if x % 2)
@@ -640,11 +631,12 @@ def spanning_tree(h, v) -> list[tuple[int, int, tuple[str, int], int]]:
     tree = []
     order = [0]
     for s in order:
-        for t, edge, direction in ((h[s], ("E", s), 1), (v[s], ("N", s), 1),
-                                   (hi[s], ("E", hi[s]), -1), (vi[s], ("N", vi[s]), -1)):
+        for t, kind, direction in ((h[s], "E", 1), (v[s], "N", 1),
+                                   (hi[s], "E", -1), (vi[s], "N", -1)):
             if not seen[t]:
                 seen[t] = True
-                tree.append((s, t, edge, direction))
+                # a backward step crosses an edge of the square it reaches
+                tree.append((s, t, (kind, s if direction == 1 else t), direction))
                 order.append(t)
     return tree
 
@@ -793,7 +785,7 @@ def l_origami(b: int, e: int) -> LOrigami:
     b2 = Cycle.from_loop(o, 1, "N")
     basis = (a1, b1, a2, b2)
     # defining property of the basis
-    gram = tuple(tuple(intersection(x, y) for y in basis) for x in basis)
+    gram = tuple(tuple(intersection(o, x, y) for y in basis) for x in basis)
     if gram != J4:
         raise InvariantError(f"basis of l_origami({b},{e}) is not symplectic")
     return LOrigami(o, b, e, d, lam, basis)

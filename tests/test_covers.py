@@ -13,8 +13,9 @@ from flatcover.monodromy import (group_closure, is_symplectic, mat_H, mat_mod, m
                                  nonzero_vectors_mod2, orbit_partition, primitive_vectors,
                                  vector_label)
 from flatcover.origami import (Origami, act_generator, intersection, l_origami,
-                               spanning_tree)
+                               spanning_tree, symplectic_reduce)
 from flatcover.perms import Permutation, parse_cycles
+from test_origami import reference_crossings
 
 
 def lshape(b, e):
@@ -51,16 +52,18 @@ def test_cyclic_cover_holonomy_is_pairing_with_dual_class():
                 assert cover_label(basis, c) == (gamma, vector_label(gamma))
 
 
-def reference_holonomy(cover, cycle):
-    """The crossing count: a crossing of the left edge of square t (dtau[t])
-    crosses the right edge of h^-1(t), one of its bottom edge (dsig[t]) the
-    top edge of v^-1(t)."""
+def reference_holonomy(cover, counts):
+    """The holonomy from crossing counts (dsig, dtau) as `reference_crossings`
+    returns them: a crossing of the left edge of square t (dtau[t]) crosses
+    the right edge of h^-1(t), one of its bottom edge (dsig[t]) the top edge
+    of v^-1(t)."""
+    dsig, dtau = counts
     hi = cover.base.h.inverse().images
     vi = cover.base.v.inverse().images
     total = 0
     for t in range(cover.base.n):
-        total += cycle.dtau[t] * cover.w_right[hi[t]]
-        total += cycle.dsig[t] * cover.w_up[vi[t]]
+        total += dtau[t] * cover.w_right[hi[t]]
+        total += dsig[t] * cover.w_up[vi[t]]
     return total % cover.m
 
 
@@ -83,11 +86,16 @@ def random_genus2_origamis(count, seed):
 
 def test_holonomy_matches_crossing_count():
     for o in random_genus2_origamis(6, seed=2024):
+        cycles, gram = o._homology_data()
+        counts = [reference_crossings(o, c) for c in cycles]
+        # `symplectic_basis` sums the fundamental cycles with these coordinates
+        counts += [tuple([sum(k * count[i][t] for k, count in zip(vec, counts))
+                          for t in range(o.n)] for i in (0, 1))
+                   for vec in symplectic_reduce(gram)]
         basis = o.symplectic_basis()
-        cycles = o._homology_data()[0] + basis
         for c in all_double_covers(o, basis) + cyclic_covers(o, 3, basis):
-            for cyc in cycles:
-                assert c.holonomy(cyc) == reference_holonomy(c, cyc)
+            for cyc, count in zip(cycles + basis, counts):
+                assert c.holonomy(cyc) == reference_holonomy(c, count)
 
 
 def test_published_b1_cover():
@@ -181,8 +189,8 @@ def reference_cover_weights(o, m, basis, values):
     spanning tree, and on the edge closing each cycle the value of the
     homomorphism on it, from the cycle's coordinates in the basis read off
     through the symplectic form."""
-    cycles, _, tree = o._homology_data()
-    used = {edge for _, _, edge, _ in tree}
+    cycles, _ = o._homology_data()
+    used = {edge for _, _, edge, _ in spanning_tree(o.h.images, o.v.images)}
     cotree = [(kind, s) for kind in "EN" for s in range(o.n) if (kind, s) not in used]
     w_right = [0] * o.n
     w_up = [0] * o.n
@@ -190,8 +198,8 @@ def reference_cover_weights(o, m, basis, values):
         w = 0
         for k in range(0, len(basis), 2):
             a, b = basis[k], basis[k + 1]
-            w += intersection(cyc, b) * values[k]      # coefficient along a_k
-            w += -intersection(cyc, a) * values[k + 1]  # coefficient along b_k
+            w += intersection(o, cyc, b) * values[k]      # coefficient along a_k
+            w += -intersection(o, cyc, a) * values[k + 1]  # coefficient along b_k
         if kind == "E":
             w_right[s] = w % m
         else:
@@ -200,7 +208,7 @@ def reference_cover_weights(o, m, basis, values):
 
 
 def assert_weights_match_reference(o, basis, moduli):
-    tree = o._homology_data()[2]
+    tree = spanning_tree(o.h.images, o.v.images)
     for m in moduli:
         covers = cyclic_covers(o, m, basis)
         for c, (x1, y1, x2, y2) in zip(covers, primitive_vectors(m)):
@@ -228,8 +236,8 @@ def test_weights_match_reference_off_l():
 
 def test_tree_lists_every_square_once_from_square_zero():
     for o in [lshape(6, 1)[0]] + [Origami.from_text(t) for t in OFF_L]:
-        tree = o._homology_data()[2]
         h, v = o.h.images, o.v.images
+        tree = spanning_tree(h, v)
         assert sorted(child for _, child, _, _ in tree) == list(range(1, o.n))
         reached = {0}
         for parent, child, (kind, s), direction in tree:

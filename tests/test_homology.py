@@ -30,9 +30,9 @@ OFF_L = ("n=5 h=(1,4,5)(2,3) v=(1,3,4)(2,5)",
 def test_torus_intersection():
     e = Cycle.from_loop(TORUS, 0, "E")
     n = Cycle.from_loop(TORUS, 0, "N")
-    assert intersection(e, n) == 1
-    assert intersection(n, e) == -1
-    assert intersection(e, e) == 0
+    assert intersection(TORUS, e, n) == 1
+    assert intersection(TORUS, n, e) == -1
+    assert intersection(TORUS, e, e) == 0
     assert period(e) == (1, 0) and period(n) == (0, 1)
 
 
@@ -55,7 +55,7 @@ def test_cycle_arithmetic():
 def test_intersection_antisymmetric(moves):
     a = Cycle.from_loop(TORUS, 0, moves[: len(moves) // 2] * 2)
     b = Cycle.from_loop(TORUS, 0, moves)
-    assert intersection(a, b) == -intersection(b, a)
+    assert intersection(TORUS, a, b) == -intersection(TORUS, b, a)
 
 
 def test_winding_index():
@@ -78,14 +78,14 @@ def test_fundamental_cycles_and_basis():
         assert len(cycles) == o.n + 1
         basis = o.symplectic_basis()
         assert len(basis) == 2 * o.stratum().genus
-        gram = [[intersection(a, b) for b in basis] for a in basis]
+        gram = [[intersection(o, a, b) for b in basis] for a in basis]
         assert gram == J4
 
 
 def test_l_origami_pinned_basis_is_symplectic():
     for b, e in ((6, 1), (6, -1), (2, -1), (4, 0), (12, 1), (9, 0)):
         L = l_origami(b, e)
-        gram = [[intersection(x, y) for y in L.basis] for x in L.basis]
+        gram = [[intersection(L.origami, x, y) for y in L.basis] for x in L.basis]
         assert gram == J4
         lam = L.lam
         assert [period(c) for c in L.basis] == [(1, 0), (0, lam), (lam - e, 0), (0, 1)]
@@ -138,7 +138,7 @@ def q_on_subsets(o):
         val = sum(q_cycle[i] for i in support)
         for ii, i in enumerate(support):
             for j in support[ii + 1:]:
-                val += intersection(cycles[i], cycles[j])
+                val += intersection(o, cycles[i], cycles[j])
         return val % 2
     return cycles, q
 
@@ -147,7 +147,7 @@ def reference_arf(o):
     """Arf invariant from q on an integer symplectic basis (a1, b1, ...) in
     fundamental-cycle coordinates, as returned by `symplectic_reduce`."""
     cycles, q = q_on_subsets(o)
-    gram = [[intersection(a, b) for b in cycles] for a in cycles]
+    gram = [[intersection(o, a, b) for b in cycles] for a in cycles]
     coords = symplectic_reduce(gram)
     odd = [[i for i, k in enumerate(vec) if k % 2] for vec in coords]
     return sum(q(odd[k]) * q(odd[k + 1]) for k in range(0, len(odd), 2)) % 2
@@ -184,8 +184,8 @@ def test_arf_is_majority_value_of_q():
     for lift in double_cover_lifts(L.origami, list(L.basis)):
         cycles, q = q_on_subsets(lift)
         m = len(cycles)
-        rows = [sum(1 << j for j, b in enumerate(cycles) if intersection(a, b) % 2)
-                for a in cycles]
+        rows = [sum(1 << j for j, b in enumerate(cycles)
+                    if intersection(lift, a, b) % 2) for a in cycles]
         q_of_class = {}
         for mask in range(1 << m):
             support = [i for i in range(m) if mask >> i & 1]

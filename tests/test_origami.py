@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from flatcover import origami
-from flatcover.covers import Cover, cover_from_basis_values
-from flatcover.origami import (Origami, OrbitCapExceeded, act_generator,
+from flatcover.covers import Cover, all_double_covers, cover_from_basis_values
+from flatcover.origami import (Cycle, Origami, OrbitCapExceeded, act_generator,
                                intersection, l_origami, lattice_index,
                                sl2z_orbit_graph, sl2z_word, translation_images)
 from flatcover.perms import (Permutation, _canonical_pair, compose, cycles,
@@ -521,12 +521,12 @@ def test_symplectic_basis_has_standard_gram(o):
     standard = [[0] * (2 * g) for _ in range(2 * g)]
     for k in range(0, 2 * g, 2):
         standard[k][k + 1], standard[k + 1][k] = 1, -1
-    assert [[intersection(x, y) for y in basis] for x in basis] == standard
+    assert [[intersection(o, x, y) for y in basis] for x in basis] == standard
 
 
 def assert_sparse_gram_is_dense(o):
-    cycles, gram, _ = o._homology_data()
-    assert gram == [[intersection(a, b) for b in cycles] for a in cycles]
+    cycles, gram = o._homology_data()
+    assert gram == [[intersection(o, a, b) for b in cycles] for a in cycles]
     assert all(gram[i][j] == -gram[j][i]
                for i in range(len(gram)) for j in range(len(gram)))
 
@@ -543,6 +543,61 @@ def test_sparse_gram_of_lifts():
         for values in ((1, 0, 0, 0), (0, 1, 1, 0), (1, 1, 1, 1)):
             c = cover_from_basis_values(L.origami, 2, list(L.basis), values)
             assert_sparse_gram_is_dense(c.lift())
+
+
+# -- a chain is its own crossing count ----------------------------------------
+
+def reference_crossings(o, cycle):
+    """(dsig, dtau) of a fundamental cycle, step by step along its taxi moves
+    from square 0: dsig[t] counts upward crossings of the bottom edge of
+    square t, dtau[t] rightward crossings of its left edge."""
+    h, v = o.h.images, o.v.images
+    hi, vi = o.h.inverse().images, o.v.inverse().images
+    dsig, dtau = [0] * o.n, [0] * o.n
+    s = 0
+    for ch in cycle.moves:
+        if ch == "E":
+            s = h[s]
+            dtau[s] += 1
+        elif ch == "W":
+            dtau[s] -= 1
+            s = hi[s]
+        elif ch == "N":
+            s = v[s]
+            dsig[s] += 1
+        else:
+            dsig[s] -= 1
+            s = vi[s]
+    assert s == 0
+    return dsig, dtau
+
+
+def assert_chain_is_crossing_count(o):
+    cycles, _ = o._homology_data()
+    hi, vi = o.h.inverse().images, o.v.inverse().images
+    counts = [reference_crossings(o, c) for c in cycles]
+    for c, count in zip(cycles, counts):
+        assert count == ([c.tau[x] for x in vi], [c.sig[x] for x in hi])
+    for a in cycles:
+        for b, (dsig, dtau) in zip(cycles, counts):
+            assert intersection(o, a, b) == (sum(x * y for x, y in zip(a.sig, dsig))
+                                             - sum(x * y for x, y in zip(a.tau, dtau)))
+    other = Cycle.zero(o.n + 1)
+    for args in ((o, cycles[0], other), (o, other, cycles[0]), (o, other, other)):
+        with pytest.raises(ValueError):
+            intersection(*args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(origamis(max_n=8))
+def test_chain_is_crossing_count(o):
+    assert_chain_is_crossing_count(o)
+
+
+def test_chain_is_crossing_count_on_lifts():
+    L = l_origami(6, 1)
+    for c in all_double_covers(L.origami, list(L.basis)):
+        assert_chain_is_crossing_count(c.lift())
 
 
 # -- the L-shaped eigenform surfaces ----------------------------------------
