@@ -16,7 +16,9 @@ tree in all.  The double covers are the Z/2 cyclic covers: the primitive
 vectors of (Z/2)^4 are its 15 nonzero vectors.  A cover's dual class moves
 under SL(2,Z) as a homology class, so `affine_action_mod2` carries four
 chains mod 2 along the base's orbit graph and reads one F_2 matrix per edge
-off their intersection numbers, checking each image's Gram matrix.
+off their intersection numbers (`origami.mod2_forms`), checking each image's
+Gram matrix.  A basis is four cycles on the base's squares (ValueError
+otherwise).
 """
 from __future__ import annotations
 
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 from . import InvariantError
 from .lshape import IDENTITY4, J4, symplectic_pairing
 from .monodromy import mat_vec, primitive_vector_count, primitive_vectors, vector_label
-from .origami import (Cycle, Origami, OrbitGraph, act_generator, sl2z_orbit_graph,
-                      spanning_tree)
+from .origami import (Cycle, Origami, OrbitGraph, act_generator, mod2_forms,
+                      sl2z_orbit_graph, spanning_tree)
 from .perms import Permutation, inverse_images
 
 
@@ -42,6 +44,8 @@ class Cover:
     def holonomy(self, cycle: Cycle) -> int:
         """Sum of edge weights crossed by the cycle, mod m: it crosses the
         right edge of square s sig[s] times and its top edge tau[s] times."""
+        if cycle.n != self.base.n:
+            raise ValueError("the cycle lives on another origami")
         return (sum(x * w for x, w in zip(cycle.sig, self.w_right))
                 + sum(x * w for x, w in zip(cycle.tau, self.w_up))) % self.m
 
@@ -87,6 +91,11 @@ def gauge_fixed(h, v, tree, cocycles, m: int
             for p, (w_right, w_up) in zip(potentials, cocycles)]
 
 
+def _check_basis(o: Origami, basis: list[Cycle]) -> None:
+    if len(basis) != 4 or any(c.n != o.n for c in basis):
+        raise ValueError(f"a genus-2 basis of four cycles on {o.n} squares required")
+
+
 def _cover_maker(o: Origami, m: int, basis: list[Cycle]):
     """make(dual, values): the Z/m cover of o whose holonomy is c -> c . dual
     for the dual class with coordinates `dual` in the symplectic basis
@@ -100,8 +109,7 @@ def _cover_maker(o: Origami, m: int, basis: list[Cycle]):
     sum dual[k] G_k mod m.  Its holonomy on each basis cycle is then read off
     its own weights, over the nonzero sig/tau entries of the cycle.
     """
-    if len(basis) != 4:
-        raise ValueError("a genus-2 basis of four cycles required")
+    _check_basis(o, basis)
     n = o.n
     h, v = o.h.images, o.v.images
     hi, vi = inverse_images(h), inverse_images(v)
@@ -186,12 +194,12 @@ def affine_action_mod2(o: Origami, basis: list[Cycle]) -> tuple[OrbitGraph, list
     `order`.  Member 0's frame is the basis relabelled by `seed_order`, and
     the edge that first reaches a member carries its frame there, so the BFS
     tree edges act as the identity.  Entry (l, k) of a matrix is the
-    intersection number mod 2 of image class k with target class l ^ 1, as
-    in `origami.intersection` on the target member (h_j, v_j): the parity of
-    sig[v_j[t]] tau'[t] + tau[h_j[t]] sig'[t] summed over t.  The Gram
-    matrix mod 2 of every image frame must be J4 mod 2 (InvariantError
-    otherwise); at member 0 this rejects a basis that is not symplectic
-    mod 2.
+    intersection number mod 2 of image class k with target class l ^ 1 on
+    the target member (h_j, v_j), read off `origami.mod2_forms`; only the
+    targets' packed ints are kept.  The Gram matrix mod 2 of every image
+    frame must be J4 mod 2 (InvariantError otherwise); at member 0 this
+    rejects a basis that is not symplectic mod 2.  A basis that is not four
+    cycles on o's squares is a ValueError.
 
     So the component of (member 0, gamma) in the skew product of the graph
     with the covers is every member times gamma's orbit under the matrices:
@@ -200,17 +208,14 @@ def affine_action_mod2(o: Origami, basis: list[Cycle]) -> tuple[OrbitGraph, list
     """
     if len(o.translations()) != 1:
         raise InvariantError("the base has a nontrivial translation")
+    _check_basis(o, basis)
     graph = sl2z_orbit_graph(o.h.images, o.v.images)
     carried = {}  # the frames of the members reached and not yet expanded
     targets: list = [None] * len(graph.members)
     gram = tuple(tuple(x % 2 for x in row) for row in J4)
 
     def land(j, frame):
-        # a byte per 0/1 entry, so the bits of read & packed count crossings
-        hj, vj = graph.members[j]
-        read = [int.from_bytes(bytes([sig[t] for t in vj] + [tau[t] for t in hj]), "big")
-                for sig, tau in frame]
-        packed = [int.from_bytes(bytes(tau + sig), "big") for sig, tau in frame]
+        read, packed = zip(*mod2_forms(*graph.members[j], frame))
         if tuple(tuple((a & b).bit_count() & 1 for b in packed) for a in read) != gram:
             raise InvariantError(f"the image frame at member {j} is not symplectic mod 2")
         if targets[j] is None:

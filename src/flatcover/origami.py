@@ -15,10 +15,12 @@ one path's edges by the other, is read off the two chains through h and v.
 This makes intersection numbers, symplectic bases, winding numbers and the Arf
 invariant exactly computable.
 
-The spanning-tree cycles and their Gram matrix are built once per origami.
-The Arf invariant is computed from them over F_2, by a symplectic
-Gram-Schmidt on the mod-2 Gram rows; an integer symplectic basis is built
-only when `symplectic_basis` is asked for.
+The spanning-tree cycles are built, not cached, for each call that needs
+them.  `intersection` is the one integer pairing and `mod2_forms` the one
+over F_2.  The Arf invariant is a symplectic Gram-Schmidt on the mod-2 Gram
+rows of `mod2_forms`; an integer symplectic basis, reduced from the
+`intersection` Gram matrix, is built only when `symplectic_basis` is asked
+for.
 """
 from __future__ import annotations
 
@@ -119,6 +121,18 @@ def intersection(o: Origami, a: Cycle, b: Cycle) -> int:
     h, v = o.h.images, o.v.images
     return sum(y * a.sig[v[t]] - x * a.tau[h[t]]
                for t, (x, y) in enumerate(zip(b.sig, b.tau)))
+
+
+def mod2_forms(h, v, chains) -> list[tuple[int, int]]:
+    """`intersection` mod 2 on the origami (h, v), packed: for each chain
+    (sig, tau) the ints (read, packed) with a byte x & 1 per coefficient x.
+    read is the chain read through v and h, [sig[t] for t in v] then
+    [tau[t] for t in h], and packed is tau then sig, so byte by byte
+    read_a & packed_b holds the terms a.sig[v[t]] b.tau[t] and
+    a.tau[h[t]] b.sig[t], and its bit count is a . b mod 2."""
+    return [(int.from_bytes(bytes([sig[t] & 1 for t in v] + [tau[t] & 1 for t in h]), "big"),
+             int.from_bytes(bytes([x & 1 for x in tau + sig]), "big"))
+            for sig, tau in chains]
 
 
 def _reduce_cyclic(moves: list[str]) -> list[str]:
@@ -280,7 +294,7 @@ def _origami_text(h, v) -> str:
 
 
 class Origami:
-    __slots__ = ("h", "v", "_canon", "_homology")
+    __slots__ = ("h", "v", "_canon")
 
     def __init__(self, h: Permutation, v: Permutation):
         if h.n != v.n:
@@ -290,7 +304,6 @@ class Origami:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "_canon", None)
-        object.__setattr__(self, "_homology", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Origami is immutable")
@@ -425,22 +438,10 @@ class Origami:
 
     # -- homology ----------------------------------------------------------
 
-    def _homology_data(self):
-        """Spanning-tree fundamental cycles and their Gram matrix, cached as
-        (cycles, gram).
-
-        The tree is `spanning_tree`.  Each edge off the tree closes one
-        fundamental cycle, right edges before top edges, by square.
-
-        The Gram matrix is `intersection` on the pairs j < i: cycle i is read
-        through v and h once, and the sum runs over the nonzero sig/tau
-        entries of cycle j; gram[j][i] = -gram[i][j], as `intersection` is
-        antisymmetric with zero diagonal on closed loops (the tests compare
-        with the dense matrix).  No symplectic basis is built here;
-        `symplectic_basis` builds one on demand.
-        """
-        if self._homology is not None:
-            return self._homology
+    def _fundamental_cycles(self) -> list[Cycle]:
+        """The n + 1 fundamental cycles of `spanning_tree`, built on every
+        call: each edge off the tree closes one, right edges before top
+        edges, by square."""
         n = self.n
         h, v = self.h.images, self.v.images
         tree = spanning_tree(h, v)
@@ -460,28 +461,14 @@ class Origami:
                 cycles.append(Cycle.from_loop(self, 0, moves))
         if len(cycles) != n + 1:
             raise InvariantError(f"{len(cycles)} fundamental cycles, not n + 1")
-        m = len(cycles)
-        gram = [[0] * m for _ in range(m)]
-        sigs = [[(t, x) for t, x in enumerate(b.sig) if x] for b in cycles]
-        taus = [[(t, y) for t, y in enumerate(b.tau) if y] for b in cycles]
-        for i, a in enumerate(cycles):
-            # a . b = sum_t b.tau[t] a.sig[v[t]] - b.sig[t] a.tau[h[t]]
-            sig_v = [a.sig[t] for t in v]
-            tau_h = [a.tau[t] for t in h]
-            row = gram[i]
-            for j in range(i):
-                g = (sum(y * sig_v[t] for t, y in taus[j])
-                     - sum(x * tau_h[t] for t, x in sigs[j]))
-                row[j] = g
-                gram[j][i] = -g
-        self_hom = (cycles, gram)
-        object.__setattr__(self, "_homology", self_hom)
-        return self_hom
+        return cycles
 
     def symplectic_basis(self) -> list[Cycle]:
         """2g cycles (a1, b1, a2, b2, ...) with standard symplectic Gram,
-        reduced from the fundamental cycles' Gram matrix on every call."""
-        cycles, gram = self._homology_data()
+        reduced from the `intersection` Gram matrix of the fundamental
+        cycles, which only this method needs over the integers."""
+        cycles = self._fundamental_cycles()
+        gram = [[intersection(self, a, b) for b in cycles] for a in cycles]
         out = []
         for vec in symplectic_reduce(gram):
             c = Cycle.zero(self.n)
@@ -523,7 +510,8 @@ class Origami:
         mod 2, computed over F_2 from the fundamental cycles.
 
         Vectors are bitmasks over the fundamental cycles, each with a mod-2
-        Gram row g and its value q.  A vector x and a partner y with
+        Gram row g (bit j of cycle i's row is the parity of read_i & packed_j
+        from `mod2_forms`) and its value q.  A vector x and a partner y with
         b(x, y) = 1 form a hyperbolic pair and add q(x) q(y) to the Arf
         invariant; every other w becomes w + b(w, y) x + b(w, x) y, with
         q(w + x) = q(w) + q(x) + b(w, x).  Each vector keeps the Gram row of
@@ -536,10 +524,12 @@ class Origami:
         st = self.stratum()
         if any(k % 2 for k in st.zero_orders):
             raise ValueError("Arf invariant needs all zero orders even")
-        cycles, gram = self._homology_data()
+        cycles = self._fundamental_cycles()
+        forms = mod2_forms(self.h.images, self.v.images, [(c.sig, c.tau) for c in cycles])
         vecs = []
-        for i, (c, row) in enumerate(zip(cycles, gram)):
-            g = sum(1 << j for j, x in enumerate(row) if x % 2)
+        for i, (c, (read, _)) in enumerate(zip(cycles, forms)):
+            g = sum(((read & packed).bit_count() & 1) << j
+                    for j, (_, packed) in enumerate(forms))
             vecs.append((1 << i, g, (winding_index(c) + 1) % 2))
         arf = pairs = 0
         while vecs:

@@ -86,7 +86,8 @@ def random_genus2_origamis(count, seed):
 
 def test_holonomy_matches_crossing_count():
     for o in random_genus2_origamis(6, seed=2024):
-        cycles, gram = o._homology_data()
+        cycles = o._fundamental_cycles()
+        gram = [[intersection(o, a, b) for b in cycles] for a in cycles]
         counts = [reference_crossings(o, c) for c in cycles]
         # `symplectic_basis` sums the fundamental cycles with these coordinates
         counts += [tuple([sum(k * count[i][t] for k, count in zip(vec, counts))
@@ -189,7 +190,7 @@ def reference_cover_weights(o, m, basis, values):
     spanning tree, and on the edge closing each cycle the value of the
     homomorphism on it, from the cycle's coordinates in the basis read off
     through the symplectic form."""
-    cycles, _ = o._homology_data()
+    cycles = o._fundamental_cycles()
     used = {edge for _, _, edge, _ in spanning_tree(o.h.images, o.v.images)}
     cotree = [(kind, s) for kind in "EN" for s in range(o.n) if (kind, s) not in used]
     w_right = [0] * o.n
@@ -319,6 +320,24 @@ def test_affine_action_mod2_guards():
         o, (a1, b1, a2, b2) = lshape(b, e)
         with pytest.raises(InvariantError):
             affine_action_mod2(o, [a1, a2, b1, b2])
+
+
+def test_basis_from_another_origami_is_a_value_error():
+    # L(2, -1) has 3 squares, L(6, 1) 5 and L(16, 0) 8
+    a, b = l_origami(2, -1), l_origami(6, 1)
+    cover = cyclic_covers(a.origami, 2, list(a.basis))[0]
+    with pytest.raises(ValueError):
+        cover.holonomy(b.basis[0])
+    with pytest.raises(ValueError):
+        cover_label(list(b.basis), cover)
+    for o, basis in ((a.origami, list(b.basis)), (b.origami, list(a.basis))):
+        with pytest.raises(ValueError):
+            cover_from_basis_values(o, 2, basis, (1, 0, 0, 0))
+        with pytest.raises(ValueError):
+            cyclic_covers(o, 3, basis)
+    for basis in (list(b.basis)[:3], list(l_origami(16, 0).basis)):
+        with pytest.raises(ValueError):
+            affine_action_mod2(b.origami, basis)
 
 
 @pytest.mark.parametrize("n", range(3, 14))

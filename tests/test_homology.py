@@ -74,7 +74,7 @@ def test_winding_index():
 
 def test_fundamental_cycles_and_basis():
     for o in (FIVE, l_origami(4, 0).origami):
-        cycles = o._homology_data()[0]
+        cycles = o._fundamental_cycles()
         assert len(cycles) == o.n + 1
         basis = o.symplectic_basis()
         assert len(basis) == 2 * o.stratum().genus
@@ -131,7 +131,7 @@ def test_arf_invariants_of_small_surfaces():
 def q_on_subsets(o):
     """q(c) = winding_index(c) + 1 mod 2 of the fundamental cycles, extended
     to a sum over a set of them by q(x + y) = q(x) + q(y) + x.y."""
-    cycles = o._homology_data()[0]
+    cycles = o._fundamental_cycles()
     q_cycle = [(winding_index(c) + 1) % 2 for c in cycles]
 
     def q(support):

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from flatcover import origami
 from flatcover.covers import Cover, all_double_covers, cover_from_basis_values
 from flatcover.origami import (Cycle, Origami, OrbitCapExceeded, act_generator,
-                               intersection, l_origami, lattice_index,
+                               intersection, l_origami, lattice_index, mod2_forms,
                                sl2z_orbit_graph, sl2z_word, translation_images)
 from flatcover.perms import (Permutation, _canonical_pair, compose, cycles,
                              parse_cycles)
@@ -524,25 +524,28 @@ def test_symplectic_basis_has_standard_gram(o):
     assert [[intersection(o, x, y) for y in basis] for x in basis] == standard
 
 
-def assert_sparse_gram_is_dense(o):
-    cycles, gram = o._homology_data()
-    assert gram == [[intersection(o, a, b) for b in cycles] for a in cycles]
-    assert all(gram[i][j] == -gram[j][i]
-               for i in range(len(gram)) for j in range(len(gram)))
+def assert_mod2_forms_are_intersection_mod2(o):
+    cycles = o._fundamental_cycles()
+    forms = mod2_forms(o.h.images, o.v.images, [(c.sig, c.tau) for c in cycles])
+    for a, (read, _) in zip(cycles, forms):
+        for b, (_, packed) in zip(cycles, forms):
+            ab = intersection(o, a, b)
+            assert (read & packed).bit_count() % 2 == ab % 2
+            assert ab == -intersection(o, b, a)
 
 
 @settings(max_examples=60, deadline=None)
 @given(origamis(max_n=8))
-def test_sparse_gram_equals_intersection_matrix(o):
-    assert_sparse_gram_is_dense(o)
+def test_mod2_forms_are_intersection_mod2(o):
+    assert_mod2_forms_are_intersection_mod2(o)
 
 
-def test_sparse_gram_of_lifts():
+def test_mod2_forms_of_lifts():
     for b, e in ((2, -1), (6, 1), (4, 0), (12, -1)):
         L = l_origami(b, e)
         for values in ((1, 0, 0, 0), (0, 1, 1, 0), (1, 1, 1, 1)):
             c = cover_from_basis_values(L.origami, 2, list(L.basis), values)
-            assert_sparse_gram_is_dense(c.lift())
+            assert_mod2_forms_are_intersection_mod2(c.lift())
 
 
 # -- a chain is its own crossing count ----------------------------------------
@@ -573,7 +576,7 @@ def reference_crossings(o, cycle):
 
 
 def assert_chain_is_crossing_count(o):
-    cycles, _ = o._homology_data()
+    cycles = o._fundamental_cycles()
     hi, vi = o.h.inverse().images, o.v.inverse().images
     counts = [reference_crossings(o, c) for c in cycles]
     for c, count in zip(cycles, counts):
@@ -676,7 +679,7 @@ def reference_is_reduced(o):
                 if b not in pos:
                     pos[b] = (x + dx, y + dy)
                     stack.append(b)
-    gens = [period(c) for c in o._homology_data()[0]]
+    gens = [period(c) for c in o._fundamental_cycles()]
     zeros = [pos[i] for i, cyc in enumerate(vcycles) if len(cyc) >= 2]
     gens += [(x - zeros[0][0], y - zeros[0][1]) for x, y in zeros[1:]]
     return reference_hnf2(gens) == ((1, 0), (0, 1))
@@ -694,14 +697,17 @@ def test_reduced():
     assert l_origami(6, 1).origami.is_reduced()
     two_square_torus = make_origami("(1,2)", "", 2)
     assert not two_square_torus.is_reduced()
-    periods = [period(c) for c in two_square_torus._homology_data()[0]]
+    periods = [period(c) for c in two_square_torus._fundamental_cycles()]
     assert lattice_index(periods) == 2
 
 
-def test_is_reduced_needs_no_homology():
+def test_is_reduced_needs_no_homology(monkeypatch):
+    def refuse(self):
+        raise AssertionError("is_reduced built the fundamental cycles")
+
+    monkeypatch.setattr(Origami, "_fundamental_cycles", refuse)
     o = make_origami("(1,2)(6,7)(3,8)(4,9)(5,10)", "(2,3,4,5)(7,8,9,10)", 10)
-    o.is_reduced()
-    assert o._homology is None
+    assert o.is_reduced()
 
 
 def test_lattice_index():
