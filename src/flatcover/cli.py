@@ -126,6 +126,10 @@ def _cmd_covers(args) -> int:
         o, basis = base.origami, list(base.basis)
     elif args.origami is not None:
         o = Origami.from_text(args.origami)
+        st = o.stratum()
+        if st.zero_orders != (2,):
+            # the lifts of a base in H(1,1) lie in H(1,1,1,1): no Arf invariant
+            raise ValueError(f"covers needs a base in H(2), not {st}")
         basis = o.symplectic_basis()
     else:
         raise ValueError("one of --origami or --b/--e is required")

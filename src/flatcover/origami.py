@@ -68,9 +68,14 @@ class Cycle:
 
     @staticmethod
     def from_loop(o: "Origami", start: int, moves: str) -> "Cycle":
-        n = o.n
         h, v = o.h.images, o.v.images
-        hi, vi = inverse_images(h), inverse_images(v)
+        return Cycle._replay(h, v, inverse_images(h), inverse_images(v), start, moves)
+
+    @staticmethod
+    def _replay(h, v, hi, vi, start: int, moves: str) -> "Cycle":
+        """`from_loop` on the origami (h, v), given hi and vi, the images of
+        h^-1 and v^-1."""
+        n = len(h)
         sig = [0] * n
         tau = [0] * n
         s = start
@@ -137,21 +142,18 @@ def mod2_forms(h, v, chains) -> list[tuple[int, int]]:
 
 def _reduce_cyclic(moves: list[str]) -> list[str]:
     """Cancel adjacent backtracks (EW, WE, NS, SN), cyclically."""
-    changed = True
-    while changed and moves:
-        changed = False
-        out: list[str] = []
-        for ch in moves:
-            if out and out[-1] == _OPPOSITE[ch]:
-                out.pop()
-                changed = True
-            else:
-                out.append(ch)
-        while len(out) >= 2 and out[0] == _OPPOSITE[out[-1]]:
-            out = out[1:-1]
-            changed = True
-        moves = out
-    return moves
+    out: list[str] = []
+    for ch in moves:
+        if out and out[-1] == _OPPOSITE[ch]:
+            out.pop()
+        else:
+            out.append(ch)
+    # out is freely reduced, and stripping inverse end pairs keeps it so
+    i, j = 0, len(out)
+    while j - i >= 2 and out[i] == _OPPOSITE[out[j - 1]]:
+        i += 1
+        j -= 1
+    return out[i:j]
 
 
 def winding_index(cycle: Cycle) -> int:
@@ -244,6 +246,8 @@ def lattice_index(vectors) -> int:
     for i, (a, b) in enumerate(vectors):
         for c, d in vectors[i + 1:]:
             g = gcd(g, a * d - b * c)
+            if g == 1:
+                return 1
     return g
 
 
@@ -352,8 +356,8 @@ class Origami:
 
         A start is dropped as soon as an entry of its hn exceeds the best hn
         so far, and vn is compared only when hn ties (see `_canonical_pair`).
-        `sl2z_orbit_graph` also passes the seed's translations, so that the
-        translation images of earlier starts are skipped; the result and the
+        `sl2z_orbit_graph` also passes the seed's translation orbits, so that
+        only the first start of each orbit is tried; the result and the
         relabelling `order` do not change.
         """
         if self._canon is None:
@@ -444,6 +448,7 @@ class Origami:
         edges, by square."""
         n = self.n
         h, v = self.h.images, self.v.images
+        hi, vi = inverse_images(h), inverse_images(v)
         tree = spanning_tree(h, v)
         # path[t] is the taxi path from square 0 to t along the tree
         path = [""] * n
@@ -458,7 +463,7 @@ class Origami:
                     continue
                 t = h[s] if kind == "E" else v[s]
                 moves = path[s] + kind + "".join(_OPPOSITE[c] for c in reversed(path[t]))
-                cycles.append(Cycle.from_loop(self, 0, moves))
+                cycles.append(Cycle._replay(h, v, hi, vi, 0, moves))
         if len(cycles) != n + 1:
             raise InvariantError(f"{len(cycles)} fundamental cycles, not n + 1")
         return cycles
@@ -656,45 +661,34 @@ def sl2z_orbit_graph(h, v, cap: int = 10**6) -> OrbitGraph:
     than `cap` >= 1 forms are found.
 
     A translation t of (h, v) commutes with v^-1 h and h^-1 v too, so every
-    member has the seed's translation group; along an edge relabelled by
-    `order` (pos its inverse) t becomes [pos[t[x]] for x in order].  A
-    generating set of it goes with each member until the member is expanded,
-    and `_canonical_pair` skips the translation images of earlier starts.
+    member has the seed's translation orbits on squares.  The seed's squares
+    are labelled by orbit; along an edge relabelled by `order` the labels
+    become [orbits[x] for x in order], and `_canonical_pair` tries only the
+    first start of each label.  A seed with no translation but the identity
+    carries no labels.
     """
     if cap < 1:
         raise ValueError("orbit cap must be at least 1")
-    # a translation is fixed by its image of square 0, so a greedy generating
-    # set grows `reached`, the orbit of 0, until no translation is left out
-    gens = []
-    reached = {0}
-    for t in translation_images(h, v):
-        if t[0] not in reached:
-            gens.append(t)
-            queue = list(reached)
-            for x in queue:
-                for g in gens:
-                    if g[x] not in reached:
-                        reached.add(g[x])
-                        queue.append(g[x])
-    hn, vn, seed_order = _canonical_pair(h, v, gens)
-    pos = inverse_images(seed_order)
+    trans = translation_images(h, v)
+    # square s is labelled by the least square of its orbit {t[s]}
+    orbits = [min(col) for col in zip(*trans)] if len(trans) > 1 else None
+    hn, vn, seed_order = _canonical_pair(h, v, orbits)
     members = [(hn, vn)]
-    pending = [[[pos[t[x]] for x in seed_order] for t in gens]]
+    pending = [orbits and [orbits[x] for x in seed_order]]
     index = {members[0]: 0}
     edges = []
     for i, (h, v) in enumerate(members):
-        gens, pending[i] = pending[i], None
+        orbits, pending[i] = pending[i], None
         out = []
         for g in ("L", "R"):
-            hn, vn, order = _canonical_pair(*act_generator(h, v, g), gens)
+            hn, vn, order = _canonical_pair(*act_generator(h, v, g), orbits)
             j = index.get((hn, vn))
             if j is None:
                 if len(members) >= cap:
                     raise OrbitCapExceeded(len(members))
                 j = index[hn, vn] = len(members)
                 members.append((hn, vn))
-                pos = inverse_images(order)
-                pending.append([[pos[t[x]] for x in order] for t in gens])
+                pending.append(orbits and [orbits[x] for x in order])
             out.append((j, order))
         edges.append(tuple(out))
     return OrbitGraph(members, edges, seed_order)

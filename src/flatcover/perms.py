@@ -122,7 +122,7 @@ def is_transitive(gens: list[Permutation], n: int) -> bool:
 
 
 def _canonical_pair(h: Sequence[int], v: Sequence[int],
-                    translations: Sequence[Sequence[int]] = ()
+                    orbits: Sequence[int] | None = None
                     ) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
     """Canonical relabelling of a transitive pair of image tuples under
     simultaneous conjugation.
@@ -141,12 +141,12 @@ def _canonical_pair(h: Sequence[int], v: Sequence[int],
     hn[1] = 0 exactly in 2-cycles of h (at least 2 elsewhere, since label 1
     is h(start)).
 
-    `translations` optionally lists image tuples of permutations commuting
-    with h and v (a generating set is enough).  A BFS from t(s) gives the
-    same (hn, vn) as one from s, so a start in the orbit of an earlier start
-    under the group they generate is skipped.  The first start reaching the
-    least (hn, vn) is the first of its orbit, so the result and `order` do
-    not change.
+    `orbits` optionally labels each square by its orbit under the
+    translations, the permutations commuting with h and v: squares with equal
+    labels lie in one orbit.  A BFS from t(s) gives the same (hn, vn) as one
+    from s, so only the first start of each label is tried.  The first start
+    reaching the least (hn, vn) is the first of its orbit, so the result and
+    `order` do not change.
     """
     n = len(h)
     hi = inverse_images(h)
@@ -154,22 +154,13 @@ def _canonical_pair(h: Sequence[int], v: Sequence[int],
     starts = ([s for s in range(n) if h[s] == s]
               or [s for s in range(n) if h[h[s]] == s]
               or range(n))
-    if translations:
+    if orbits is not None:
         # keep the first start of each orbit; translations commute with h,
         # so each orbit lies inside `starts` or misses it
-        seen = [False] * n
-        firsts = []
+        firsts: dict[int, int] = {}
         for start in starts:
-            if not seen[start]:
-                firsts.append(start)
-                seen[start] = True
-                orbit = [start]
-                for x in orbit:
-                    for t in translations:
-                        if not seen[t[x]]:
-                            seen[t[x]] = True
-                            orbit.append(t[x])
-        starts = firsts
+            firsts.setdefault(orbits[start], start)
+        starts = firsts.values()
     best_h = best_v = best_order = None
     for start in starts:
         new = [-1] * n

@@ -211,9 +211,9 @@ def test_census_computes_no_canonical_form_of_a_lift(monkeypatch):
     calls = Counter()
     canonical_pair = origami._canonical_pair
 
-    def counting(h, v, translations=()):
+    def counting(h, v, orbits=None):
         calls[len(h)] += 1
-        return canonical_pair(h, v, translations)
+        return canonical_pair(h, v, orbits)
 
     monkeypatch.setattr(origami, "_canonical_pair", counting)
     verify_sts_orbits(7)

@@ -119,6 +119,18 @@ def test_covers_generic_origami(run):
     assert out.count("H(2,2)") == 15
 
 
+def test_covers_rejects_a_base_outside_h2(run, monkeypatch):
+    # the lifts of a base in H(1,1) lie in H(1,1,1,1) and have no Arf
+    # invariant: the base is refused before any cover is built
+    def no_covers(*args):
+        raise AssertionError("a cover was built")
+
+    monkeypatch.setattr("flatcover.cli.all_double_covers", no_covers)
+    code, out, err = run("covers", "--origami", "n=4 h=(1,2) v=(1,3)(2,4)")
+    assert code == 2 and out == ""
+    assert "H(1,1)" in err
+
+
 def test_covers_argument_exclusivity(run):
     code, _, err = run("covers")
     assert code == 2 and "error" in err

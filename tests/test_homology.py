@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 import flatcover.origami
 from flatcover.classify import square_spins
 from flatcover.covers import all_double_covers
-from flatcover.origami import (Cycle, Origami, intersection, l_origami,
-                               symplectic_reduce, winding_index)
+from flatcover.origami import (Cycle, Origami, _reduce_cyclic, intersection,
+                               l_origami, symplectic_reduce, winding_index)
 from flatcover.perms import parse_cycles
 
 J4 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
@@ -70,6 +70,29 @@ def test_winding_index():
     assert winding_index(loop("EWENWS")) == winding_index(loop("ENWS"))
     # straight loops are regular
     assert winding_index(loop("E")) == 0
+
+
+def reference_reduce_cyclic(moves):
+    """Cancel one backtrack at a time, adjacent or across the ends, until
+    none is left."""
+    opposite = {"E": "W", "W": "E", "N": "S", "S": "N"}
+    moves = list(moves)
+    while True:
+        for i in range(len(moves) - 1):
+            if moves[i + 1] == opposite[moves[i]]:
+                del moves[i:i + 2]
+                break
+        else:
+            if len(moves) >= 2 and moves[0] == opposite[moves[-1]]:
+                moves = moves[1:-1]
+            else:
+                return moves
+
+
+@settings(max_examples=200)
+@given(st.text(alphabet="ENWS", max_size=24))
+def test_reduce_cyclic_matches_fixpoint(moves):
+    assert _reduce_cyclic(list(moves)) == reference_reduce_cyclic(moves)
 
 
 def test_fundamental_cycles_and_basis():
