@@ -16,8 +16,8 @@ from .lshape import (modulus_ratio, rational, vertical_twist_matrix,
 from .monodromy import (constrained_subgroup, decagon_cyclic_echo_count,
                         dihedral_structure, group_closure, is_symplectic,
                         commutes, self_adjoint, mat_H, mat_T, mat_V, mat_X,
-                        mat_mod, mat_pow, mat_vec, nonzero_vectors_mod2,
-                        orbit_partition, rho_R, rho_T, sp4_f2,
+                        mat_mod, mat_pow, mat_vec, orbit_partition,
+                        primitive_vectors, rho_R, rho_T, sp4_f2,
                         verify_decagon_periods, eigenbasis_checks)
 from .origami import Origami, act_generator, l_origami
 from .perms import Permutation, parse_cycles
@@ -36,7 +36,7 @@ def check_decagon_mod2(fast: bool = False):
     G = group_closure([rho_R(), rho_T()], 2)
     k = dihedral_structure(G, mod=2)
     parts = orbit_partition([mat_mod(rho_R(), 2), mat_mod(rho_T(), 2)],
-                            nonzero_vectors_mod2(), 2)
+                            primitive_vectors(2), 2)
     ok = len(G) == 10 and k == 5 and len(parts) == 3 and all(len(p) == 5 for p in parts)
     return ok, (f"order {len(G)} (want 10), dihedral k={k} (want 5), "
                 f"orbit sizes {sorted(len(p) for p in parts)} (want [5,5,5])")

@@ -17,9 +17,8 @@ from fractions import Fraction
 from . import InvariantError
 from .covers import affine_action_mod2, all_double_covers, cover_label
 from .lshape import IDENTITY4, check_prototype, symplectic_pairing
-from .monodromy import (label_vector, mat_H, mat_V, mat_X, mat_mod,
-                        nonzero_vectors_mod2, orbit_partition,
-                        primitive_vector_count, vector_label)
+from .monodromy import (label_vector, mat_H, mat_V, mat_X, mat_mod, orbit_partition,
+                        primitive_vector_count, primitive_vectors, vector_label)
 from .origami import l_origami, lattice_index
 
 HYP_LABELS = frozenset({2, 3, 5, 9, 13})
@@ -90,7 +89,7 @@ def echoes_of_WD(D: int, e: int | None = None) -> EchoTable:
     gens = [mat_mod(mat_H(b, e), 2), mat_mod(mat_V(b, e), 2)]
     if D % 8 == 1:
         gens.append(mat_X())
-    parts = orbit_partition(gens, nonzero_vectors_mod2(), 2)
+    parts = orbit_partition(gens, primitive_vectors(2), 2)
     hyp, odd = [], []
     for comp in parts:
         labels = tuple(sorted(vector_label(v) for v in comp))
@@ -270,7 +269,7 @@ def verify_sts_orbits(n: int, cap: int = 21) -> dict:
         graph, matrices = affine_action_mod2(base.origami, basis)
         base_size = len(graph.members)
         blocks = [tuple(sorted(vector_label(v) for v in part))
-                  for part in orbit_partition(set(matrices), nonzero_vectors_mod2(), 2)]
+                  for part in orbit_partition(set(matrices), primitive_vectors(2), 2)]
         if set(blocks) != set(table.hyp_orbits + table.odd_orbits):
             raise InvariantError(f"orbits {blocks} of the affine action differ "
                                  f"from the echo table of D={table.D}")

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 from . import InvariantError
 from .lshape import IDENTITY4, J4, symplectic_pairing
-from .monodromy import mat_vec, primitive_vector_count, primitive_vectors, vector_label
+from .monodromy import (mat_mod, mat_vec, primitive_vector_count, primitive_vectors,
+                        vector_label)
 from .origami import (Cycle, Origami, OrbitGraph, act_generator, mod2_forms,
                       sl2z_orbit_graph, spanning_tree)
 from .perms import Permutation, inverse_images
@@ -212,7 +213,7 @@ def affine_action_mod2(o: Origami, basis: list[Cycle]) -> tuple[OrbitGraph, list
     graph = sl2z_orbit_graph(o.h.images, o.v.images)
     carried = {}  # the frames of the members reached and not yet expanded
     targets: list = [None] * len(graph.members)
-    gram = tuple(tuple(x % 2 for x in row) for row in J4)
+    gram = mat_mod(J4, 2)
 
     def land(j, frame):
         read, packed = zip(*mod2_forms(*graph.members[j], frame))

@@ -224,23 +224,14 @@ def _decomposition_moduli(case: str, b: int, e: int):
     return [cylinder_modulus(c, x) for c, x in pairs]
 
 
-#: which ratio each shape reports (the commensurability witness in the
-#: paper): horizontal m1/m2 = b (curly: b - 2), vertical m2/m1 = b - e - 1
-#: (curly: b), slope m1/m2 = (b/2 - e - 2)/2 (curly: b/4)
-_RATIO_ORDER = {
-    "horizontal": ("m1", "m2"),
-    "vertical": ("m2", "m1"),
-    "slope": ("m1", "m2"),
-}
-
-
 def modulus_ratio(case: str, b: int, e: int) -> QuadraticElement:
     """The exact commensurability ratio of the two cylinder moduli of the
     given decomposition; always rational (InvariantError otherwise)."""
     m1, m2 = _decomposition_moduli(case, b, e)
-    shape = _DECOMPOSITIONS[case][0]
-    num, den = (m1, m2) if _RATIO_ORDER[shape] == ("m1", "m2") else (m2, m1)
-    ratio = num / den
+    # which ratio each shape reports (the commensurability witness in the
+    # paper): horizontal m1/m2 = b (curly: b - 2), vertical m2/m1 = b - e - 1
+    # (curly: b), slope m1/m2 = (b/2 - e - 2)/2 (curly: b/4)
+    ratio = m2 / m1 if _DECOMPOSITIONS[case][0] == "vertical" else m1 / m2
     if not ratio.is_rational():
         raise InvariantError(f"modulus ratio for {case} has a lambda-part: {ratio!r}")
     return ratio

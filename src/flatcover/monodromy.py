@@ -267,10 +267,6 @@ def vector_label(v) -> int:
     return (v[0] % 2) + 2 * (v[1] % 2) + 4 * (v[2] % 2) + 8 * (v[3] % 2)
 
 
-def nonzero_vectors_mod2():
-    return [label_vector(label) for label in range(1, 16)]
-
-
 _SP4_F2: frozenset | None = None
 
 
@@ -279,7 +275,7 @@ def sp4_f2() -> frozenset:
     x -> x + <v, x> v (mod 2 by the closure), built on the first call."""
     global _SP4_F2
     if _SP4_F2 is None:
-        group = group_closure([multitwist_matrix([(v, 1)]) for v in nonzero_vectors_mod2()],
+        group = group_closure([multitwist_matrix([(v, 1)]) for v in primitive_vectors(2)],
                               mod=2, cap=2000)
         if len(group) != 720:
             raise InvariantError(f"|Sp(4, F2)| computed as {len(group)}, not 720")

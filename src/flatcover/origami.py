@@ -352,7 +352,7 @@ class Origami:
 
     def canonical_form(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Lexicographically least relabeling (hn, vn) over BFS from every
-        start square with edge order (h, v, h^-1, v^-1); cached.
+        start square with edge order (h, v); cached.
 
         A start is dropped as soon as an entry of its hn exceeds the best hn
         so far, and vn is compared only when hn ties (see `_canonical_pair`).
@@ -588,9 +588,13 @@ def act_generator(h, v, g: str):
 def translation_images(h, v) -> list[list[int]]:
     """Image lists of all permutations commuting with both h and v, for the
     transitive pair (h, v): the one sending square 0 to k, for each k that
-    admits one, in increasing k (the identity first)."""
+    admits one, in increasing k (the identity first).
+
+    t is pushed from square 0 along h and v only: these reach every square
+    (h^-1 and v^-1 are powers of h and v), and a map commuting with h and v
+    commutes with their inverses."""
     n = len(h)
-    maps = (h, v, inverse_images(h), inverse_images(v))
+    maps = (h, v)
     result = []
     for k in range(n):
         t = [-1] * n
@@ -619,6 +623,11 @@ def spanning_tree(h, v) -> list[tuple[int, int, tuple[str, int], int]]:
     discovery order as (parent, child, edge, direction): edge is ('E'|'N', s),
     the right or top edge of square s, and direction is +1 when the step
     crosses it forward (E, N) and -1 when backward (W, S).
+
+    h and v alone would reach every square too, but not by this tree: it is
+    a shortest-path tree of the undirected adjacency graph, and it fixes the
+    cover gauge and the fundamental cycles, so the lift texts and the labels
+    of `covers --origami` depend on all four edges.
     """
     hi, vi = inverse_images(h), inverse_images(v)
     seen = [False] * len(h)

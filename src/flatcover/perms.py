@@ -101,11 +101,14 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 
 
 def is_transitive(gens: list[Permutation], n: int) -> bool:
-    """True iff <gens> has a single orbit on {0..n-1}."""
+    """True iff <gens> has a single orbit on {0..n-1}.
+
+    The search follows the generators forward only: <gens> is finite, so
+    g^-1 is a power of g and reaches no square that g does not."""
     for g in gens:
         if g.n != n:
             raise ValueError(f"degree mismatch: generator has degree {g.n}, not {n}")
-    maps = [g.images for g in gens] + [inverse_images(g.images) for g in gens]
+    maps = [g.images for g in gens]
     seen = [False] * n
     seen[0] = True
     stack = [0]
@@ -127,11 +130,12 @@ def _canonical_pair(h: Sequence[int], v: Sequence[int],
     """Canonical relabelling of a transitive pair of image tuples under
     simultaneous conjugation.
 
-    A BFS from a start square with edge order (h, v, h^-1, v^-1) numbers the
-    squares in visiting order and gives the relabelled pair (hn, vn); the
-    result is the lexicographically least (hn, vn) over all start squares,
-    with the winning start's visiting `order`: order[k] is the square that
-    gets label k, so hn[k] = order.index(h[order[k]]).
+    A BFS from a start square with edge order (h, v) numbers the squares in
+    visiting order and gives the relabelled pair (hn, vn); it reaches every
+    square, since <h, v> is finite and h^-1, v^-1 are powers of h and v.
+    The result is the lexicographically least (hn, vn) over all start
+    squares, with the winning start's visiting `order`: order[k] is the
+    square that gets label k, so hn[k] = order.index(h[order[k]]).
 
     The BFS fixes hn[k] = new[h[order[k]]] as soon as it takes node k from
     the queue, so a start is dropped at the first entry where its hn exceeds
@@ -149,8 +153,6 @@ def _canonical_pair(h: Sequence[int], v: Sequence[int],
     `order` do not change.
     """
     n = len(h)
-    hi = inverse_images(h)
-    vi = inverse_images(v)
     starts = ([s for s in range(n) if h[s] == s]
               or [s for s in range(n) if h[h[s]] == s]
               or range(n))
@@ -179,18 +181,7 @@ def _canonical_pair(h: Sequence[int], v: Sequence[int],
                 if x > best_h[k]:
                     break
                 tied = False
-            # v, h^-1, v^-1 unrolled: this loop is the hot path of the census
             t = v[s]
-            if new[t] < 0:
-                new[t] = cnt
-                cnt += 1
-                order.append(t)
-            t = hi[s]
-            if new[t] < 0:
-                new[t] = cnt
-                cnt += 1
-                order.append(t)
-            t = vi[s]
             if new[t] < 0:
                 new[t] = cnt
                 cnt += 1

@@ -10,8 +10,7 @@ from flatcover.covers import (Cover, affine_action_mod2, all_double_covers,
                               gauge_fixed, primitive_vector_count)
 from flatcover.lshape import IDENTITY4, symplectic_pairing
 from flatcover.monodromy import (group_closure, is_symplectic, mat_H, mat_mod, mat_V, mat_X,
-                                 nonzero_vectors_mod2, orbit_partition, primitive_vectors,
-                                 vector_label)
+                                 orbit_partition, primitive_vectors, vector_label)
 from flatcover.origami import (Origami, act_generator, intersection, l_origami,
                                spanning_tree, symplectic_reduce)
 from flatcover.perms import Permutation, parse_cycles
@@ -358,7 +357,7 @@ def test_affine_action_mod2_gives_the_echo_table(n):
                     assert matrices[2 * i + g] == IDENTITY4
         assert len(reached) == len(graph.members)
         blocks = {tuple(sorted(vector_label(v) for v in part))
-                  for part in orbit_partition(matrices, nonzero_vectors_mod2(), 2)}
+                  for part in orbit_partition(matrices, primitive_vectors(2), 2)}
         table = echoes_of_WD(n * n, e)
         assert blocks == set(table.hyp_orbits + table.odd_orbits)
         group = group_closure(set(matrices), 2)

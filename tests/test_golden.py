@@ -4,12 +4,13 @@ edge matrices and of CLI stdout.
 The census digests pin the whole census report (labels, orbit sizes, Arf
 invariants, flags).  The matrix digests pin each edge matrix of
 `affine_action_mod2`, which the census sees only through its orbits.  The
-`orbit` digests pin the representatives, which are the canonical forms in
-sorted order written as cycle text: a different canonical labelling or text
-format changes them, which no other test checks value for value.  Two of
-them are of surfaces with translations, whose orbit BFS tries only one start
-per translation orbit of squares.  The other CLI digests pin the cover labels
-(which depend on `symplectic_basis` for `covers --origami`), echo and
+`orbit` digests pin the representatives, which are the canonical forms
+(least relabelling over BFS with edge order (h, v) from every start square)
+in sorted order written as cycle text: a different canonical labelling or
+text format changes them, which no other test checks value for value.  Two
+of them are of surfaces with translations, whose orbit BFS tries only one
+start per translation orbit of squares.  The other CLI digests pin the cover
+labels (which depend on `symplectic_basis` for `covers --origami`), echo and
 primitive tables and the decagon counts.
 """
 import hashlib
@@ -71,16 +72,16 @@ def test_orbit_json_digest(capsys):
                  "--format", "json"])
     assert code == 0
     assert sha256(capsys.readouterr().out) == (
-        "d2d780fd6106c01772f29d7e6b8af002c2f878ba253a76cc3f7c6412bf21de86")
+        "3539dc9452eadce3ceb46920a5d64f6973e2e2e666d47246f55870205a3f0da9")
 
 
 @pytest.mark.parametrize("text, digest", [
     # a double-cover lift with 2 translations (orbit size 36)
     ("n=10 h=(1,2)(6,7)(3,8)(4,9)(5,10) v=(2,3,4,5)(7,8,9,10)",
-     "9451020b1810594d54ca435507c66053765d07068f4708656640f42ed220c7f8"),
+     "f38f909b4b613f55332e31e92423fd777e0da297cc5f29e492e36f150a33e12a"),
     # the escalator: 8 translations, one orbit of squares (orbit size 3)
     ("n=8 h=(1,2)(3,4)(5,6)(7,8) v=(2,3)(4,5)(6,7)(8,1)",
-     "0a1d1ab6ba1ce10e9db5d4009a8660b8a4451543ffd340ae9184e0dad4f54eed"),
+     "39f0898582b7dcbd24b46d6f4431db25862a67301a4b7c7c128557fd7f171076"),
 ])
 def test_orbit_json_digest_with_translations(capsys, text, digest):
     # the orbit BFS tries one start per translation orbit of squares here

@@ -129,6 +129,47 @@ def test_transitivity():
         is_transitive([a], 5)
 
 
+def reference_is_transitive(gens, n):
+    """One component of the undirected graph x -- g(x): the search follows
+    each generator both ways."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            for y in (g.images[x], g.images.index(x)):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return len(seen) == n
+
+
+@st.composite
+def generator_lists(draw, max_n=7):
+    """1 to 3 permutations of one degree; with `split`, each maps
+    {0..cut-1} to itself, so the list is not transitive."""
+    n = draw(st.integers(1, max_n))
+    cut = draw(st.integers(1, n))
+    split = cut < n and draw(st.booleans())
+
+    def gen():
+        if not split:
+            return Permutation(draw(st.permutations(range(n))))
+        return Permutation(draw(st.permutations(range(cut)))
+                           + draw(st.permutations(range(cut, n))))
+
+    return [gen() for _ in range(draw(st.integers(1, 3)))], n, split
+
+
+@given(generator_lists())
+def test_transitivity_matches_undirected_reference(case):
+    gens, n, split = case
+    got = is_transitive(gens, n)
+    assert got == reference_is_transitive(gens, n)
+    if split:
+        assert not got
+
+
 @given(perms())
 def test_cycle_text_matches_cycles(p):
     assert cycle_text(p.images) == "".join(
