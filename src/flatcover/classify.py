@@ -233,7 +233,7 @@ def count_formulas(n: int):
     return a, int(b)
 
 
-def verify_sts_orbits(n: int, cap: int = 21) -> dict:
+def verify_sts_orbits(n: int, cap: int = 31) -> dict:
     """Census of SL(2,Z)-orbits of the genus-3 double covers of the n-square
     eigenform surfaces (n <= cap), by the action on homology mod 2.
 

@@ -351,14 +351,17 @@ class Origami:
     # -- canonical form ----------------------------------------------------
 
     def canonical_form(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Lexicographically least relabeling (hn, vn) over BFS from every
-        start square with edge order (h, v); cached.
+        """Lexicographically least relabeling (hn, vn) over BFS with edge
+        order (h, v) from every square whose top-right corner is a cone point
+        (from every square of a torus); cached.
 
-        A start is dropped as soon as an entry of its hn exceeds the best hn
-        so far, and vn is compared only when hn ties (see `_canonical_pair`).
-        `sl2z_orbit_graph` also passes the seed's translation orbits, so that
-        only the first start of each orbit is tried; the result and the
-        relabelling `order` do not change.
+        The set of these squares is kept by every relabelling, so the key is
+        complete.  A start is dropped as soon as an entry of its hn exceeds
+        the best hn so far, and vn is compared only when hn ties (see
+        `_canonical_pair`).  `sl2z_orbit_graph` uses the same key, and also
+        passes the seed's translation orbits, so that only the first start of
+        each orbit is tried; the result and the relabelling `order` do not
+        change.
         """
         if self._canon is None:
             hn, vn, _ = _canonical_pair(self.h.images, self.v.images)
@@ -668,6 +671,11 @@ def sl2z_orbit_graph(h, v, cap: int = 10**6) -> OrbitGraph:
     forward closure is the whole orbit.  The pairs stay transitive, since
     <v^-1 h, v> = <h, v> = <h, h^-1 v>.  Raises OrbitCapExceeded once more
     than `cap` >= 1 forms are found.
+
+    Each member is keyed by `_canonical_pair`, which starts its BFS only at
+    the squares whose top-right corner is a cone point, as
+    `Origami.canonical_form` does, so a member can be looked up by the
+    canonical form of any pair in the orbit.
 
     A translation t of (h, v) commutes with v^-1 h and h^-1 v too, so every
     member has the seed's translation orbits on squares.  The seed's squares

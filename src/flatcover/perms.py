@@ -133,17 +133,23 @@ def _canonical_pair(h: Sequence[int], v: Sequence[int],
     A BFS from a start square with edge order (h, v) numbers the squares in
     visiting order and gives the relabelled pair (hn, vn); it reaches every
     square, since <h, v> is finite and h^-1, v^-1 are powers of h and v.
-    The result is the lexicographically least (hn, vn) over all start
+    The result is the lexicographically least (hn, vn) over the start
     squares, with the winning start's visiting `order`: order[k] is the
     square that gets label k, so hn[k] = order.index(h[order[k]]).
 
+    The starts are the squares whose top-right corner is a cone point, where
+    going right then up and going up then right end on different squares
+    (h[v[s]] != v[h[s]]): 3 squares in H(2), 6 in H(2, 2).  A relabelling
+    maps this set to itself, so the least (hn, vn) over it is still a
+    complete invariant of the conjugacy class.  A pair without one (a torus)
+    falls back on the fixed points of h, else the 2-cycles of h, else every
+    square: these are the starts that can reach the least hn[0] and hn[1]
+    (hn[0] = 0 exactly at fixed points of h, and without fixed points
+    hn[1] = 0 exactly in 2-cycles of h).
+
     The BFS fixes hn[k] = new[h[order[k]]] as soon as it takes node k from
     the queue, so a start is dropped at the first entry where its hn exceeds
-    the best hn so far; vn is compared only when hn ties all the way.  Only
-    starts that can reach the least hn[0] and hn[1] are tried: hn[0] = 0
-    exactly at fixed points of h (1 elsewhere), and without fixed points
-    hn[1] = 0 exactly in 2-cycles of h (at least 2 elsewhere, since label 1
-    is h(start)).
+    the best hn so far; vn is compared only when hn ties all the way.
 
     `orbits` optionally labels each square by its orbit under the
     translations, the permutations commuting with h and v: squares with equal
@@ -153,12 +159,13 @@ def _canonical_pair(h: Sequence[int], v: Sequence[int],
     `order` do not change.
     """
     n = len(h)
-    starts = ([s for s in range(n) if h[s] == s]
+    starts = ([s for s in range(n) if h[v[s]] != v[h[s]]]
+              or [s for s in range(n) if h[s] == s]
               or [s for s in range(n) if h[h[s]] == s]
               or range(n))
     if orbits is not None:
-        # keep the first start of each orbit; translations commute with h,
-        # so each orbit lies inside `starts` or misses it
+        # keep the first start of each orbit; translations commute with h
+        # and v, so each orbit lies inside `starts` or misses it
         firsts: dict[int, int] = {}
         for start in starts:
             firsts.setdefault(orbits[start], start)

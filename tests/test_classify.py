@@ -154,7 +154,7 @@ def test_sts_orbit_sizes_five():
 
 def test_sts_cap():
     with pytest.raises(ValueError):
-        verify_sts_orbits(22)
+        verify_sts_orbits(32)
 
 
 def test_sts_census_thirteen():

@@ -5,13 +5,13 @@ The census digests pin the whole census report (labels, orbit sizes, Arf
 invariants, flags).  The matrix digests pin each edge matrix of
 `affine_action_mod2`, which the census sees only through its orbits.  The
 `orbit` digests pin the representatives, which are the canonical forms
-(least relabelling over BFS with edge order (h, v) from every start square)
-in sorted order written as cycle text: a different canonical labelling or
-text format changes them, which no other test checks value for value.  Two
-of them are of surfaces with translations, whose orbit BFS tries only one
-start per translation orbit of squares.  The other CLI digests pin the cover
-labels (which depend on `symplectic_basis` for `covers --origami`), echo and
-primitive tables and the decagon counts.
+(least relabelling over BFS with edge order (h, v) from every square whose
+top-right corner is a cone point) in sorted order written as cycle text: a
+different canonical labelling or text format changes them, which no other
+test checks value for value.  Two of them are of surfaces with translations,
+whose orbit BFS tries only one start per translation orbit of squares.  The
+other CLI digests pin the cover labels (which depend on `symplectic_basis`
+for `covers --origami`), echo and primitive tables and the decagon counts.
 """
 import hashlib
 
@@ -42,6 +42,9 @@ def sha256(text: str) -> str:
     (16, "193cb5aeb2b1aa2f2d36febce06b20fc7d331dc33a6ac43d9feb0e07a31ebad3"),
     (17, "099d9fc8bb4a3b640bb4c09f3e478685dc11ac281edf075788551e14df61a4e9"),
     (18, "87bec6cc2759986cf22783b4d2ecfc353f0470627f446872f81a8fadc0d698df"),
+    (19, "93b4305ca585ebc43ea88dbf4c3f082dec644e6a196026b32112331168f77539"),
+    (20, "e671a3d59b4e23007b860761a8cb07b976e253c63850910cbea7bde2f9b7ad45"),
+    (21, "91b6ab6e50dbb842d83e6d9178ad3661ccf3fd33819bba4c1ccfcddcf7502f48"),
 ])
 def test_census_json_digest(n, digest):
     assert sha256(census_to_json(verify_sts_orbits(n))) == digest
@@ -72,13 +75,13 @@ def test_orbit_json_digest(capsys):
                  "--format", "json"])
     assert code == 0
     assert sha256(capsys.readouterr().out) == (
-        "3539dc9452eadce3ceb46920a5d64f6973e2e2e666d47246f55870205a3f0da9")
+        "36a0b7e49cd9ae0034153053386f3e664d1b008a14e5abdaf41c094bff6d5105")
 
 
 @pytest.mark.parametrize("text, digest", [
     # a double-cover lift with 2 translations (orbit size 36)
     ("n=10 h=(1,2)(6,7)(3,8)(4,9)(5,10) v=(2,3,4,5)(7,8,9,10)",
-     "f38f909b4b613f55332e31e92423fd777e0da297cc5f29e492e36f150a33e12a"),
+     "84611177d101de0ecc472a5ef64c93cc161e8cc88552ef2db650c4f3ee574408"),
     # the escalator: 8 translations, one orbit of squares (orbit size 3)
     ("n=8 h=(1,2)(3,4)(5,6)(7,8) v=(2,3)(4,5)(6,7)(8,1)",
      "39f0898582b7dcbd24b46d6f4431db25862a67301a4b7c7c128557fd7f171076"),

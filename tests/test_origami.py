@@ -89,35 +89,44 @@ def test_canonical_form_conjugation_invariant(o, seed):
     assert conj == o
 
 
+def bfs_relabelling(h, v, start):
+    """The pair relabelled in the visiting order of a full BFS from `start`
+    with edge order (h, v)."""
+    n = len(h)
+    new = [-1] * n
+    order = [start]
+    new[start] = 0
+    cnt = 1
+    qi = 0
+    while qi < len(order):
+        s = order[qi]
+        qi += 1
+        for t in (h[s], v[s]):
+            if new[t] < 0:
+                new[t] = cnt
+                cnt += 1
+                order.append(t)
+    hn = [0] * n
+    vn = [0] * n
+    for s in range(n):
+        hn[new[s]] = new[h[s]]
+        vn[new[s]] = new[v[s]]
+    return tuple(hn), tuple(vn)
+
+
 def reference_canonical_form(o):
-    """The plain loop: full BFS from every start square with edge order
-    (h, v), least (hn, vn) over all of them."""
-    n = o.n
+    """The plain loop: full BFS from every cone square (h[v[s]] != v[h[s]]),
+    or from every square when there is none, least (hn, vn) over them."""
     h, v = o.h.images, o.v.images
-    best = None
-    for start in range(n):
-        new = [-1] * n
-        order = [start]
-        new[start] = 0
-        cnt = 1
-        qi = 0
-        while qi < len(order):
-            s = order[qi]
-            qi += 1
-            for t in (h[s], v[s]):
-                if new[t] < 0:
-                    new[t] = cnt
-                    cnt += 1
-                    order.append(t)
-        hn = [0] * n
-        vn = [0] * n
-        for s in range(n):
-            hn[new[s]] = new[h[s]]
-            vn[new[s]] = new[v[s]]
-        enc = (tuple(hn), tuple(vn))
-        if best is None or enc < best:
-            best = enc
-    return best
+    starts = [s for s in range(o.n) if h[v[s]] != v[h[s]]] or range(o.n)
+    return min(bfs_relabelling(h, v, s) for s in starts)
+
+
+def all_starts_canonical_form(o):
+    """Least (hn, vn) over a full BFS from every square: a complete key that
+    does not depend on the choice of starts."""
+    h, v = o.h.images, o.v.images
+    return min(bfs_relabelling(h, v, s) for s in range(o.n))
 
 
 def relabel(o, seed):
@@ -412,6 +421,20 @@ def lifted_origamis(draw, max_n=5, max_m=4):
     except ValueError:
         assume(False)
     return relabel(lift, draw(st.integers(0, 2 ** 30)))
+
+
+some_origamis = st.one_of(origamis(max_n=8), lifted_origamis())
+
+
+@settings(max_examples=150, deadline=None)
+@given(some_origamis, some_origamis, st.integers(0, 2 ** 30))
+def test_cone_square_key_is_complete(o, other, seed):
+    # the key over the cone squares is a conjugacy invariant ...
+    key = o.canonical_form()
+    assert relabel(o, seed).canonical_form() == key
+    # ... and tells pairs apart exactly as the key over all squares does
+    assert (other.canonical_form() == key) == \
+        (all_starts_canonical_form(other) == all_starts_canonical_form(o))
 
 
 def orbit_labels(o):
