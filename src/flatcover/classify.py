@@ -126,14 +126,6 @@ def square_spins(d: int) -> list[tuple[int, int]]:
     return [((d * d - e * e) // 4, e) for e in spins]
 
 
-def _square_spin(d: int, e: int) -> tuple[int, int]:
-    spins = square_spins(d)
-    for b, spin in spins:
-        if spin == e:
-            return b, e
-    raise ValueError(f"d={d} admits only e in {[spin for _, spin in spins]}")
-
-
 def _block_is_primitive(d: int, e: int, block) -> bool:
     """The closed-form primitivity shared by the anchors in an orbit block
     (primitivity is invariant under the affine action)."""
@@ -147,7 +139,9 @@ def _block_is_primitive(d: int, e: int, block) -> bool:
 def is_primitive_cover(d: int, e: int, label: int) -> bool:
     """Closed-form primitivity of the double cover `label` of the d^2-square
     eigenform surface, propagated along its monodromy orbit."""
-    _square_spin(d, e)
+    if d < 3:
+        raise ValueError("need d >= 3")
+    _spin_parameters(d * d, e)
     if not 1 <= label <= 15:
         raise ValueError("label must be in 1..15")
     return _block_is_primitive(d, e, echoes_of_WD(d * d, e).block_of(label))
@@ -160,7 +154,9 @@ def primitive_cover_oracle(d: int, e: int, gamma) -> bool:
 
     gamma may be a label in 1..15 or the mod-2 vector (x1, y1, x2, y2).
     """
-    b, e = _square_spin(d, e)
+    if d < 3:
+        raise ValueError("need d >= 3")
+    b, e = _spin_parameters(d * d, e)
     lam = (e + d) // 2
     if isinstance(gamma, int):
         gamma = label_vector(gamma)
@@ -195,7 +191,9 @@ def primitive_cover_oracle(d: int, e: int, gamma) -> bool:
 def primitive_echo_table(d: int, e: int) -> EchoTable:
     """The echo table of W_{d^2} restricted to the primitive covers
     (Table keyed by (d mod 4, (d - e) mod 4))."""
-    _square_spin(d, e)
+    if d < 3:
+        raise ValueError("need d >= 3")
+    _spin_parameters(d * d, e)
     table = echoes_of_WD(d * d, e)
 
     def keep(blocks):

@@ -14,11 +14,11 @@ is sum gamma[k] G_k mod m over the gauge-fixed dual cocycles G_k of the four
 basis cycles, so the covers of one surface and modulus take one walk of the
 tree in all.  The double covers are the Z/2 cyclic covers: the primitive
 vectors of (Z/2)^4 are its 15 nonzero vectors.  A cover's dual class moves
-under SL(2,Z) as a homology class, so `affine_action_mod2` carries four
-chains mod 2 along the base's orbit graph and reads one F_2 matrix per edge
-off their intersection numbers (`origami.mod2_forms`), checking each image's
-Gram matrix.  A basis is four cycles on the base's squares (ValueError
-otherwise).
+under SL(2,Z) as a homology class, so `affine_action_mod2` pushes four
+chains mod 2 along the base's orbit graph, into each target member's labels,
+and reads one F_2 matrix per edge off their intersection numbers
+(`origami.mod2_forms`), checking each image's Gram matrix.  A basis is four
+cycles on the base's squares (ValueError otherwise).
 """
 from __future__ import annotations
 
@@ -28,8 +28,8 @@ from . import InvariantError
 from .lshape import IDENTITY4, J4, symplectic_pairing
 from .monodromy import (mat_mod, mat_vec, primitive_vector_count, primitive_vectors,
                         vector_label)
-from .origami import (Cycle, Origami, OrbitGraph, act_generator, mod2_forms,
-                      sl2z_orbit_graph, spanning_tree)
+from .origami import (Cycle, Origami, OrbitGraph, mod2_forms, sl2z_orbit_graph,
+                      spanning_tree)
 from .perms import Permutation, inverse_images
 
 
@@ -189,15 +189,18 @@ def affine_action_mod2(o: Origami, basis: list[Cycle]) -> tuple[OrbitGraph, list
     for M = matrices[2 i], matrices[2 i + 1] on the L, R edges of member i.
 
     Each member carries a frame of four classes mod 2, as the chains
-    (sig, tau) of a `Cycle`.  L sends h to h' = v^-1 h and an E step to E
-    then N: tau[h'[s]] += sig[s].  R sends v to v' = h^-1 v and an N step to
-    N then E: sig[v'[s]] += tau[s].  The image is relabelled by the edge's
-    `order`.  Member 0's frame is the basis relabelled by `seed_order`, and
-    the edge that first reaches a member carries its frame there, so the BFS
-    tree edges act as the identity.  Entry (l, k) of a matrix is the
-    intersection number mod 2 of image class k with target class l ^ 1 on
-    the target member (h_j, v_j), read off `origami.mod2_forms`; only the
-    targets' packed ints are kept.  The Gram matrix mod 2 of every image
+    (sig, tau) of a `Cycle`, pushed by an edge straight into the labels of
+    its target (h_j, v_j) with the edge's `order`.  L sends h to v^-1 h and
+    an E step to E then N: sig_j[k] = sig[order[k]] and
+    tau_j[k] = tau[order[k]] + sig_j[h_j^-1[k]].  R sends v to h^-1 v and an
+    N step to N then E: tau_j[k] = tau[order[k]] and
+    sig_j[k] = sig[order[k]] + tau_j[v_j^-1[k]].  Each member is the target
+    of one L and one R edge, so each h_j and v_j is inverted once.  Member
+    0's frame is the basis relabelled by `seed_order`, and the edge that
+    first reaches a member carries its frame there, so the BFS tree edges act
+    as the identity.  Entry (l, k) of a matrix is the intersection number
+    mod 2 of image class k with target class l ^ 1 on the target member, read
+    off `origami.mod2_forms`; only the targets' packed ints are kept.  The Gram matrix mod 2 of every image
     frame must be J4 mod 2 (InvariantError otherwise); at member 0 this
     rejects a basis that is not symplectic mod 2.  A basis that is not four
     cycles on o's squares is a ValueError.
@@ -228,15 +231,15 @@ def affine_action_mod2(o: Origami, basis: list[Cycle]) -> tuple[OrbitGraph, list
              for c in basis])
     matrices = []
     for i, ((jl, order_l), (jr, order_r)) in enumerate(graph.edges):
-        # hl = v^-1 h and vr = h^-1 v are inverse to each other, so the push
-        # rules read tau'[t] = tau[t] + sig[vr[t]] and sig'[t] = sig[t] + tau[hl[t]]
-        hl = act_generator(*graph.members[i], "L")[0]
-        vr = act_generator(*graph.members[i], "R")[1]
         frame = carried.pop(i)
-        matrices.append(land(jl, [([sig[s] for s in order_l],
-                                   [tau[s] ^ sig[vr[s]] for s in order_l])
-                                  for sig, tau in frame]))
-        matrices.append(land(jr, [([sig[s] ^ tau[hl[s]] for s in order_r],
-                                   [tau[s] for s in order_r])
-                                  for sig, tau in frame]))
+        hi = inverse_images(graph.members[jl][0])
+        vi = inverse_images(graph.members[jr][1])
+        image_l, image_r = [], []
+        for sig, tau in frame:
+            sig_l = [sig[s] for s in order_l]
+            image_l.append((sig_l, [tau[s] ^ sig_l[t] for s, t in zip(order_l, hi)]))
+            tau_r = [tau[s] for s in order_r]
+            image_r.append(([sig[s] ^ tau_r[t] for s, t in zip(order_r, vi)], tau_r))
+        matrices.append(land(jl, image_l))
+        matrices.append(land(jr, image_r))
     return graph, matrices

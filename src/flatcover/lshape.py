@@ -252,16 +252,14 @@ IDENTITY4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 J4 = tuple(tuple(symplectic_pairing(u, w) for w in IDENTITY4) for u in IDENTITY4)
 
 
-def multitwist_matrix(cylinders, handedness: int = 1):
-    """Composite transvection x -> x + handedness * k <c, x> c over the given
+def multitwist_matrix(cylinders):
+    """Composite transvection x -> x + k <c, x> c over the given
     (core_class, power) pairs.
 
-    Horizontal multitwists of the L surfaces use handedness +1, vertical ones
-    -1 (a right-handed twist seen along the core points opposite ways relative
-    to the orientation of the symplectic form).
+    Horizontal multitwists of the L surfaces have positive powers, vertical
+    ones negative (a right-handed twist seen along the core points opposite
+    ways relative to the orientation of the symplectic form).
     """
-    if handedness not in (1, -1):
-        raise ValueError("handedness must be +1 or -1")
     cols = []
     for j in range(4):
         x = IDENTITY4[j]
@@ -271,7 +269,7 @@ def multitwist_matrix(cylinders, handedness: int = 1):
             if gcd(gcd(abs(core[0]), abs(core[1])),
                    gcd(abs(core[2]), abs(core[3]))) != 1:
                 raise ValueError("core class must be primitive")
-            coef = handedness * k * symplectic_pairing(core, x)
+            coef = k * symplectic_pairing(core, x)
             x = [xi + coef * ci for xi, ci in zip(x, core)]
         cols.append(x)
     return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
@@ -279,10 +277,9 @@ def multitwist_matrix(cylinders, handedness: int = 1):
 
 def horizontal_twist_matrix(b: int, e: int):
     """H, rebuilt from the horizontal cylinder cores (a1, power b), (a2, 1)."""
-    return multitwist_matrix([((1, 0, 0, 0), b), ((0, 0, 1, 0), 1)], handedness=1)
+    return multitwist_matrix([((1, 0, 0, 0), b), ((0, 0, 1, 0), 1)])
 
 
 def vertical_twist_matrix(b: int, e: int):
-    """V, rebuilt from the vertical cores (b1+b2, 1), (b2, b-e-1)."""
-    return multitwist_matrix([((0, 1, 0, 1), 1), ((0, 0, 0, 1), b - e - 1)],
-                             handedness=-1)
+    """V, rebuilt from the vertical cores (b1+b2, power -1), (b2, -(b-e-1))."""
+    return multitwist_matrix([((0, 1, 0, 1), -1), ((0, 0, 0, 1), -(b - e - 1))])

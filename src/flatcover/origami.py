@@ -352,8 +352,9 @@ class Origami:
 
     def canonical_form(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Lexicographically least relabeling (hn, vn) over BFS with edge
-        order (h, v) from every square whose top-right corner is a cone point
-        (from every square of a torus); cached.
+        order (h, v) from every square whose top-right corner is a cone point,
+        or from square 0 of a torus, where every start gives the same
+        relabeling; cached.
 
         The set of these squares is kept by every relabelling, so the key is
         complete.  A start is dropped as soon as an entry of its hn exceeds

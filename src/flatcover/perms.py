@@ -142,10 +142,9 @@ def _canonical_pair(h: Sequence[int], v: Sequence[int],
     (h[v[s]] != v[h[s]]): 3 squares in H(2), 6 in H(2, 2).  A relabelling
     maps this set to itself, so the least (hn, vn) over it is still a
     complete invariant of the conjugacy class.  A pair without one (a torus)
-    falls back on the fixed points of h, else the 2-cycles of h, else every
-    square: these are the starts that can reach the least hn[0] and hn[1]
-    (hn[0] = 0 exactly at fixed points of h, and without fixed points
-    hn[1] = 0 exactly in 2-cycles of h).
+    starts at square 0 alone: there hv = vh, so <h, v> is abelian and
+    transitive, hence regular, and its elements are translations carrying
+    square 0 to any square; every start gives the same (hn, vn).
 
     The BFS fixes hn[k] = new[h[order[k]]] as soon as it takes node k from
     the queue, so a start is dropped at the first entry where its hn exceeds
@@ -159,10 +158,7 @@ def _canonical_pair(h: Sequence[int], v: Sequence[int],
     `order` do not change.
     """
     n = len(h)
-    starts = ([s for s in range(n) if h[v[s]] != v[h[s]]]
-              or [s for s in range(n) if h[s] == s]
-              or [s for s in range(n) if h[h[s]] == s]
-              or range(n))
+    starts = [s for s in range(n) if h[v[s]] != v[h[s]]] or [0]
     if orbits is not None:
         # keep the first start of each orbit; translations commute with h
         # and v, so each orbit lies inside `starts` or misses it

@@ -94,6 +94,13 @@ def test_primitive(run):
     assert code == 0 and "primitive labels" in out
 
 
+@pytest.mark.parametrize("d, e", [("4", "1"), ("3", "1"), ("-5", "1")])
+def test_primitive_rejects_inadmissible_spin(run, d, e):
+    # even d needs e = 0, d = 3 only e = -1, and d must be at least 3
+    code, out, err = run("primitive", "--d", d, "--e", e)
+    assert code == 2 and out == "" and "error" in err
+
+
 def test_decagon(run):
     code, out, _ = run("decagon", "--max-n", "5", "--format", "json")
     assert code == 0

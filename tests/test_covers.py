@@ -321,6 +321,24 @@ def test_affine_action_mod2_guards():
             affine_action_mod2(o, [a1, a2, b1, b2])
 
 
+def test_affine_action_mod2_applies_no_generator_itself(monkeypatch):
+    # the orbit BFS applies L and R once per member; the frames are pushed
+    # with the targets' own maps, so affine_action_mod2 adds no call
+    import flatcover.covers
+    import flatcover.origami
+    calls = []
+
+    def counted(h, v, g):
+        calls.append(g)
+        return act_generator(h, v, g)
+
+    monkeypatch.setattr(flatcover.origami, "act_generator", counted)
+    monkeypatch.setattr(flatcover.covers, "act_generator", counted, raising=False)
+    o, basis = lshape(30, -1)
+    graph, _ = affine_action_mod2(o, basis)
+    assert len(calls) == 2 * len(graph.members)
+
+
 def test_basis_from_another_origami_is_a_value_error():
     # L(2, -1) has 3 squares, L(6, 1) 5 and L(16, 0) 8
     a, b = l_origami(2, -1), l_origami(6, 1)

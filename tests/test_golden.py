@@ -60,6 +60,14 @@ def test_census_json_digest(n, digest):
     (11, "e5b02107a55eaf9ef0a129da3b6f62dbed32f27fd9b886e30a89137636b76c96"),
     (12, "5f9cb172c2276a1ee09d286b2d664056e5e1428458582190844fd5c66ea076a3"),
     (13, "35c9eec1109322ec471d9fb2bad69786ffaf25a14dc984bea3e37e0cde24da7e"),
+    (14, "17925a0783455301ee058bcb4720e1d41a6a7da260cbf578f08b63718e63b930"),
+    (15, "6b6463f641522a59b379a4a0b4eb6a86a123bb553c611ff86141c7b000c6d40b"),
+    (16, "b88542fc7bc2443c445741567eb9514186108a9a56d1b83cbb4f4336695b9399"),
+    (17, "db1c1370514a488c3fce72aa87723c8723e19fe02880df3c2f3df9415eb0a2bb"),
+    (18, "d345c5e92f667e44d59588586aa0f70770d0d732c37f0cf0d1d3c3f3d374bf30"),
+    (19, "3a1860a9e6f8e9e469feb132ebb718d82f68b4a76d9e6e5cec831aa09ecfdea7"),
+    (20, "258d845a4e6e75600fbbebdf65cc9f472f1fe4be8acde09a76eb6042e4fe6e18"),
+    (21, "5229d91031e56cfbc8f0278d4b66b5c89e1c565f3f1d0d190d7256bcdefbd514"),
 ])
 def test_affine_action_mod2_digest(n, digest):
     # every edge matrix of every spin, in graph order

@@ -41,7 +41,7 @@ def diagonal_twist_mod2(b, e):
     alpha = (0, 0, 1, 2)
     beta = (b // 2, 1, 0, 0)
     ab = tuple(x + y for x, y in zip(alpha, beta))
-    M = multitwist_matrix([(alpha, k1), (ab, k2)], handedness=1)
+    M = multitwist_matrix([(alpha, k1), (ab, k2)])
     return tuple(tuple(x % 2 for x in row) for row in M)
 
 
@@ -174,8 +174,6 @@ def test_multitwist_rejects_bad_input():
         multitwist_matrix([((2, 0, 2, 0), 1)])        # imprimitive core
     with pytest.raises(ValueError):
         multitwist_matrix([((1, 0, 0, 0), 0)])        # zero power
-    with pytest.raises(ValueError):
-        multitwist_matrix([((1, 0, 0, 0), 1)], handedness=2)
 
 
 def test_diagonal_twist_mod2():

@@ -157,6 +157,32 @@ def test_canonical_form_matches_reference_on_symmetric_surfaces():
             assert relabel(o, seed).canonical_form() == reference_canonical_form(o)
 
 
+def lattice_tori(max_n):
+    """Every torus Z^2 / Lambda with at most max_n squares, from the Hermite
+    basis (w, 0), (t, n / w) of Lambda, 0 <= t < w: square (x, y) is x + w y,
+    and going up from the top row lands on (x - t, 0)."""
+    for n in range(1, max_n + 1):
+        for w in (w for w in range(1, n + 1) if n % w == 0):
+            for t in range(w):
+                h = [(s // w) * w + (s % w + 1) % w for s in range(n)]
+                v = [s + w if s + w < n else (s % w - t) % w for s in range(n)]
+                yield Origami(Permutation(h), Permutation(v))
+
+
+def test_torus_canonical_pair_starts_at_square_zero():
+    # no cone square: <h, v> acts regularly, so every start gives the least
+    # relabelling and square 0 is the only one tried, with or without labels
+    tori = list(lattice_tori(12))
+    assert len(tori) == sum(d for n in range(1, 13) for d in range(1, n + 1) if n % d == 0)
+    for i, o in enumerate(tori):
+        o = relabel(o, i)
+        h, v = o.h.images, o.v.images
+        hn, vn, order = _canonical_pair(h, v)
+        assert (hn, vn) == all_starts_canonical_form(o)
+        assert order[0] == 0
+        assert _canonical_pair(h, v, orbit_labels(o)) == (hn, vn, order)
+
+
 @settings(max_examples=40)
 @given(origamis())
 def test_conjugation_preserves_stratum(o):
