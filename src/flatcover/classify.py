@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import InvariantError
 from .covers import affine_action_mod2, all_double_covers, cover_label
-from .lshape import IDENTITY4, check_prototype, symplectic_pairing
+from .lshape import IDENTITY4, is_prototype, symplectic_pairing
 from .monodromy import (label_vector, mat_H, mat_V, mat_X, mat_mod, orbit_partition,
                         primitive_vector_count, primitive_vectors, vector_label)
 from .origami import l_origami, lattice_index
@@ -40,13 +40,6 @@ class EchoTable:
     def echo_count(self) -> int:
         return len(self.hyp_orbits) + len(self.odd_orbits)
 
-    def block_of(self, label: int) -> tuple[int, ...]:
-        """The orbit block containing the label."""
-        for block in self.hyp_orbits + self.odd_orbits:
-            if label in block:
-                return block
-        raise ValueError(f"label {label} is in no orbit block of this table")
-
     def to_json(self) -> dict:
         return {"D": self.D, "e": self.e,
                 "hyp": [list(b) for b in self.hyp_orbits],
@@ -63,29 +56,26 @@ class EchoTable:
         ])
 
 
-def _spin_parameters(D: int, e: int | None) -> tuple[int, int]:
-    """The prototype parameters (b, e) with D = e^2 + 4b (see
-    `lshape.check_prototype`).  e = None means 0 when D = 0 mod 4, else 1
-    when that is admissible ((D - 1)/4 even and > 2) and -1 otherwise."""
-    if D < 5 or D % 4 not in (0, 1):
-        raise ValueError("discriminant must be >= 5 and 0 or 1 mod 4")
-    if e is None:
-        if D % 4 == 0:
-            e = 0
-        else:
-            b = (D - 1) // 4
-            e = 1 if b % 2 == 0 and b > 2 else -1
-    if (D - e * e) % 4:
-        raise ValueError(f"spin parameter e={e} incompatible with D={D}")
-    b = (D - e * e) // 4
-    check_prototype(b, e)
-    return b, e
+def spins(D: int) -> list[tuple[int, int]]:
+    """The prototypes L(b, e) of discriminant D = e^2 + 4b
+    (`lshape.is_prototype`), one per spin component of W_D, in the order
+    e = 1, -1, 0: two exactly when D = 1 mod 8 and D >= 17, none when no
+    prototype has discriminant D (D < 5, D = 4, D = 2 or 3 mod 4)."""
+    return [((D - e * e) // 4, e) for e in (1, -1, 0)
+            if (D - e * e) % 4 == 0 and is_prototype((D - e * e) // 4, e)]
 
 
 def echoes_of_WD(D: int, e: int | None = None) -> EchoTable:
     """Orbits of the 15 double covers under the mod-2 monodromy of W_D:
-    <H, V> plus the extra generator X when D = 1 mod 8."""
-    b, e = _spin_parameters(D, e)
+    <H, V> plus the extra generator X when D = 1 mod 8.  The spin is the
+    entry of `spins(D)` with this e; e = None takes the first, which is
+    e = 1 when D = 1 mod 8 and D >= 17, -1 for the other odd D and 0 when
+    D = 0 mod 4."""
+    matches = [(b, f) for b, f in spins(D) if e in (None, f)]
+    if not matches:
+        raise ValueError(f"no prototype L(b, e) has D = e^2 + 4b = {D}"
+                         + ("" if e is None else f" and e = {e}"))
+    b, e = matches[0]
     gens = [mat_mod(mat_H(b, e), 2), mat_mod(mat_V(b, e), 2)]
     if D % 8 == 1:
         gens.append(mat_X())
@@ -118,12 +108,11 @@ _PRIMITIVITY_ANCHORS = {
 
 
 def square_spins(d: int) -> list[tuple[int, int]]:
-    """(b, e) with e^2 + 4b = d^2 for each spin component of W_{d^2}: e = 0
-    for even d, only e = -1 for d = 3, and e = 1 and e = -1 for odd d >= 5."""
+    """`spins(d^2)`, the spin components of W_{d^2} for d >= 3: e = 0 for
+    even d, only e = -1 for d = 3, and e = 1 and e = -1 for odd d >= 5."""
     if d < 3:
         raise ValueError("need d >= 3")
-    spins = [0] if d % 2 == 0 else ([-1] if d == 3 else [1, -1])
-    return [((d * d - e * e) // 4, e) for e in spins]
+    return spins(d * d)
 
 
 def _block_is_primitive(d: int, e: int, block) -> bool:
@@ -139,12 +128,10 @@ def _block_is_primitive(d: int, e: int, block) -> bool:
 def is_primitive_cover(d: int, e: int, label: int) -> bool:
     """Closed-form primitivity of the double cover `label` of the d^2-square
     eigenform surface, propagated along its monodromy orbit."""
-    if d < 3:
-        raise ValueError("need d >= 3")
-    _spin_parameters(d * d, e)
     if not 1 <= label <= 15:
         raise ValueError("label must be in 1..15")
-    return _block_is_primitive(d, e, echoes_of_WD(d * d, e).block_of(label))
+    table = primitive_echo_table(d, e)
+    return any(label in block for block in table.hyp_orbits + table.odd_orbits)
 
 
 def primitive_cover_oracle(d: int, e: int, gamma) -> bool:
@@ -154,12 +141,14 @@ def primitive_cover_oracle(d: int, e: int, gamma) -> bool:
 
     gamma may be a label in 1..15 or the mod-2 vector (x1, y1, x2, y2).
     """
-    if d < 3:
-        raise ValueError("need d >= 3")
-    b, e = _spin_parameters(d * d, e)
+    if e not in [f for _, f in square_spins(d)]:
+        raise ValueError(f"W_{d * d} has no spin component e = {e}")
     lam = (e + d) // 2
     if isinstance(gamma, int):
         gamma = label_vector(gamma)
+    if len(gamma) != 4:
+        raise ValueError("gamma must be a label in 1..15 or a vector "
+                         "(x1, y1, x2, y2)")
     w = tuple(x % 2 for x in gamma)
     if w == (0, 0, 0, 0):
         raise ValueError("gamma must be nonzero mod 2")
@@ -191,9 +180,8 @@ def primitive_cover_oracle(d: int, e: int, gamma) -> bool:
 def primitive_echo_table(d: int, e: int) -> EchoTable:
     """The echo table of W_{d^2} restricted to the primitive covers
     (Table keyed by (d mod 4, (d - e) mod 4))."""
-    if d < 3:
-        raise ValueError("need d >= 3")
-    _spin_parameters(d * d, e)
+    if e not in [f for _, f in square_spins(d)]:
+        raise ValueError(f"W_{d * d} has no spin component e = {e}")
     table = echoes_of_WD(d * d, e)
 
     def keep(blocks):
@@ -248,13 +236,13 @@ def verify_sts_orbits(n: int, cap: int = 31) -> dict:
     table of W_{n^2} (as sets), base sizes against the counting formulas
     (odd n) and Arf invariants against the hyperelliptic label set.
     Acceptance criterion 12 checks n = 11 against direct enumeration of
-    every lifted orbit.  As the blocks must equal the echo table's, the
-    orbit fields `block_size` and `size_matches_product` restate
-    len(labels) and True; they are kept only for the golden census digests.
+    every lifted orbit.  The orbit fields `block_size` and
+    `size_matches_product` are len(labels) and True, as the blocks equal the
+    echo table's; they are kept only for the golden census digests.
     """
     if n > cap:
         raise ValueError(f"n={n} exceeds cap {cap}")
-    spins = []
+    components = []
     total_orbits = 0
     for b, e in square_spins(n):
         base = l_origami(b, e)
@@ -278,7 +266,8 @@ def verify_sts_orbits(n: int, cap: int = 31) -> dict:
             o = {
                 "labels": list(labels),
                 "size": base_size * len(labels),
-                "block_size": len(table.block_of(labels[0])),
+                "block_size": len(labels),
+                "size_matches_product": True,
                 "translation_order": len(lift.translations()),
             }
             if o["translation_order"] != 2 and len(lift.sl2z_orbit_forms()) != o["size"]:
@@ -290,7 +279,6 @@ def verify_sts_orbits(n: int, cap: int = 31) -> dict:
             o["arf"] = arfs.pop()
             if (o["arf"] == 0) != (labels[0] in HYP_LABELS):
                 raise InvariantError(f"Arf {o['arf']} contradicts labels {o['labels']}")
-            o["size_matches_product"] = o["size"] == base_size * o["block_size"]
             orbits.append(o)
 
         spin = {
@@ -300,12 +288,13 @@ def verify_sts_orbits(n: int, cap: int = 31) -> dict:
         }
         if n % 2:
             a_n, b_n = count_formulas(n)
-            expected = a_n if (base.d - e) % 4 == 0 else (b_n if b_n else a_n)
+            # b_3 is None, but n = 3 has only the spin e = -1, which takes a_n
+            expected = a_n if (base.d - e) % 4 == 0 else b_n
             spin["expected_base_size"] = expected
             if base_size != expected:
                 raise InvariantError(f"base orbit {base_size}, formula {expected}")
         total_orbits += len(orbits)
-        spins.append(spin)
+        components.append(spin)
 
     expected_orbits = 10 if (n % 2 and n >= 5) else 5
     census = {
@@ -313,12 +302,12 @@ def verify_sts_orbits(n: int, cap: int = 31) -> dict:
         "orbit_count": total_orbits,
         "expected_orbit_count": expected_orbits,
         "ok": total_orbits == expected_orbits,
-        "spins": spins,
+        "spins": components,
     }
     if n == 11:
         # the published worked example reports a spin-0 orbit of size 900
         # where block sizes predict 675; record the computed sizes
-        spin0 = next(s for s in spins if (s["d"] - s["e"]) % 4 == 0)
+        spin0 = next(s for s in components if (s["d"] - s["e"]) % 4 == 0)
         sizes = sorted(o["size"] for o in spin0["orbits"])
         census["spin0_sizes"] = sizes
         census["published_fourth_size"] = 900

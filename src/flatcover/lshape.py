@@ -20,15 +20,10 @@ from . import InvariantError
 Q = Fraction
 
 
-def check_prototype(b: int, e: int) -> None:
-    """Raise ValueError unless (b, e) names a prototype L(b, e): e in
-    {-1, 0, 1}, e + 1 < b, and b even when e = 1."""
-    if e not in (-1, 0, 1):
-        raise ValueError("e must be in {-1, 0, 1}")
-    if not e + 1 < b:
-        raise ValueError(f"parameters (b,e)=({b},{e}) violate e + 1 < b")
-    if e == 1 and b % 2:
-        raise ValueError(f"e = 1 requires b even, got b={b}")
+def is_prototype(b: int, e: int) -> bool:
+    """Whether (b, e) names a prototype L(b, e): e in {-1, 0, 1}, e + 1 < b,
+    and b even when e = 1."""
+    return e in (-1, 0, 1) and e + 1 < b and not (e == 1 and b % 2)
 
 
 class QuadraticElement:

@@ -29,7 +29,7 @@ from math import gcd, isqrt
 import json
 
 from . import InvariantError
-from .lshape import J4, check_prototype
+from .lshape import J4, is_prototype
 from .perms import (Permutation, _canonical_pair, compose, cycle_text, cycles,
                     inverse_images, is_transitive, parse_cycles)
 
@@ -770,7 +770,9 @@ class LOrigami:
 def l_origami(b: int, e: int) -> LOrigami:
     """L-shaped origami with a column of lam squares above a row of lam-e
     squares, lam = (e+d)/2, total d squares."""
-    check_prototype(b, e)
+    if not is_prototype(b, e):
+        raise ValueError(f"(b, e) = ({b}, {e}) is no prototype: need e in "
+                         f"{{-1, 0, 1}}, e + 1 < b, and b even when e = 1")
     D = e * e + 4 * b
     d = isqrt(D)
     if d * d != D:

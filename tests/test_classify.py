@@ -2,14 +2,16 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flatcover import origami
 from flatcover.classify import (EchoTable, HYP_LABELS, branched_cover_types,
                                 census_to_json, count_formulas, echoes_of_WD,
                                 is_primitive_cover, primitive_cover_oracle,
-                                primitive_echo_table, square_spins,
+                                primitive_echo_table, spins, square_spins,
                                 verify_sts_orbits)
 from flatcover.covers import all_double_covers, cover_label
+from flatcover.lshape import is_prototype
 from flatcover.origami import l_origami
 
 # expected orbit tables by discriminant class mod 8
@@ -51,13 +53,59 @@ def test_spin_parameter_validation():
     assert echoes_of_WD(9, -1).b == 2
 
 
-def test_block_of():
-    table = echoes_of_WD(8)
-    for label in (3, 5, 9, 13):
-        assert table.block_of(label) == (3, 5, 9, 13)
-    assert table.block_of(2) == (2,)
-    with pytest.raises(ValueError):
-        table.block_of(16)
+def test_spins_is_the_brute_force_over_prototypes():
+    found = {}
+    for e in (1, -1, 0, 2, -2, 3, -3):
+        for b in range(-10, 1260):
+            if is_prototype(b, e):
+                found.setdefault(e * e + 4 * b, []).append((b, e))
+    for D in range(-20, 5000):
+        assert spins(D) == found.get(D, []), D
+
+
+def test_spin_counts():
+    for D in range(-20, 5000):
+        assert (len(spins(D)) == 2) == (D % 8 == 1 and D >= 17), D
+        assert (spins(D) == []) == (D < 5 or D % 4 in (2, 3) or D == 4), D
+
+
+def test_square_spins_match_the_hand_list():
+    for d in range(3, 300):
+        hand = [0] if d % 2 == 0 else ([-1] if d == 3 else [1, -1])
+        assert square_spins(d) == [((d * d - e * e) // 4, e) for e in hand], d
+
+
+def test_default_spin_of_echoes():
+    for D in range(5, 3000):
+        if D % 4 in (2, 3):
+            with pytest.raises(ValueError):
+                echoes_of_WD(D)
+            continue
+        b = (D - 1) // 4
+        e = 0 if D % 4 == 0 else (1 if b % 2 == 0 and b > 2 else -1)
+        assert echoes_of_WD(D).e == e, D
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(-10, 60), e=st.integers(-3, 3), label=st.integers(-2, 18),
+       D=st.integers(-20, 3000), b=st.integers(-3, 200),
+       gamma=st.lists(st.integers(-2, 3), max_size=6).map(tuple))
+@example(d=5, e=1, label=1, D=17, b=6, gamma=(1, 0, 0))
+@example(d=5, e=1, label=1, D=17, b=6, gamma=(1, 0, 0, 0, 1))
+def test_entry_points_return_or_raise_value_error(d, e, label, D, b, gamma):
+    for f, *args in ((echoes_of_WD, D, e), (echoes_of_WD, D, None),
+                     (square_spins, d), (primitive_echo_table, d, e),
+                     (is_primitive_cover, d, e, label),
+                     (primitive_cover_oracle, d, e, label),
+                     (primitive_cover_oracle, d, e, gamma),
+                     (branched_cover_types, d), (l_origami, b, e)):
+        try:
+            f(*args)
+        except ValueError:
+            pass
+    if len(gamma) != 4:
+        with pytest.raises(ValueError):
+            primitive_cover_oracle(d, e, gamma)
 
 
 def test_table_serialization():

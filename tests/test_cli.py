@@ -81,8 +81,13 @@ def test_echoes_default_spin_of_d9_is_the_admissible_one(run):
 
 
 def test_echoes_invalid_discriminant(run):
-    code, _, err = run("echoes", "--discriminant", "7")
-    assert code == 2 and "error" in err
+    # no prototype L(b, e) has these parameters
+    for argv in (["echoes", "--discriminant", "4"], ["echoes", "--discriminant", "6"],
+                 ["echoes", "--discriminant", "7"], ["echoes", "--discriminant", "-3"],
+                 ["echoes", "--discriminant", "17", "--e", "0"],
+                 ["covers", "--b", "3", "--e", "1"], ["covers", "--b", "2", "--e", "1"]):
+        code, out, err = run(*argv)
+        assert code == 2 and out == "" and err.startswith("error:"), argv
 
 
 def test_primitive(run):

@@ -28,6 +28,9 @@ def sha256(text: str) -> str:
 
 
 @pytest.mark.parametrize("n, digest", [
+    # n = 3 has one spin (e = -1) and b_3 = None
+    (3, "4bb05e96c076e75abc8dd0cec6131f395494acaca07df748b3b7f3a997809dc3"),
+    (4, "fd8eab142224e117f085586e74a8cdb74e353a30064a866159b7bed92ee5610d"),
     (5, "9e6d3c30e198e9add6e0990c14b82960b70eb1586c4d803c0d0f1adb98c96b2c"),
     (6, "f185691399c009494df4ef2e78bd788223724bd0b79467de901cce3732d34679"),
     (7, "55077a51f356fc368573039cb683921f52f47cf39342cf49efa8b41cd60902d8"),
