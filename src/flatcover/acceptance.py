@@ -11,12 +11,12 @@ from .classify import (HYP_LABELS, branched_cover_types, count_formulas,
                        echoes_of_WD, is_primitive_cover, primitive_cover_oracle,
                        primitive_echo_table, square_spins, verify_sts_orbits)
 from .covers import all_double_covers, cover_label
-from .lshape import (modulus_ratio, rational, vertical_twist_matrix,
+from .lshape import (IDENTITY4, modulus_ratio, rational, vertical_twist_matrix,
                      horizontal_twist_matrix)
 from .monodromy import (constrained_subgroup, decagon_cyclic_echo_count,
-                        dihedral_structure, group_closure, is_symplectic,
-                        commutes, self_adjoint, mat_H, mat_T, mat_V, mat_X,
-                        mat_mod, mat_pow, mat_vec, orbit_partition,
+                        group_closure, is_symplectic, commutes, self_adjoint,
+                        mat_H, mat_T, mat_V, mat_X, mat_mod, mat_mul, mat_pow,
+                        mat_vec, orbit_partition,
                         primitive_vectors, rho_R, rho_T, sp4_f2,
                         verify_decagon_periods, eigenbasis_checks)
 from .origami import Origami, act_generator, l_origami
@@ -33,10 +33,16 @@ def check_table1(fast: bool = False):
 
 
 def check_decagon_mod2(fast: bool = False):
-    G = group_closure([rho_R(), rho_T()], 2)
-    k = dihedral_structure(G, mod=2)
-    parts = orbit_partition([mat_mod(rho_R(), 2), mat_mod(rho_T(), 2)],
-                            primitive_vectors(2), 2)
+    R, T = mat_mod(rho_R(), 2), mat_mod(rho_T(), 2)
+    G = group_closure([R, T], 2)
+    k, P = 1, R   # k is the order of R
+    while P != IDENTITY4:
+        k, P = k + 1, mat_mul(P, R, 2)
+    # the presentation of D_k, of order 2k: R^k = T^2 = 1 and T R T = R^-1
+    if not (mat_mul(T, T, 2) == IDENTITY4 and len(G) == 2 * k
+            and mat_mul(mat_mul(T, R, 2), T, 2) == mat_pow(R, k - 1, 2)):
+        k = None
+    parts = orbit_partition([R, T], primitive_vectors(2), 2)
     ok = len(G) == 10 and k == 5 and len(parts) == 3 and all(len(p) == 5 for p in parts)
     return ok, (f"order {len(G)} (want 10), dihedral k={k} (want 5), "
                 f"orbit sizes {sorted(len(p) for p in parts)} (want [5,5,5])")

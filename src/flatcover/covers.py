@@ -110,6 +110,8 @@ def _cover_maker(o: Origami, m: int, basis: list[Cycle]):
     sum dual[k] G_k mod m.  Its holonomy on each basis cycle is then read off
     its own weights, over the nonzero sig/tau entries of the cycle.
     """
+    if m < 2:
+        raise ValueError("modulus must be at least 2")
     _check_basis(o, basis)
     n = o.n
     h, v = o.h.images, o.v.images
@@ -159,6 +161,7 @@ def cover_label(basis, c: Cover) -> tuple[tuple[int, int, int, int], int]:
     """Poincare-dual class gamma = (x1, y1, x2, y2) of a double cover,
     gamma[k] = <holonomy values, e_k> mod 2, and its numbering
     x1 + 2 y1 + 4 x2 + 8 y2 in {1..15}."""
+    _check_basis(c.base, basis)
     if c.m != 2:
         raise ValueError("labels are defined for double covers")
     values = c.holonomy_on_basis(basis)
@@ -170,8 +173,6 @@ def cyclic_covers(o: Origami, n: int, basis: list[Cycle]) -> list[Cover]:
     """One connected Z/n cover per primitive dual vector gamma in (Z/n)^4, in
     the order of `primitive_vectors`: the cocycle sum gamma[k] G_k mod n of
     `_cover_maker`, one tree walk for all of them."""
-    if n < 2:
-        raise ValueError("modulus must be at least 2")
     if o.stratum().genus != 2:
         raise ValueError("cyclic-cover enumeration needs a genus-2 base")
     make = _cover_maker(o, n, basis)

@@ -1,8 +1,7 @@
 """Symplectic 4x4 matrices on H_1 of a genus-2 L-shaped surface, in the basis
 (a1, b1, a2, b2): the explicit monodromy generators H, V, T, X and the double
-decagon generators rho(R), rho(T); group closures mod m, commutants, dihedral
-detection, orbit partitions, and the exact cyclotomic verification of the
-decagon period map.
+decagon generators rho(R), rho(T); group closures mod m, commutants, orbit
+partitions, and the exact cyclotomic verification of the decagon period map.
 
 Matrices are tuples of 4 rows acting on column vectors; the intersection form
 is `lshape.J4` = diag([[0,1],[-1,0]], [[0,1],[-1,0]]).
@@ -136,21 +135,6 @@ def mat_det(A: Mat) -> Fraction:
     """Exact determinant by Gaussian elimination over Q."""
     rank, pivots = _eliminate(A)
     return pivots if rank == len(A) else Fraction(0)
-
-
-def mat_inverse_mod(A: Mat, m: int) -> Mat:
-    """Inverse of a matrix invertible mod m, via the adjugate."""
-    det = int(mat_det(A)) % m
-    if gcd(det, m) != 1:
-        raise ValueError("matrix not invertible mod m")
-    dinv = pow(det, -1, m)
-
-    def cofactor(r, c):
-        minor = [[A[i][j] for j in range(4) if j != c] for i in range(4) if i != r]
-        return (-1) ** (r + c) * int(mat_det(minor))
-
-    return tuple(tuple(cofactor(j, i) * dinv % m for j in range(4))
-                 for i in range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -298,40 +282,6 @@ def constrained_subgroup(T2: Mat, hyp_labels) -> frozenset:
         if {mat_vec(M, v, 2) for v in hyp} == hyp:
             out.add(M)
     return frozenset(out)
-
-
-def dihedral_structure(group, mod: int) -> int | None:
-    """k if the group of matrices mod m is dihedral of order 2k (a cyclic
-    subgroup of order k plus an involution inverting it; k = 1, 2 degenerate
-    cases allowed); None otherwise, and None for groups of order < 2.
-    Raises ValueError when an element's order exceeds the group order."""
-    elems = list(group)
-    order = len(elems)
-    if order < 2 or order % 2:
-        return None
-    k = order // 2
-    ident = mat_mod(IDENTITY4, mod)
-    for r in elems:
-        # the cyclic walk 1, r, ..., r^(o-1) of r; its last power is r^-1
-        walk = [ident]
-        P = r
-        while P != ident:
-            if len(walk) == order:
-                raise ValueError("input is not a group")
-            walk.append(P)
-            P = mat_mul(P, r, mod)
-        if len(walk) != k:
-            continue
-        cyc = set(walk)
-        for s in elems:
-            if s in cyc:
-                continue
-            # an involution is its own inverse: test s r s^-1 = r^-1 as s r s
-            if mat_mul(s, s, mod) != ident:
-                continue
-            if mat_mul(mat_mul(s, r, mod), s, mod) == walk[-1]:
-                return k
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -531,28 +481,34 @@ def eigenbasis_checks(b: int, n: int) -> dict:
     """For b = b'^2, e = 0: exact eigen-decomposition of T and the classes
     of the family u1 + x u3 (x in Z/n) under <H, V> mod n.
 
-    In the u-basis H and V are 2+2 block diagonal, and the minus-eigenspace
-    coordinates of u1 + x u3 generate the subgroup gcd(x, n) of Z/n.  That
-    invariant takes one value per divisor of n, so there are at most d(n)
-    classes.  The report says whether it is constant on each class and
-    complete (distinct classes, distinct values), and cross-checks the class
-    count by an orbit partition of all of (Z/n)^4 (`orbit_partition`).  The
-    reference bound "at least phi(n) classes" is reported on its own as
-    `phi_bound_met`; since d(n) < phi(n) for odd n >= 5 it cannot hold
-    there, and it is not part of `ok`.
+    Write v = c0 u1 + c1 u2 + c2 u3 + c3 u4.  The projections
+    plus(v) = (v0 + b' v2, b' v1 + v3) = 2b' (c0, c1) and
+    minus(v) = (v0 - b' v2, b' v1 - v3) = 2b' (c2, c3) read off both
+    eigenspace coordinates, and 2b' is a unit mod n.  So H and V are 2+2
+    block diagonal in the u-basis exactly when minus vanishes mod n on H u1,
+    H u2, V u1, V u2 and plus on H u3, H u4, V u3, V u4, and the
+    minus-eigenspace coordinates of u1 + x u3 generate the subgroup
+    gcd(minus(v), n) = gcd(x, n) of Z/n.  That invariant takes one value per
+    divisor of n, so there are at most d(n) classes.  The report says whether
+    it is constant on each class and complete (distinct classes, distinct
+    values), and cross-checks the class count by an orbit partition of all
+    of (Z/n)^4 (`orbit_partition`).  The reference bound "at least phi(n)
+    classes" is reported on its own as `phi_bound_met`; since
+    d(n) < phi(n) for odd n >= 5 it cannot hold there, and it is not part
+    of `ok`.
 
     The eigenvectors are u1 = (b',0,1,0), u2 = (0,1,0,b') with eigenvalue b'
     and u3 = (b',0,-1,0), u4 = (0,1,0,-b') with eigenvalue -b'.  (A printed
     version transposes the middle coordinates of u2 and u4; the stated
     T-eigenvector identity forces the form used here.)
     """
-    bp = _integer_sqrt(b)
-    if bp is None or bp < 2:
+    bp = isqrt(max(b, 0))
+    if bp * bp != b or bp < 2:
         raise ValueError("b must be a perfect square with sqrt(b) >= 2")
     if n < 3 or n % 2 == 0 or gcd(n, b) != 1:
         raise ValueError("n must be odd, >= 3, and coprime to b")
     e = 0
-    T = mat_T(b, e)
+    T, H, V = mat_T(b, e), mat_H(b, e), mat_V(b, e)
 
     # determinant of the stated basis-change matrix
     P_stated = ((bp, 0, bp, 0), (0, bp, 0, bp), (1, 0, -1, 0), (0, 1, 0, -1))
@@ -565,26 +521,26 @@ def eigenbasis_checks(b: int, n: int) -> dict:
                 and mat_vec(T, u3) == tuple(-bp * x for x in u3)
                 and mat_vec(T, u4) == tuple(-bp * x for x in u4))
 
-    # H, V mod n in the u-basis: 2+2 block diagonal
-    P = tuple(tuple(col[i] for col in (u1, u2, u3, u4)) for i in range(4))
-    Pinv = mat_inverse_mod(P, n)
-    blocks_ok = True
-    for M in (mat_H(b, e), mat_V(b, e)):
-        Mu = mat_mul(mat_mul(Pinv, mat_mod(M, n), n), mat_mod(P, n), n)
-        for i in range(4):
-            for j in range(4):
-                if (i < 2) != (j < 2) and Mu[i][j] % n != 0:
-                    blocks_ok = False
+    def plus(v):
+        return (v[0] + bp * v[2], bp * v[1] + v[3])
+
+    def minus(v):
+        return (v[0] - bp * v[2], bp * v[1] - v[3])
+
+    # H, V keep each eigenspace mod n: 2+2 block diagonal in the u-basis
+    blocks_ok = all(x % n == 0 for M in (H, V)
+                    for project, us in ((minus, (u1, u2)), (plus, (u3, u4)))
+                    for u in us for x in project(mat_vec(M, u)))
 
     # orbit classes of the family u1 + x u3 under <H, V> mod n, with the
     # subgroup of Z/n generated by the minus-eigenspace coordinates as the
     # separating invariant; forward closures suffice, since the generators
     # are bijections of a finite set
-    gens = [mat_mod(mat_H(b, e), n), mat_mod(mat_V(b, e), n)]
+    gens = [mat_mod(H, n), mat_mod(V, n)]
 
     def minus_invariant(v):
-        c = mat_vec(Pinv, v, n)
-        return gcd(gcd(c[2], c[3]), n)
+        x, y = minus(v)
+        return gcd(gcd(x, y), n)
 
     def orbit_of(v):
         seen = {v}
@@ -634,10 +590,3 @@ def eigenbasis_checks(b: int, n: int) -> dict:
         "ok": (det_ok and eigen_ok and blocks_ok and invariant_constant
                and invariant_complete and len(orbits) == partition_count),
     }
-
-
-def _integer_sqrt(b: int):
-    if b < 0:
-        return None
-    r = isqrt(b)
-    return r if r * r == b else None

@@ -215,14 +215,15 @@ def symplectic_reduce(gram: list[list[int]]) -> list[list[int]]:
             if g < 0:
                 u, v = v, u
                 g = -g
-            for w in others:
+            # the replaced vector takes w's place, so the span is kept
+            for k, w in enumerate(others):
                 a = pair(u, w)
                 if a % g:
-                    v = [x - (a // g) * y for x, y in zip(w, v)]
+                    others[k], v = v, [x - (a // g) * y for x, y in zip(w, v)]
                     break
                 bb = pair(w, v)
                 if bb % g:
-                    u = [x - (bb // g) * y for x, y in zip(w, u)]
+                    others[k], u = u, [x - (bb // g) * y for x, y in zip(w, u)]
                     break
             else:
                 break

@@ -12,7 +12,9 @@ import hashlib
 
 import pytest
 
+from flatcover import acceptance
 from flatcover.acceptance import CRITERIA
+from flatcover.lshape import IDENTITY4
 
 DETAIL_DIGESTS = (
     "93a00ac350ac5a8cdb6f1972239e8f62fb5db499b9074f562150f202c7790822",
@@ -40,3 +42,13 @@ def test_criterion(num, title, fn, digest):
     ok, detail = fn(fast=False)
     assert ok, f"criterion {num} ({title}): {detail}"
     assert hashlib.sha256(detail.encode()).hexdigest() == digest, detail
+
+
+@pytest.mark.parametrize("name,k", [("rho_T", None), ("rho_R", 1)])
+def test_decagon_mod2_reads_the_dihedral_order_off_the_generators(monkeypatch, name, k):
+    # rho(T) = I leaves <rho(R)>, cyclic of order 5, which is not dihedral;
+    # rho(R) = I leaves <rho(T)> of order 2, the degenerate D_1
+    monkeypatch.setattr(acceptance, name, lambda: IDENTITY4)
+    ok, detail = acceptance.check_decagon_mod2()
+    assert not ok
+    assert f"dihedral k={k} (want 5)" in detail

@@ -347,6 +347,11 @@ def test_basis_from_another_origami_is_a_value_error():
         cover.holonomy(b.basis[0])
     with pytest.raises(ValueError):
         cover_label(list(b.basis), cover)
+    # a basis of the right origami, but of three or of five cycles
+    cover_b = cyclic_covers(b.origami, 2, list(b.basis))[0]
+    for basis in (list(b.basis)[:3], list(b.basis) + [b.basis[0]]):
+        with pytest.raises(ValueError):
+            cover_label(basis, cover_b)
     for o, basis in ((a.origami, list(b.basis)), (b.origami, list(a.basis))):
         with pytest.raises(ValueError):
             cover_from_basis_values(o, 2, basis, (1, 0, 0, 0))
@@ -355,6 +360,15 @@ def test_basis_from_another_origami_is_a_value_error():
     for basis in (list(b.basis)[:3], list(l_origami(16, 0).basis)):
         with pytest.raises(ValueError):
             affine_action_mod2(b.origami, basis)
+
+
+@pytest.mark.parametrize("m", [-3, 0, 1])
+def test_cover_from_basis_values_needs_a_modulus_of_at_least_2(m):
+    o, basis = lshape(2, -1)
+    for build in (lambda: cover_from_basis_values(o, m, basis, (1, 0, 0, 0)),
+                  lambda: cyclic_covers(o, m, basis)):
+        with pytest.raises(ValueError, match="modulus must be at least 2"):
+            build()
 
 
 @pytest.mark.parametrize("n", range(3, 14))

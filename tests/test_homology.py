@@ -1,4 +1,5 @@
 from collections import Counter
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,16 +115,59 @@ def test_l_origami_pinned_basis_is_symplectic():
         assert [period(c) for c in L.basis] == [(1, 0), (0, lam), (lam - e, 0), (0, 1)]
 
 
+def pair4(x, y):
+    return sum(x[i] * J4[i][j] * y[j] for i in range(4) for j in range(4))
+
+
 def test_symplectic_reduce():
     # a Gram matrix already in symplectic shape is returned as the identity
     # coordinate change
     coords = symplectic_reduce([r[:] for r in J4])
     vecs = [tuple(c) for c in coords]
-    def pair(u, w):
-        return sum(u[i] * J4[i][j] * w[j] for i in range(4) for j in range(4))
-    assert pair(vecs[0], vecs[1]) == 1
-    assert pair(vecs[2], vecs[3]) == 1
-    assert pair(vecs[0], vecs[2]) == pair(vecs[0], vecs[3]) == pair(vecs[1], vecs[2]) == 0
+    assert pair4(vecs[0], vecs[1]) == 1
+    assert pair4(vecs[2], vecs[3]) == 1
+    assert pair4(vecs[0], vecs[2]) == pair4(vecs[0], vecs[3]) == pair4(vecs[1], vecs[2]) == 0
+
+
+def reduced_gram(generators):
+    """The J4-Gram of the vectors `symplectic_reduce` finds in the lattice
+    spanned by integer generators of Z^4."""
+    coords = symplectic_reduce([[pair4(x, y) for y in generators] for x in generators])
+    vectors = [[sum(c * g[i] for c, g in zip(coord, generators)) for i in range(4)]
+               for coord in coords]
+    return [[pair4(x, y) for y in vectors] for x in vectors]
+
+
+def test_symplectic_reduce_keeps_the_span_through_euclid_steps():
+    # (-3, -3), (-3, -2) and (-2, 0) span Z^2 under x0 y1 - x1 y0; Euclid
+    # steps with quotient 2 must not drop a generator from the span
+    gram = [[0, -3, -6], [3, 0, -4], [6, 4, 0]]
+    coords = symplectic_reduce(gram)
+    assert len(coords) == 2
+    assert sum(coords[0][i] * gram[i][j] * coords[1][j]
+               for i in range(3) for j in range(3)) == 1
+    # every pairing of {2x, -3x} has absolute value at least 4
+    basis = [[int(i == j) for j in range(4)] for i in range(4)]
+    assert reduced_gram([[k * c for c in x] for x in basis for k in (2, -3)]) == J4
+
+
+coprime_pairs = st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(
+    lambda t: gcd(*t) == 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(coprime_pairs, min_size=4, max_size=4),
+       st.lists(st.lists(st.integers(-3, 3), min_size=8, max_size=8), max_size=3),
+       st.randoms(use_true_random=False))
+def test_symplectic_reduce_finds_a_basis_of_any_generating_set(pairs, combinations, rng):
+    # each basis vector x as p x and q x with gcd(p, q) = 1, plus a few
+    # integer combinations of those, in random order, still span (Z^4, J4)
+    generators = [[k * int(i == j) for j in range(4)] for i, pq in enumerate(pairs)
+                  for k in pq]
+    generators += [[sum(c * g[i] for c, g in zip(comb, generators)) for i in range(4)]
+                   for comb in combinations]
+    rng.shuffle(generators)
+    assert reduced_gram(generators) == J4
 
 
 def test_vertex_cycles_and_stratum():

@@ -7,14 +7,15 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flatcover.monodromy
 from flatcover.lshape import multitwist_matrix
 from flatcover.monodromy import (ClosureCapExceeded, IDENTITY4, J4, commutes,
                                  constrained_subgroup,
                                  decagon_cyclic_echo_count,
-                                 dihedral_structure, eigenbasis_checks,
+                                 eigenbasis_checks,
                                  group_closure, is_symplectic, label_vector,
                                  mat_H, mat_T, mat_V, mat_X, mat_det,
-                                 mat_inverse_mod, mat_mod, mat_mul, mat_pow,
+                                 mat_mod, mat_mul, mat_pow,
                                  mat_vec, orbit_partition, primitive_vector_count,
                                  primitive_vectors,
                                  rho_R, rho_T, self_adjoint, sp4_f2,
@@ -25,15 +26,10 @@ PARAMS = [(2, 0), (4, 1), (3, 0), (3, -1), (6, 1), (13, 1)]
 
 # -- matrix helpers ----------------------------------------------------------
 
-def test_det_and_inverse():
+def test_mat_det():
     for b, e in PARAMS:
         for M in (mat_H(b, e), mat_V(b, e)):
             assert mat_det(M) == 1
-            for m in (2, 3, 5):
-                inv = mat_inverse_mod(M, m)
-                assert mat_mul(M, inv, m) == mat_mod(IDENTITY4, m)
-    with pytest.raises(ValueError):
-        mat_inverse_mod(((2, 0, 0, 0),) * 4, 2)
 
 
 def test_mat_pow():
@@ -322,27 +318,6 @@ def test_constrained_subgroup_matches_monodromy():
         assert closure == constrained
 
 
-def test_dihedral_structure():
-    decagon = group_closure([rho_R(), rho_T()], 2)
-    assert len(decagon) == 10
-    assert dihedral_structure(decagon, mod=2) == 5
-    assert dihedral_structure(group_closure([mat_H(4, 1), mat_V(4, 1)], 2), mod=2) == 3
-    assert dihedral_structure(sp4_f2(), mod=2) is None
-    assert dihedral_structure([IDENTITY4], mod=2) is None
-    # order 2 mod 4; its largest entry is 2, so the modulus is not 3
-    shear = ((1, 2, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    assert dihedral_structure(group_closure([shear], 4), mod=4) == 1
-    # cyclic of order 6: its only involution outside <r^2> is central, so
-    # s r s = r, not r^-1
-    sixfold = ((1, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    cyclic6 = group_closure([sixfold], 3)
-    assert len(cyclic6) == 6
-    assert dihedral_structure(cyclic6, mod=3) is None
-    # two elements, one of order 4: not a group
-    with pytest.raises(ValueError):
-        dihedral_structure([IDENTITY4, mat_H(1, 0)], mod=4)
-
-
 # -- labels and orbits -------------------------------------------------------
 
 @given(st.integers(1, 15))
@@ -454,13 +429,20 @@ def test_eigenbasis_validation():
         eigenbasis_checks(4, 4)   # n even
     with pytest.raises(ValueError):
         eigenbasis_checks(9, 9)   # n not coprime to b
-
-
-def test_integer_sqrt_is_exact_on_large_values():
-    from flatcover.monodromy import _integer_sqrt
     r = 10 ** 20 + 12345
-    assert _integer_sqrt(r * r) == r          # float sqrt misses this square
-    assert _integer_sqrt(r * r + 1) is None
-    assert _integer_sqrt(10 ** 400) == 10 ** 200   # float sqrt overflows
-    assert _integer_sqrt(0) == 0
-    assert _integer_sqrt(-4) is None
+    for b in (r * r + 1, -4, 0, 1):
+        with pytest.raises(ValueError, match="b must be a perfect square"):
+            eigenbasis_checks(b, 3)
+    # float square roots miss the first square and overflow on the second
+    assert eigenbasis_checks(r * r, 3)["b_sqrt"] == r
+    assert eigenbasis_checks(10 ** 400, 3)["b_sqrt"] == 10 ** 200
+
+
+def test_eigenbasis_blocks_catch_a_generator_off_the_eigenspaces(monkeypatch):
+    # X does not keep T's eigenspaces, so neither projection vanishes on it
+    monkeypatch.setattr(flatcover.monodromy, "mat_V", lambda b, e=0: mat_X())
+    for b, n in ((4, 3), (9, 5)):
+        r = eigenbasis_checks(b, n)
+        assert r["eigenvectors_ok"]
+        assert not r["blocks_diagonal"]
+        assert not r["ok"]
