@@ -18,6 +18,10 @@ from .covers import all_double_covers, cover_label
 from .monodromy import decagon_cyclic_echo_count
 from .origami import Origami, OrbitCapExceeded, l_origami
 
+#: the largest `decagon --max-n`: the orbit partition of (Z/n)^4 needs memory
+#: growing like n^4, about 0.3 GB at n = 40
+DECAGON_MAX_N = 40
+
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -47,7 +51,8 @@ def _parser() -> argparse.ArgumentParser:
     add_format(sp)
 
     sp = sub.add_parser("decagon", help="cyclic decagon echo counts N(n)")
-    sp.add_argument("--max-n", type=int, default=15)
+    sp.add_argument("--max-n", type=int, default=15,
+                    help=f"largest n, at most {DECAGON_MAX_N}")
     add_format(sp)
 
     sp = sub.add_parser("covers", help="the 15 double covers of a genus-2 origami")
@@ -104,8 +109,8 @@ def _cmd_primitive(args) -> int:
 
 
 def _cmd_decagon(args) -> int:
-    if args.max_n < 2:
-        raise ValueError("--max-n must be at least 2")
+    if not 2 <= args.max_n <= DECAGON_MAX_N:
+        raise ValueError(f"--max-n must be between 2 and {DECAGON_MAX_N}")
     counts = {n: decagon_cyclic_echo_count(n) for n in range(2, args.max_n + 1)}
     if args.format == "json":
         print(json.dumps({"N": counts}, sort_keys=True))

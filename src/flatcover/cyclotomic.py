@@ -1,85 +1,129 @@
-"""Exact arithmetic in the cyclotomic field Q(zeta_20).
+"""Exact arithmetic in Q[t]/(f), f monic, and the cyclotomic field Q(zeta_20).
 
-Elements are polynomials in zeta of degree < 8 with Fraction coefficients,
-reduced modulo the 20th cyclotomic polynomial
+`RingElement` is the one implementation of the ring operations: an element
+is its d Fraction coefficients of 1, t, ..., t^(d-1), reduced by the relation
+t^d = r_0 + r_1 t + ... + r_(d-1) t^(d-1) that stands for f.  Inversion is by
+the norm over the conjugates each ring lists: N(x) = x * prod sigma(x) is a
+rational, and 1/x = prod sigma(x) / N(x).  Q(lambda) (`lshape`) and Q(zeta_20)
+are its two subclasses.
+
+Q(zeta_20) reduces modulo the 20th cyclotomic polynomial
 
     Phi_20(x) = x^8 - x^6 + x^4 - x^2 + 1,
 
 so zeta^8 = zeta^6 - zeta^4 + zeta^2 - 1.  The field contains i = zeta^5 and
 the primitive 10th root of unity xi = zeta^2, which is what the regular
-double decagon needs.
-
-The Galois automorphisms are sigma_k: zeta -> zeta^k for k prime to 20.
-Inversion is by the norm: N(x) = x * prod_{k != 1} sigma_k(x) is a nonzero
-rational for x != 0, so 1/x = prod_{k != 1} sigma_k(x) / N(x).
+double decagon needs.  Its Galois automorphisms are sigma_k: zeta -> zeta^k
+for k prime to 20.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd
+from operator import add, mul, neg, sub
 
 from . import InvariantError
 
 Q = Fraction
 
-DEGREE = 8
+_ZERO = Q(0)
+#: zeta^8 = -1 + zeta^2 - zeta^4 + zeta^6
+_PHI20 = (-1, 0, 1, 0, -1, 0, 1, 0)
 #: the exponents k != 1 prime to 20: sigma_k for these are the other conjugates
 _OTHER_UNITS = (3, 7, 9, 11, 13, 17, 19)
 
 
-class CyclotomicElement:
-    """An element of Q(zeta_20), stored as 8 Fraction coefficients of
-    1, zeta, ..., zeta^7."""
+class RingElement:
+    """An element of Q[t]/(f): `coeffs` are the Fraction coefficients of
+    1, t, ..., t^(d-1) and `relation` = (r_0, ..., r_(d-1)) gives
+    t^d = sum r_k t^k.  Subclasses list the other conjugates in
+    `_conjugates`."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "relation")
 
-    def __init__(self, coeffs=()):
+    def __init__(self, coeffs, relation):
         cs = [Q(c) for c in coeffs]
-        if len(cs) > DEGREE:
-            cs = _reduce(cs)
-        cs += [Q(0)] * (DEGREE - len(cs))
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs += [_ZERO] * (len(relation) - len(cs))
+        object.__setattr__(self, "relation", tuple(relation))
+        object.__setattr__(self, "coeffs", self._reduce(cs))
 
     def __setattr__(self, *a):
-        raise AttributeError("CyclotomicElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _coerce(self, other) -> "CyclotomicElement":
-        if isinstance(other, CyclotomicElement):
+    def _like(self, coeffs: tuple) -> "RingElement":
+        """The element of this ring with the given reduced coefficients."""
+        new = object.__new__(type(self))
+        _set_coeffs(new, coeffs)
+        _set_relation(new, self.relation)
+        return new
+
+    def _reduce(self, cs: list) -> tuple:
+        """Reduce the coefficient list `cs` (any length >= d) in place by the
+        relation, top degree first; return the d low coefficients."""
+        rel = self.relation
+        d = len(rel)
+        for i in range(len(cs) - 1, d - 1, -1):
+            c = cs[i]
+            if c:
+                for k, r in enumerate(rel, i - d):
+                    if r:
+                        cs[k] += r * c
+        return tuple(cs[:d])
+
+    def _coerce(self, other) -> "RingElement":
+        if isinstance(other, RingElement):
+            if other.relation != self.relation:
+                raise ValueError("elements of different rings")
             return other
-        return CyclotomicElement([other])
+        return self._like((Q(other),) + (_ZERO,) * (len(self.coeffs) - 1))
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return CyclotomicElement([a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._like(tuple(map(add, self.coeffs, self._coerce(other).coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return CyclotomicElement([a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._like(tuple(map(sub, self.coeffs, self._coerce(other).coeffs)))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return CyclotomicElement([-a for a in self.coeffs])
+        return self._like(tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        prod = [Q(0)] * (2 * DEGREE - 1)
+        if not isinstance(other, RingElement):
+            s = Q(other)
+            return self._like(tuple(c * s for c in self.coeffs))
+        o = self._coerce(other).coeffs
+        prod = [_ZERO] * (2 * len(o) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(o.coeffs):
+                for j, b in enumerate(o, i):
                     if b:
-                        prod[i + j] += a * b
-        return CyclotomicElement(_reduce(prod))
+                        prod[j] += a * b
+        return self._like(self._reduce(prod))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
+        return self * (other.inverse() if isinstance(other, RingElement) else 1 / Q(other))
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        return self.inverse() * other
+
+    def inverse(self) -> "RingElement":
+        """prod sigma(self) / N(self) over the other conjugates sigma(self).
+        A zero norm (zero, or a zero divisor when f splits) raises
+        ZeroDivisionError."""
+        others = reduce(mul, self._conjugates())
+        norm = self * others
+        if not norm.is_rational():
+            raise InvariantError(f"norm {norm!r} is not rational")
+        if not norm.coeffs[0]:
+            raise ZeroDivisionError(f"{self!r} is zero or a zero divisor")
+        return others * (1 / norm.coeffs[0])
 
     def __eq__(self, other):
         try:
@@ -89,72 +133,56 @@ class CyclotomicElement:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        # a rational element equals its Fraction, so it hashes like it
+        return hash(self.coeffs[0] if self.is_rational() else (self.coeffs, self.relation))
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
-            raise ValueError("element is not rational")
+            raise ValueError(f"{self!r} is not rational")
         return self.coeffs[0]
 
+    def __repr__(self):
+        terms = [f"{c}*t^{k}" if k else f"{c}" for k, c in enumerate(self.coeffs) if c]
+        return (f"{type(self).__name__}({' + '.join(terms) or '0'}; "
+                f"t^{len(self.relation)} = {self.relation})")
+
+
+_set_coeffs = RingElement.coeffs.__set__
+_set_relation = RingElement.relation.__set__
+
+
+class CyclotomicElement(RingElement):
+    """An element of Q(zeta_20), stored as 8 Fraction coefficients of
+    1, zeta, ..., zeta^7."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs=()):
+        super().__init__(coeffs, _PHI20)
+
+    def _conjugates(self):
+        return [self.galois(k) for k in _OTHER_UNITS]
+
     def galois(self, k: int) -> "CyclotomicElement":
-        """The Galois image sigma_k(self) under zeta -> zeta^k."""
-        slots = [Q(0)] * 20
+        """The Galois image sigma_k(self) under zeta -> zeta^k, k prime to 20."""
+        if gcd(k, 20) != 1:
+            raise ValueError(f"zeta -> zeta^{k} is not an automorphism: gcd({k}, 20) > 1")
+        slots = [_ZERO] * 20
         for j, c in enumerate(self.coeffs):
-            slots[j * k % 20] += c
-        return CyclotomicElement(slots)
+            slots[j * k % 20] = c     # j -> jk is injective mod 20
+        return self._like(self._reduce(slots))
 
     def conjugate(self) -> "CyclotomicElement":
         """Complex conjugation: zeta -> zeta^-1 = zeta^19."""
         return self.galois(19)
 
-    def inverse(self) -> "CyclotomicElement":
-        """Inverse by the norm: the product of the other Galois conjugates
-        divided by N(self) = self * (that product), a nonzero rational."""
-        if self.is_zero():
-            raise ZeroDivisionError("zero has no inverse")
-        others = ONE
-        for k in _OTHER_UNITS:
-            others = others * self.galois(k)
-        norm = self * others
-        if not norm.is_rational() or norm.is_zero():
-            raise InvariantError(f"norm {norm!r} is not a nonzero rational")
-        return others * (1 / norm.as_fraction())
-
-    def __repr__(self):
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c:
-                terms.append(f"{c}" if k == 0 else f"{c}*z^{k}")
-        return "CyclotomicElement(" + (" + ".join(terms) or "0") + ")"
-
-
-def _reduce(coeffs):
-    """Reduce a coefficient list modulo Phi_20 in place."""
-    cs = list(coeffs)
-    for i in range(len(cs) - 1, DEGREE - 1, -1):
-        c = cs[i]
-        if c:
-            cs[i] = Q(0)
-            # x^i = x^(i-8) * (x^6 - x^4 + x^2 - 1)
-            cs[i - 2] += c
-            cs[i - 4] -= c
-            cs[i - 6] += c
-            cs[i - 8] -= c
-    return cs[:DEGREE]
-
 
 def zeta_pow(k: int) -> CyclotomicElement:
     """zeta_20^k for any integer k."""
-    k %= 20
-    coeffs = [Q(0)] * (k + 1)
-    coeffs[k] = Q(1)
-    return CyclotomicElement(coeffs)
+    return CyclotomicElement([0] * (k % 20) + [1])
 
 
 ZETA = zeta_pow(1)

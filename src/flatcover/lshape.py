@@ -1,9 +1,11 @@
-"""Exact arithmetic in Q(lambda), lambda^2 = e*lambda + b, and the cylinder
-moduli / multitwist matrices of the L-shaped surfaces L(b,e) and their
+"""The field Q(lambda), lambda^2 = e*lambda + b, and the cylinder moduli /
+multitwist matrices of the L-shaped surfaces L(b,e) and their
 GL2+(R)-companions curly-L(b,e) (same shape, top square side lambda-2 and
-bottom rectangle width b-2).  The intersection form on H_1 in the basis
+bottom rectangle width b-2).  The ring operations are those of
+`cyclotomic.RingElement`.  The intersection form on H_1 in the basis
 (a1, b1, a2, b2), `symplectic_pairing` and its Gram matrix `J4`, lives here
-for the whole package, since this module imports no other flatcover module.
+for the whole package, since this module imports only `cyclotomic`, which
+imports no other flatcover module.
 
 Signs are exact: the sign of x + y*lambda is decided by rational case
 analysis on x, y and a comparison of squares against D = e^2 + 4b.  Elements
@@ -12,12 +14,10 @@ have no ordering; compare by the sign of a difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from . import InvariantError
-
-Q = Fraction
+from .cyclotomic import RingElement
 
 
 def is_prototype(b: int, e: int) -> bool:
@@ -26,123 +26,39 @@ def is_prototype(b: int, e: int) -> bool:
     return e in (-1, 0, 1) and e + 1 < b and not (e == 1 and b % 2)
 
 
-class QuadraticElement:
-    """x + y*lambda with lambda = (e + sqrt(D))/2, D = e^2 + 4b."""
+class QuadraticElement(RingElement):
+    """x + y*lambda with lambda = (e + sqrt(D))/2, D = e^2 + 4b: the ring
+    Q[t]/(t^2 - e t - b), with lambda the larger root."""
 
-    __slots__ = ("x", "y", "b", "e")
+    __slots__ = ()
 
     def __init__(self, x, y, b: int, e: int):
-        D = e * e + 4 * b
-        if D < 5:
+        if e * e + 4 * b < 5:
             raise ValueError("need D = e^2 + 4b >= 5")
-        object.__setattr__(self, "x", Q(x))
-        object.__setattr__(self, "y", Q(y))
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "e", e)
+        super().__init__((x, y), (b, e))
 
-    def __setattr__(self, *a):
-        raise AttributeError("QuadraticElement is immutable")
+    x = property(lambda self: self.coeffs[0])
+    y = property(lambda self: self.coeffs[1])
+    b = property(lambda self: self.relation[0])
+    e = property(lambda self: self.relation[1])
 
-    @property
-    def D(self) -> int:
-        return self.e * self.e + 4 * self.b
-
-    def _like(self, x, y) -> "QuadraticElement":
-        return QuadraticElement(x, y, self.b, self.e)
-
-    def _coerce(self, other) -> "QuadraticElement":
-        if isinstance(other, QuadraticElement):
-            if (other.b, other.e) != (self.b, self.e):
-                raise ValueError("mixed ring parameters")
-            return other
-        return self._like(other, 0)
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return self._like(self.x + o.x, self.y + o.y)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return self._like(self.x - o.x, self.y - o.y)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return self._like(-self.x, -self.y)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        # (x + y L)(x' + y' L) with L^2 = e L + b
-        yy = self.y * o.y
-        return self._like(self.x * o.x + self.b * yy,
-                          self.x * o.y + self.y * o.x + self.e * yy)
-
-    __rmul__ = __mul__
-
-    def norm(self) -> Fraction:
-        """Product with the conjugate: x^2 + e x y - b y^2."""
-        return self.x * self.x + self.e * self.x * self.y - self.b * self.y * self.y
+    def _conjugates(self):
+        return [self.galois_conjugate()]
 
     def galois_conjugate(self) -> "QuadraticElement":
         """lambda -> e - lambda."""
-        return self._like(self.x + self.e * self.y, -self.y)
-
-    def inverse(self) -> "QuadraticElement":
-        nrm = self.norm()
-        if nrm == 0:
-            raise ZeroDivisionError("element is zero or a zero divisor")
-        conj = self.galois_conjugate()
-        return self._like(conj.x / nrm, conj.y / nrm)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
-    # -- sign --------------------------------------------------------------
+        return self._like((self.x + self.e * self.y, -self.y))
 
     def sign(self) -> int:
         """Sign of the real value under lambda = (e + sqrt(D))/2 > 0."""
         A = 2 * self.x + self.e * self.y  # value = (A + y sqrt(D)) / 2
         B = self.y
-        if B == 0:
-            return (A > 0) - (A < 0)
-        if A == 0:
-            return 1 if B > 0 else -1
-        if A > 0 and B > 0:
-            return 1
-        if A < 0 and B < 0:
-            return -1
-        diff = A * A - B * B * self.D
-        s = (diff > 0) - (diff < 0)
-        return s if A > 0 else -s
-
-    def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except (ValueError, TypeError):
-            return NotImplemented
-        return self.x == o.x and self.y == o.y
-
-    def __hash__(self):
-        return hash((self.x, self.y, self.b, self.e))
-
-    def is_rational(self) -> bool:
-        return self.y == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element has a nonzero lambda-part")
-        return self.x
-
-    def __repr__(self):
-        return f"QuadraticElement({self.x} + {self.y}*lam; b={self.b}, e={self.e})"
+        sa, sb = (A > 0) - (A < 0), (B > 0) - (B < 0)
+        if sa * sb >= 0:
+            return sa or sb
+        # opposite signs: the larger of A^2 and D B^2 wins
+        diff = A * A - B * B * (self.e * self.e + 4 * self.b)
+        return sa * ((diff > 0) - (diff < 0))
 
 
 def lam(b: int, e: int) -> QuadraticElement:

@@ -106,13 +106,20 @@ def test_primitive_rejects_inadmissible_spin(run, d, e):
     assert code == 2 and out == "" and "error" in err
 
 
-def test_decagon(run):
+def test_decagon(run, monkeypatch):
     code, out, _ = run("decagon", "--max-n", "5", "--format", "json")
     assert code == 0
     data = json.loads(out)
     assert data["N"] == {"2": 3, "3": 1, "4": 3, "5": 8}
     code, _, err = run("decagon", "--max-n", "1")
     assert code == 2 and "error" in err
+
+    # memory grows like n^4: above the cap of 40, no count is started
+    def no_count(n):
+        raise AssertionError(f"N({n}) was computed")
+    monkeypatch.setattr("flatcover.cli.decagon_cyclic_echo_count", no_count)
+    code, out, err = run("decagon", "--max-n", "41")
+    assert code == 2 and out == "" and "between 2 and 40" in err
 
 
 def test_covers_pinned(run):

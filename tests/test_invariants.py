@@ -14,6 +14,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import flatcover
 
 PACKAGE = Path(flatcover.__file__).parent
@@ -80,6 +82,16 @@ def test_invariant_error_survives_optimize_flag():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("InvariantError: intersection form is not unimodular")
+
+
+@pytest.mark.parametrize("module", ["lshape", "cyclotomic", "monodromy"])
+def test_module_imports_first_in_a_fresh_interpreter(module):
+    # lshape imports cyclotomic: an import cycle between the two would fail
+    # only in some import orders, so each is imported first on its own
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", f"import flatcover.{module}"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def referenced_names(nodes, attributes_only: bool = False) -> Counter:

@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,23 +60,15 @@ def test_defining_relation():
         assert L * L == e * L + b
 
 
-@settings(max_examples=60)
-@given(quads(6, 1), quads(6, 1), quads(6, 1))
-def test_ring_axioms(a, b, c):
-    assert (a + b) * c == a * c + b * c
-    assert a * b == b * a
-    assert a - a == rational(0, 6, 1)
-
-
-@settings(max_examples=60)
-@given(quads(6, -1))
-def test_inverse_and_norm(a):
-    if a.norm() == 0:
+def test_zero_divisors_at_square_discriminant():
+    # L(6, -1): D = 25, and lambda^2 + lambda - 6 = (lambda - 2)(lambda + 3)
+    L = lam(6, -1)
+    assert (L - 2) * (L + 3) == 0
+    for z in (L - 2, L + 3):
         with pytest.raises(ZeroDivisionError):
-            a.inverse()
-    else:
-        assert a * a.inverse() == rational(1, 6, -1)
-        assert a.norm() == (a * a.galois_conjugate()).x
+            z.inverse()
+        with pytest.raises(ZeroDivisionError):
+            1 / z
 
 
 @settings(max_examples=60)
@@ -99,6 +92,19 @@ def test_exact_sign():
     assert M.galois_conjugate().sign() < 0
 
 
+@settings(max_examples=100)
+@given(st.sampled_from([(7, 1), (6, 1), (6, -1), (9, 0), (4, 0)])
+       .flatmap(lambda be: quads(*be)))
+def test_sign_matches_a_bracket_of_sqrt_D(a):
+    # 2 * value = A + B sqrt(D), and r / 2^64 <= sqrt(D) < (r + 1) / 2^64
+    D = a.e * a.e + 4 * a.b
+    r = isqrt(D << 128)
+    A, B = 2 * a.x + a.e * a.y, a.y
+    ends = [A + B * Q(r + d, 1 << 64) for d in ((0,) if r * r == D << 128 else (0, 1))]
+    expected = 1 if min(ends) > 0 else -1 if max(ends) < 0 else 0
+    assert a.sign() == expected
+
+
 def test_mixed_rings_rejected():
     with pytest.raises(ValueError):
         lam(6, 1) + lam(7, 1)
@@ -110,6 +116,11 @@ def test_modulus_of_axis_aligned_cylinder():
     # a width-w height-h horizontal cylinder has modulus h/w
     m = cylinder_modulus(period(6, 0, 6, 1), period(0, 1, 6, 1))
     assert m == rational(Q(1, 6), 6, 1)
+    # a zero core period, also one that is zero only as a real number
+    # (lambda = 2 for L(6, -1))
+    for core in (period(0, 0, 6, 1), period(lam(6, -1) - 2, 0, 6, -1)):
+        with pytest.raises(ZeroDivisionError):
+            cylinder_modulus(core, period(0, 1, core.vertical.b, core.vertical.e))
 
 
 @settings(max_examples=40)
