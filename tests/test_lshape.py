@@ -60,6 +60,27 @@ def test_defining_relation():
         assert L * L == e * L + b
 
 
+@settings(max_examples=60)
+@given(quads(6, 1), quads(6, 1), quads(6, 1))
+def test_ring_axioms(a, b, c):
+    assert (a + b) * c == a * c + b * c
+    assert a * b == b * a
+    assert a - a == rational(0, 6, 1)
+
+
+@settings(max_examples=60)
+@given(quads(6, -1))
+def test_inverse_and_norm(a):
+    # N(x + y lambda) = x^2 + e x y - b y^2 = (x + y lambda)(x + y lambda')
+    norm = a.x * a.x + a.e * a.x * a.y - a.b * a.y * a.y
+    assert a * a.galois_conjugate() == rational(norm, 6, -1)
+    if norm == 0:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+    else:
+        assert a * a.inverse() == rational(1, 6, -1)
+
+
 def test_zero_divisors_at_square_discriminant():
     # L(6, -1): D = 25, and lambda^2 + lambda - 6 = (lambda - 2)(lambda + 3)
     L = lam(6, -1)
