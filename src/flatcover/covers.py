@@ -15,10 +15,12 @@ basis cycles, so the covers of one surface and modulus take one walk of the
 tree in all.  The double covers are the Z/2 cyclic covers: the primitive
 vectors of (Z/2)^4 are its 15 nonzero vectors.  A cover's dual class moves
 under SL(2,Z) as a homology class, so `affine_action_mod2` pushes four
-chains mod 2 along the base's orbit graph, into each target member's labels,
-and reads one F_2 matrix per edge off their intersection numbers
-(`origami.mod2_forms`), checking each image's Gram matrix.  A basis is four
-cycles on the base's squares (ValueError otherwise).
+chains mod 2, byte-sliced into one lane (bit k of a square's byte is chain
+k), along the base's orbit graph, into each target member's labels, one XOR
+push per edge side, and reads one F_2 matrix per edge off their
+intersection numbers (`origami.mod2_forms`), checking each image's Gram
+matrix.  A basis is four cycles on the base's squares (ValueError
+otherwise).
 """
 from __future__ import annotations
 
@@ -28,8 +30,8 @@ from . import InvariantError
 from .lshape import IDENTITY4, J4, symplectic_pairing
 from .monodromy import (mat_mod, mat_vec, primitive_vector_count, primitive_vectors,
                         vector_label)
-from .origami import (Cycle, Origami, OrbitGraph, mod2_forms, sl2z_orbit_graph,
-                      spanning_tree)
+from .origami import (Cycle, Origami, OrbitGraph, mod2_forms, mod2_lane,
+                      sl2z_orbit_graph, spanning_tree)
 from .perms import Permutation, inverse_images
 
 
@@ -189,22 +191,25 @@ def affine_action_mod2(o: Origami, basis: list[Cycle]) -> tuple[OrbitGraph, list
     `cover_label`) in the coordinates of `basis` (a1, b1, a2, b2): x -> M x
     for M = matrices[2 i], matrices[2 i + 1] on the L, R edges of member i.
 
-    Each member carries a frame of four classes mod 2, as the chains
-    (sig, tau) of a `Cycle`, pushed by an edge straight into the labels of
-    its target (h_j, v_j) with the edge's `order`.  L sends h to v^-1 h and
-    an E step to E then N: sig_j[k] = sig[order[k]] and
+    Each member carries a frame of four classes mod 2 as one lane of
+    `origami.mod2_lane`: two byte strings (sig, tau), one byte per square,
+    whose bit k is class k's chain there.  An edge pushes the frame straight
+    into the labels of its target (h_j, v_j) with the edge's `order`, all
+    four classes at once, "+" being XOR.  L sends h to v^-1 h and an E step
+    to E then N: sig_j[k] = sig[order[k]] and
     tau_j[k] = tau[order[k]] + sig_j[h_j^-1[k]].  R sends v to h^-1 v and an
     N step to N then E: tau_j[k] = tau[order[k]] and
     sig_j[k] = sig[order[k]] + tau_j[v_j^-1[k]].  Each member is the target
     of one L and one R edge, so each h_j and v_j is inverted once.  Member
     0's frame is the basis relabelled by `seed_order`, and the edge that
     first reaches a member carries its frame there, so the BFS tree edges act
-    as the identity.  Entry (l, k) of a matrix is the intersection number
-    mod 2 of image class k with target class l ^ 1 on the target member, read
-    off `origami.mod2_forms`; only the targets' packed ints are kept.  The Gram matrix mod 2 of every image
-    frame must be J4 mod 2 (InvariantError otherwise); at member 0 this
-    rejects a basis that is not symplectic mod 2.  A basis that is not four
-    cycles on o's squares is a ValueError.
+    as the identity.  Each landing reads the image frame on the target with
+    `origami.mod2_forms`: its Gram matrix mod 2 must be J4 mod 2
+    (InvariantError otherwise; at member 0 this rejects a basis that is not
+    symplectic mod 2), and entry (l, k) of the matrix is image class k . target
+    class l ^ 1 mod 2, against the target's packed int, which is all that is
+    kept of a member's frame once it is expanded.  Equal matrices are one
+    tuple.  A basis that is not four cycles on o's squares is a ValueError.
 
     So the component of (member 0, gamma) in the skew product of the graph
     with the covers is every member times gamma's orbit under the matrices:
@@ -217,30 +222,33 @@ def affine_action_mod2(o: Origami, basis: list[Cycle]) -> tuple[OrbitGraph, list
     graph = sl2z_orbit_graph(o.h.images, o.v.images)
     carried = {}  # the frames of the members reached and not yet expanded
     targets: list = [None] * len(graph.members)
-    gram = mat_mod(J4, 2)
+    gram = tuple([x for row in mat_mod(J4, 2) for x in row])
+    shapes = {}  # each distinct matrix, by its entries row by row
 
-    def land(j, frame):
-        read, packed = zip(*mod2_forms(*graph.members[j], frame))
-        if tuple(tuple((a & b).bit_count() & 1 for b in packed) for a in read) != gram:
+    def land(j, sig, tau):
+        reads, packs = mod2_forms(*graph.members[j], sig, tau, 4)
+        if tuple([(a & b).bit_count() & 1 for a in reads for b in packs]) != gram:
             raise InvariantError(f"the image frame at member {j} is not symplectic mod 2")
         if targets[j] is None:
-            carried[j], targets[j] = frame, packed
-        return tuple(tuple((a & targets[j][l ^ 1]).bit_count() & 1 for a in read)
-                     for l in range(4))
+            carried[j], targets[j] = (sig, tau), packs[0]
+        t = targets[j]
+        # row l of a matrix pairs with target class l ^ 1
+        entries = tuple([(a & b).bit_count() & 1 for b in (t >> 1, t, t >> 3, t >> 2)
+                         for a in reads])
+        matrix = shapes.get(entries)
+        if matrix is None:
+            matrix = shapes[entries] = tuple(entries[l:l + 4] for l in range(0, 16, 4))
+        return matrix
 
-    land(0, [tuple([x[s] & 1 for s in graph.seed_order] for x in (c.sig, c.tau))
-             for c in basis])
+    land(0, *mod2_lane([([c.sig[s] for s in graph.seed_order],
+                         [c.tau[s] for s in graph.seed_order]) for c in basis]))
     matrices = []
     for i, ((jl, order_l), (jr, order_r)) in enumerate(graph.edges):
-        frame = carried.pop(i)
+        sig, tau = carried.pop(i)
         hi = inverse_images(graph.members[jl][0])
         vi = inverse_images(graph.members[jr][1])
-        image_l, image_r = [], []
-        for sig, tau in frame:
-            sig_l = [sig[s] for s in order_l]
-            image_l.append((sig_l, [tau[s] ^ sig_l[t] for s, t in zip(order_l, hi)]))
-            tau_r = [tau[s] for s in order_r]
-            image_r.append(([sig[s] ^ tau_r[t] for s, t in zip(order_r, vi)], tau_r))
-        matrices.append(land(jl, image_l))
-        matrices.append(land(jr, image_r))
+        sig_l = bytes([sig[s] for s in order_l])
+        tau_r = bytes([tau[s] for s in order_r])
+        matrices.append(land(jl, sig_l, bytes([tau[s] ^ sig_l[t] for s, t in zip(order_l, hi)])))
+        matrices.append(land(jr, bytes([sig[s] ^ tau_r[t] for s, t in zip(order_r, vi)]), tau_r))
     return graph, matrices

@@ -17,10 +17,13 @@ invariant exactly computable.
 
 The spanning-tree cycles are built, not cached, for each call that needs
 them.  `intersection` is the one integer pairing and `mod2_forms` the one
-over F_2.  The Arf invariant is a symplectic Gram-Schmidt on the mod-2 Gram
-rows of `mod2_forms`; an integer symplectic basis, reduced from the
-`intersection` Gram matrix, is built only when `symplectic_basis` is asked
-for.
+over F_2.  Over F_2 chains are byte-sliced: `mod2_lane` packs up to 8 of
+them into a lane, two byte strings (sig, tau) whose byte per square holds
+chain k in bit k, and `mod2_forms` reads a lane's pairings with big-int AND
+and bit counts.  The Arf invariant is a symplectic Gram-Schmidt on the mod-2
+Gram rows of the fundamental cycles, 8 to a lane; an integer symplectic
+basis, reduced from the `intersection` Gram matrix, is built only when
+`symplectic_basis` is asked for.
 """
 from __future__ import annotations
 
@@ -128,16 +131,38 @@ def intersection(o: Origami, a: Cycle, b: Cycle) -> int:
                for t, (x, y) in enumerate(zip(b.sig, b.tau)))
 
 
-def mod2_forms(h, v, chains) -> list[tuple[int, int]]:
-    """`intersection` mod 2 on the origami (h, v), packed: for each chain
-    (sig, tau) the ints (read, packed) with a byte x & 1 per coefficient x.
-    read is the chain read through v and h, [sig[t] for t in v] then
-    [tau[t] for t in h], and packed is tau then sig, so byte by byte
-    read_a & packed_b holds the terms a.sig[v[t]] b.tau[t] and
-    a.tau[h[t]] b.sig[t], and its bit count is a . b mod 2."""
-    return [(int.from_bytes(bytes([sig[t] & 1 for t in v] + [tau[t] & 1 for t in h]), "big"),
-             int.from_bytes(bytes([x & 1 for x in tau + sig]), "big"))
-            for sig, tau in chains]
+def mod2_lane(chains) -> tuple[bytes, bytes]:
+    """Up to 8 chains (sig, tau) on one origami, reduced mod 2 into one lane:
+    two byte strings (sig, tau) with one byte per square, whose bit k is
+    chain k's coefficient there mod 2."""
+    if not 1 <= len(chains) <= 8:
+        raise ValueError("a lane holds 1 to 8 chains")
+    sig = tau = 0
+    for k, (s, t) in enumerate(chains):
+        sig |= int.from_bytes(bytes([x & 1 for x in s]), "big") << k
+        tau |= int.from_bytes(bytes([x & 1 for x in t]), "big") << k
+    n = len(chains[0][0])
+    return sig.to_bytes(n, "big"), tau.to_bytes(n, "big")
+
+
+def mod2_forms(h, v, sig, tau, width: int) -> tuple[list[int], list[int]]:
+    """`intersection` mod 2 on the origami (h, v) for the `width` chains of
+    the lane (sig, tau) (`mod2_lane`), byte-sliced.
+
+    read is the lane read through v and h, [sig[t] for t in v] then
+    [tau[t] for t in h], and packed is tau then sig, each one int with a byte
+    per entry.  Byte by byte, bit k of read and bit l of packed hold the terms
+    a.sig[v[t]] b.tau[t] and a.tau[h[t]] b.sig[t] of a . b for a = chain k,
+    b = chain l.  Returns (reads, packs): reads[k] is bit k of every byte of
+    read and packs[l] is packed >> l, so a . b mod 2 is the parity of the bit
+    count of reads[k] & packs[l].  Chains of another lane on (h, v) pair with
+    these through their own reads and packs in the same way."""
+    if not 1 <= width <= 8:
+        raise ValueError("a lane holds 1 to 8 chains")
+    ones = int.from_bytes(b"\1" * (2 * len(h)), "big")
+    read = int.from_bytes(bytes([sig[t] for t in v] + [tau[t] for t in h]), "big")
+    packed = int.from_bytes(tau + sig, "big")
+    return [(read >> k) & ones for k in range(width)], [packed >> l for l in range(width)]
 
 
 def _reduce_cyclic(moves: list[str]) -> list[str]:
@@ -520,10 +545,12 @@ class Origami:
         mod 2, computed over F_2 from the fundamental cycles.
 
         Vectors are bitmasks over the fundamental cycles, each with a mod-2
-        Gram row g (bit j of cycle i's row is the parity of read_i & packed_j
-        from `mod2_forms`) and its value q.  A vector x and a partner y with
-        b(x, y) = 1 form a hyperbolic pair and add q(x) q(y) to the Arf
-        invariant; every other w becomes w + b(w, y) x + b(w, x) y, with
+        Gram row g and its value q.  The cycles are packed 8 to a lane
+        (`mod2_lane`), and bit j of cycle i's row is the parity of
+        reads[i] & packs[j], both lists running over the lanes' `mod2_forms`
+        in order.  A vector x and a partner y with b(x, y) = 1 form a
+        hyperbolic pair and add q(x) q(y) to the Arf invariant; every other
+        w becomes w + b(w, y) x + b(w, x) y, with
         q(w + x) = q(w) + q(x) + b(w, x).  Each vector keeps the Gram row of
         the cycle it started as: the two differ by rows of vectors already
         paired off, which pair to zero with every vector still left.  A
@@ -535,11 +562,16 @@ class Origami:
         if any(k % 2 for k in st.zero_orders):
             raise ValueError("Arf invariant needs all zero orders even")
         cycles = self._fundamental_cycles()
-        forms = mod2_forms(self.h.images, self.v.images, [(c.sig, c.tau) for c in cycles])
+        h, v = self.h.images, self.v.images
+        reads, packs = [], []
+        for i in range(0, len(cycles), 8):
+            lane = cycles[i:i + 8]
+            r, p = mod2_forms(h, v, *mod2_lane([(c.sig, c.tau) for c in lane]), len(lane))
+            reads += r
+            packs += p
         vecs = []
-        for i, (c, (read, _)) in enumerate(zip(cycles, forms)):
-            g = sum(((read & packed).bit_count() & 1) << j
-                    for j, (_, packed) in enumerate(forms))
+        for i, (c, read) in enumerate(zip(cycles, reads)):
+            g = sum(((read & packed).bit_count() & 1) << j for j, packed in enumerate(packs))
             vecs.append((1 << i, g, (winding_index(c) + 1) % 2))
         arf = pairs = 0
         while vecs:

@@ -1,4 +1,5 @@
 import random
+import re
 from math import gcd
 
 import pytest
@@ -11,9 +12,9 @@ from flatcover.covers import (Cover, affine_action_mod2, all_double_covers,
 from flatcover.lshape import IDENTITY4, symplectic_pairing
 from flatcover.monodromy import (group_closure, is_symplectic, mat_H, mat_mod, mat_V, mat_X,
                                  orbit_partition, primitive_vectors, vector_label)
-from flatcover.origami import (Origami, act_generator, intersection, l_origami,
-                               spanning_tree, symplectic_reduce)
-from flatcover.perms import Permutation, parse_cycles
+from flatcover.origami import (Cycle, Origami, act_generator, intersection, l_origami,
+                               sl2z_orbit_graph, spanning_tree, symplectic_reduce)
+from flatcover.perms import Permutation, inverse_images, parse_cycles
 from test_origami import reference_crossings
 
 
@@ -396,3 +397,70 @@ def test_affine_action_mod2_gives_the_echo_table(n):
         assert len(group) == (12 if n % 2 else 8)
         hand = [mat_mod(mat_H(b, e), 2), mat_mod(mat_V(b, e), 2)] + ([mat_X()] if n % 2 else [])
         assert group == group_closure(hand, 2)
+
+
+def reference_affine_action_mod2(o, basis):
+    """The edge matrices of `affine_action_mod2`, with the four frame chains
+    carried one by one as integer lists mod 2 and every entry read with
+    `intersection`: an L edge sends sig_j[k] = sig[order[k]] and
+    tau_j[k] = tau[order[k]] + sig_j[h_j^-1[k]], an R edge
+    tau_j[k] = tau[order[k]] and sig_j[k] = sig[order[k]] + tau_j[v_j^-1[k]];
+    entry (l, k) is image class k . target class l ^ 1 mod 2."""
+    graph = sl2z_orbit_graph(o.h.images, o.v.images)
+    n = o.n
+    surfaces = [Origami(Permutation(h), Permutation(v)) for h, v in graph.members]
+    frames = {0: [Cycle(n, tuple(c.sig[s] % 2 for s in graph.seed_order),
+                        tuple(c.tau[s] % 2 for s in graph.seed_order)) for c in basis]}
+    matrices = []
+    for i, edges in enumerate(graph.edges):
+        for g, (j, order) in enumerate(edges):
+            h_j, v_j = graph.members[j]
+            h_inv = [0] * n
+            v_inv = [0] * n
+            for s in range(n):
+                h_inv[h_j[s]] = s
+                v_inv[v_j[s]] = s
+            image = []
+            for c in frames[i]:
+                sig = [c.sig[s] for s in order]
+                tau = [c.tau[s] for s in order]
+                if g == 0:
+                    tau = [(tau[k] + sig[h_inv[k]]) % 2 for k in range(n)]
+                else:
+                    sig = [(sig[k] + tau[v_inv[k]]) % 2 for k in range(n)]
+                image.append(Cycle(n, tuple(sig), tuple(tau)))
+            frames.setdefault(j, image)
+            matrices.append(tuple(
+                tuple(intersection(surfaces[j], a, frames[j][l ^ 1]) % 2 for a in image)
+                for l in range(4)))
+    return matrices
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_affine_action_mod2_matches_a_per_chain_reference(n):
+    for b, e in square_spins(n):
+        o, basis = lshape(b, e)
+        assert affine_action_mod2(o, basis)[1] == reference_affine_action_mod2(o, basis)
+
+
+@pytest.mark.parametrize("call", [5, 13, 25])
+def test_every_landing_checks_its_gram_matrix(monkeypatch, call):
+    # a frame pushed with two images of an inverse map swapped is caught
+    # where it lands, past member 0 (a swap can also leave the frame
+    # symplectic mod 2, which no Gram check sees; these calls' swaps do not)
+    import flatcover.covers
+    calls = []
+
+    def swapped_once(images):
+        out = inverse_images(images)
+        calls.append(images)
+        if len(calls) == call:
+            out[0], out[1] = out[1], out[0]
+        return out
+
+    o, basis = lshape(30, -1)
+    affine_action_mod2(o, basis)
+    monkeypatch.setattr(flatcover.covers, "inverse_images", swapped_once)
+    with pytest.raises(InvariantError, match=r"member (\d+)") as info:
+        affine_action_mod2(o, basis)
+    assert int(re.search(r"member (\d+)", str(info.value)).group(1)) > 0

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from flatcover import origami
 from flatcover.covers import Cover, all_double_covers, cover_from_basis_values
 from flatcover.origami import (Cycle, Origami, OrbitCapExceeded, act_generator,
-                               intersection, l_origami, lattice_index, mod2_forms,
+                               intersection, l_origami, lattice_index, mod2_forms, mod2_lane,
                                sl2z_orbit_graph, sl2z_word, translation_images)
 from flatcover.perms import (Permutation, _canonical_pair, compose, cycles,
                              parse_cycles)
@@ -570,11 +570,21 @@ def test_symplectic_basis_has_standard_gram(o):
     assert [[intersection(o, x, y) for y in basis] for x in basis] == standard
 
 
-def assert_mod2_forms_are_intersection_mod2(o):
-    cycles = o._fundamental_cycles()
-    forms = mod2_forms(o.h.images, o.v.images, [(c.sig, c.tau) for c in cycles])
-    for a, (read, _) in zip(cycles, forms):
-        for b, (_, packed) in zip(cycles, forms):
+def assert_mod2_forms_are_intersection_mod2(o, chains=None):
+    """Every entry of `mod2_forms`, with the chains (default: the
+    fundamental cycles) packed 8 to a lane, is `intersection` mod 2, within a
+    lane and across lanes."""
+    chains = o._fundamental_cycles() if chains is None else chains
+    h, v = o.h.images, o.v.images
+    reads, packs = [], []
+    for i in range(0, len(chains), 8):
+        lane = chains[i:i + 8]
+        r, p = mod2_forms(h, v, *mod2_lane([(c.sig, c.tau) for c in lane]), len(lane))
+        reads += r
+        packs += p
+    assert len(reads) == len(packs) == len(chains)
+    for a, read in zip(chains, reads):
+        for b, packed in zip(chains, packs):
             ab = intersection(o, a, b)
             assert (read & packed).bit_count() % 2 == ab % 2
             assert ab == -intersection(o, b, a)
@@ -592,6 +602,31 @@ def test_mod2_forms_of_lifts():
         for values in ((1, 0, 0, 0), (0, 1, 1, 0), (1, 1, 1, 1)):
             c = cover_from_basis_values(L.origami, 2, list(L.basis), values)
             assert_mod2_forms_are_intersection_mod2(c.lift())
+
+
+@pytest.mark.parametrize("count", [1, 4, 7, 8, 9, 16, 17, 23])
+def test_mod2_forms_across_lane_boundaries(count):
+    # a 22-square lift of L(30, 1) has 23 fundamental cycles, 3 lanes; the
+    # chains 3 a - b have even and negative coefficients too
+    L = l_origami(30, 1)
+    lift = cover_from_basis_values(L.origami, 2, list(L.basis), (0, 1, 1, 0)).lift()
+    cycles = lift._fundamental_cycles()
+    assert len(cycles) == 23
+    combos = [3 * a - b for a, b in zip(cycles, cycles[1:] + cycles[:1])]
+    assert_mod2_forms_are_intersection_mod2(lift, cycles[:count])
+    assert_mod2_forms_are_intersection_mod2(lift, combos[:count])
+
+
+def test_a_lane_holds_one_to_eight_chains():
+    o = l_origami(30, 1).origami
+    cycles = [(c.sig, c.tau) for c in o._fundamental_cycles()]
+    for chains in ([], cycles[:9]):
+        with pytest.raises(ValueError, match="1 to 8 chains"):
+            mod2_lane(chains)
+    sig, tau = mod2_lane(cycles[:8])
+    for width in (0, 9):
+        with pytest.raises(ValueError, match="1 to 8 chains"):
+            mod2_forms(o.h.images, o.v.images, sig, tau, width)
 
 
 # -- a chain is its own crossing count ----------------------------------------
