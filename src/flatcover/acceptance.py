@@ -19,7 +19,7 @@ from .monodromy import (constrained_subgroup, decagon_cyclic_echo_count,
                         mat_vec, orbit_partition,
                         primitive_vectors, rho_R, rho_T, sp4_f2,
                         verify_decagon_periods, eigenbasis_checks)
-from .origami import Origami, act_generator, l_origami
+from .origami import Origami, _tree_cycles, act_generator, l_origami, winding_index
 from .perms import Permutation, parse_cycles
 
 TABLE1 = (3, 1, 3, 8, 3, 1, 3, 1, 24, 3, 3, 1, 3, 8)  # N(n) for n = 2..15
@@ -242,8 +242,15 @@ def check_arf_split(fast: bool = False):
         return False, "label-2 lift differs from the published right-hand surface"
     if lift2.arf_invariant() != 0:
         return False, "right-hand surface should have Arf 0"
-    if covers[1].lift().arf_invariant() != 1:
+    lift1 = covers[1].lift()
+    if lift1.arf_invariant() != 1:
         return False, "odd cover should have Arf 1"
+    # the winding numbers behind q, read off the tree, against the turns of
+    # each fundamental cycle's taxi loop
+    for lift in (lift1, lift2):
+        winds = [wind for *_, wind in _tree_cycles(lift.h.images, lift.v.images)]
+        if winds != [winding_index(c) for c in lift._fundamental_cycles()]:
+            return False, f"tree winding numbers {winds} differ from winding_index"
     return True, f"Arf(lift) = 0 exactly on labels {sorted(HYP_LABELS)} for d <= {top}"
 
 

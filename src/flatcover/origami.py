@@ -20,10 +20,13 @@ them.  `intersection` is the one integer pairing and `mod2_forms` the one
 over F_2.  Over F_2 chains are byte-sliced: `mod2_lane` packs up to 8 of
 them into a lane, two byte strings (sig, tau) whose byte per square holds
 chain k in bit k, and `mod2_forms` reads a lane's pairings with big-int AND
-and bit counts.  The Arf invariant is a symplectic Gram-Schmidt on the mod-2
-Gram rows of the fundamental cycles, 8 to a lane; an integer symplectic
-basis, reduced from the `intersection` Gram matrix, is built only when
-`symplectic_basis` is asked for.
+and bit counts.  The Arf invariant needs no integer `Cycle`: one walk of the
+spanning tree gives every fundamental cycle's chain mod 2 and winding number
+(`_tree_cycles`), a tree-cotree split keeps 2g of them as a basis of the
+homology (`_tree_cotree`), and a symplectic Gram-Schmidt over F_2 runs on
+their mod-2 Gram rows, 8 cycles to a lane.  An integer symplectic basis,
+reduced from the `intersection` Gram matrix of the replayed fundamental
+cycles, is built only when `symplectic_basis` is asked for.
 """
 from __future__ import annotations
 
@@ -44,6 +47,11 @@ from .perms import (Permutation, _canonical_pair, compose, cycle_text, cycles,
 #: the taxi directions in counterclockwise order: a left turn adds 1 mod 4
 _MOVES = "ENWS"
 _OPPOSITE = {mv: _MOVES[(i + 2) % 4] for i, mv in enumerate(_MOVES)}
+#: the one turn rule: _TURN[a + b] is +1 when move b turns left from move a,
+#: -1 when it turns right and 0 when it goes straight on; a backtrack has no
+#: entry
+_TURN = {a + b: (0, 1, None, -1)[(j - i) % 4]
+         for i, a in enumerate(_MOVES) for j, b in enumerate(_MOVES) if (j - i) % 4 != 2}
 
 
 @dataclass(frozen=True)
@@ -186,20 +194,21 @@ def winding_index(cycle: Cycle) -> int:
     if cycle.moves is None:
         raise ValueError("winding index needs an explicit taxi loop")
     seq = _reduce_cyclic(list(cycle.moves))
-    if not seq:
-        return 0
-    left = right = 0
+    turning = 0
     for a, b in zip(seq, seq[1:] + seq[:1]):
-        d = (_MOVES.index(b) - _MOVES.index(a)) % 4
-        if d == 1:
-            left += 1
-        elif d == 3:
-            right += 1
-        elif d == 2:
+        turn = _TURN.get(a + b)
+        if turn is None:
             raise ValueError("reduced loop still backtracks")
-    if (right - left) % 4:
+        turning += turn
+    return _winding(turning)
+
+
+def _winding(turning: int) -> int:
+    """The winding index of a closed loop whose turns (`_TURN`) add up to
+    `turning`."""
+    if turning % 4:
         raise InvariantError("turning count of a closed loop is not a multiple of 4")
-    return (right - left) // 4
+    return -turning // 4
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +299,15 @@ class Stratum:
         if not self.zero_orders:
             return "torus"
         return "H(" + ",".join(str(k) for k in self.zero_orders) + ")"
+
+
+def _stratum(vertex_cycles) -> Stratum:
+    """The stratum of an origami with these `Origami.vertex_cycles`."""
+    orders = sorted((len(c) - 1 for c in vertex_cycles if len(c) >= 2), reverse=True)
+    total = sum(orders)
+    if total % 2:
+        raise InvariantError("odd total cone angle excess")
+    return Stratum(tuple(orders), total // 2 + 1)
 
 
 @dataclass(frozen=True)
@@ -411,12 +429,7 @@ class Origami:
         return cycles([h[v[hi[vi[s]]]] for s in range(self.n)], include_fixed=True)
 
     def stratum(self) -> Stratum:
-        orders = sorted((len(c) - 1 for c in self.vertex_cycles() if len(c) >= 2),
-                        reverse=True)
-        total = sum(orders)
-        if total % 2:
-            raise InvariantError("odd total cone angle excess")
-        return Stratum(tuple(orders), total // 2 + 1)
+        return _stratum(self.vertex_cycles())
 
     # -- SL(2,Z) action ----------------------------------------------------
 
@@ -542,37 +555,48 @@ class Origami:
 
     def arf_invariant(self) -> int:
         """Arf invariant of the spin structure q(c) = winding_index(c) + 1
-        mod 2, computed over F_2 from the fundamental cycles.
+        mod 2, computed over F_2 on the 2g basis cycles of `_tree_cotree`.
 
-        Vectors are bitmasks over the fundamental cycles, each with a mod-2
-        Gram row g and its value q.  The cycles are packed 8 to a lane
-        (`mod2_lane`), and bit j of cycle i's row is the parity of
-        reads[i] & packs[j], both lists running over the lanes' `mod2_forms`
-        in order.  A vector x and a partner y with b(x, y) = 1 form a
-        hyperbolic pair and add q(x) q(y) to the Arf invariant; every other
-        w becomes w + b(w, y) x + b(w, x) y, with
-        q(w + x) = q(w) + q(x) + b(w, x).  Each vector keeps the Gram row of
-        the cycle it started as: the two differ by rows of vectors already
-        paired off, which pair to zero with every vector still left.  A
-        vector with no partner spans the radical (the classes null-homologous
-        on the closed surface), so q must vanish on it, and the pairs must
-        number the genus.
+        The n + 1 cycles, basis then co-tree, are packed 8 to a lane for
+        `mod2_forms`; bit j of cycle i's row g is the parity of
+        reads[i] & packs[j], its pairing with basis cycle j.  Vectors are
+        bitmasks over the cycles, each with the row g of the cycle it started
+        as and its value q.  A basis vector x and a partner y among them with
+        b(x, y) = 1 form a hyperbolic pair and add q(x) q(y) to the Arf
+        invariant; every other w becomes w + b(w, y) x + b(w, x) y, with
+        q(w + x) = q(w) + q(x) + b(w, x), where b(w, x) is the parity of
+        g & x: w and its start differ by vectors already paired off, which
+        pair to zero with x.  The pairs must number the genus.
+
+        Each co-tree vector is then its cycle c plus its projection p onto the
+        pairs, and pairs to zero with the basis.  Checking c_e . c_f = p_e . c_f
+        for co-tree cycles e < f makes these residuals pair to zero with each
+        other too, so the mod-2 Gram of the n + 1 cycles has rank 2g and the
+        residuals span its radical, the classes null-homologous on the closed
+        surface: q must vanish on each of them.
         """
-        st = self.stratum()
+        vertex_cycles = self.vertex_cycles()
+        st = _stratum(vertex_cycles)
         if any(k % 2 for k in st.zero_orders):
             raise ValueError("Arf invariant needs all zero orders even")
-        cycles = self._fundamental_cycles()
         h, v = self.h.images, self.v.images
+        basis, cotree = _tree_cotree(h, v, vertex_cycles)
+        m = len(basis)
+        if m != 2 * st.genus:
+            raise InvariantError(f"{m} tree-cotree basis cycles, genus {st.genus}")
+        chains = basis + cotree
+        n = self.n
         reads, packs = [], []
-        for i in range(0, len(cycles), 8):
-            lane = cycles[i:i + 8]
-            r, p = mod2_forms(h, v, *mod2_lane([(c.sig, c.tau) for c in lane]), len(lane))
+        for i in range(0, len(chains), 8):
+            lane = chains[i:i + 8]
+            packed = sum(c << k for k, (c, _) in enumerate(lane)).to_bytes(2 * n, "big")
+            r, p = mod2_forms(h, v, packed[:n], packed[n:], len(lane))
             reads += r
             packs += p
-        vecs = []
-        for i, (c, read) in enumerate(zip(cycles, reads)):
-            g = sum(((read & packed).bit_count() & 1) << j for j, packed in enumerate(packs))
-            vecs.append((1 << i, g, (winding_index(c) + 1) % 2))
+        rows = [sum(((read & packed).bit_count() & 1) << j for j, packed in enumerate(packs[:m]))
+                for read in reads]
+        vecs = [(1 << i, g, (w + 1) % 2) for i, (g, (_, w)) in enumerate(zip(rows, chains))]
+        vecs, residuals = vecs[:m], vecs[m:]
         arf = pairs = 0
         while vecs:
             x, gx, qx = vecs.pop()
@@ -580,22 +604,28 @@ class Origami:
                 if (gx & y).bit_count() % 2:
                     break
             else:
-                if qx:
-                    raise InvariantError("q is 1 on a null-homologous class")
                 continue
-            _, gy, qy = vecs.pop(k)
+            _, _, qy = vecs.pop(k)
             arf ^= qx & qy
             pairs += 1
-            for k, (w, gw, qw) in enumerate(vecs):
-                bx = (gx & w).bit_count() % 2
-                if (gy & w).bit_count() % 2:
-                    # b(w + x, y) = 0, so adding y below needs no correction
-                    w, qw = w ^ x, qw ^ qx ^ bx
-                if bx:
-                    w, qw = w ^ y, qw ^ qy
-                vecs[k] = (w, gw, qw)
+            for others in (vecs, residuals):
+                for k, (w, gw, qw) in enumerate(others):
+                    bx = (gw & x).bit_count() % 2
+                    if (gw & y).bit_count() % 2:
+                        # b(w + x, y) = 0, so adding y below needs no correction
+                        w, qw = w ^ x, qw ^ qx ^ bx
+                    if bx:
+                        w, qw = w ^ y, qw ^ qy
+                    others[k] = (w, gw, qw)
         if pairs != st.genus:
             raise InvariantError(f"{pairs} hyperbolic pairs mod 2, genus {st.genus}")
+        for e, (w, _, _) in enumerate(residuals):
+            read = reads[m + e]
+            for f in range(e + 1, len(residuals)):
+                if ((read & packs[m + f]).bit_count() + (w & rows[m + f]).bit_count()) % 2:
+                    raise InvariantError("mod-2 Gram of the fundamental cycles has rank above 2g")
+        if any(q for _, _, q in residuals):
+            raise InvariantError("q is 1 on a null-homologous class")
         return arf
 
 
@@ -680,6 +710,98 @@ def spanning_tree(h, v) -> list[tuple[int, int, tuple[str, int], int]]:
                 tree.append((s, t, (kind, s if direction == 1 else t), direction))
                 order.append(t)
     return tree
+
+
+def _tree_cycles(h, v) -> list[tuple[str, int, int, int]]:
+    """The n + 1 fundamental cycles of `spanning_tree` on the origami (h, v)
+    as (kind, s, chain, wind), in the order of `Origami._fundamental_cycles`:
+    the edge (kind, s) off the tree, the cycle's chain mod 2 as one int with
+    a byte per square for sig then tau (square 0 first) and its
+    `winding_index`.
+
+    One walk of the tree keeps, per square, its parent, its depth, the move
+    into it, the turning of its tree path from square 0 (the sum of its
+    `_TURN`s) and that path's chain P, the parent's XOR the byte of the edge
+    crossed.  The cycle of (kind, s), from s across the edge to t = h[s] or
+    v[s], has the chain P[s] ^ P[t] ^ edge.  Reduced, it runs from the lowest
+    common ancestor a of s and t down the tree to s, across the edge and back
+    up from t to a, so its turning is that of the two tree segments below a
+    (the one to t walked backwards, which negates each turn) plus the three
+    junction turns at s, t and a.
+    """
+    n = len(h)
+    top = {"E": 8 * (2 * n - 1), "N": 8 * (n - 1)}
+    parent, depth, turning, chain = [0] * n, [0] * n, [0] * n, [0] * n
+    move = [""] * n
+    on_tree = set()
+    for p, c, edge, direction in spanning_tree(h, v):
+        kind, s = edge
+        on_tree.add(edge)
+        parent[c], depth[c] = p, depth[p] + 1
+        move[c] = kind if direction == 1 else _OPPOSITE[kind]
+        if p:
+            turning[c] = turning[p] + _TURN[move[p] + move[c]]
+        chain[c] = chain[p] ^ 1 << top[kind] - 8 * s
+    out = []
+    for kind, images in (("E", h), ("N", v)):
+        for s in range(n):
+            if (kind, s) in on_tree:
+                continue
+            t = images[s]
+            # a, b climb to the common ancestor; ca, cb are its children
+            # towards s and t, or -1 when s or t is the ancestor itself
+            a, b, ca, cb = s, t, -1, -1
+            while depth[a] > depth[b]:
+                ca, a = a, parent[a]
+            while depth[b] > depth[a]:
+                cb, b = b, parent[b]
+            while a != b:
+                ca, a, cb, b = a, parent[a], b, parent[b]
+            turn, first, last = 0, kind, kind
+            if ca >= 0:
+                turn += turning[s] - turning[ca] + _TURN[move[s] + kind]
+                first = move[ca]
+            if cb >= 0:
+                turn += turning[cb] - turning[t] + _TURN[kind + _OPPOSITE[move[t]]]
+                last = _OPPOSITE[move[cb]]
+            out.append((kind, s, chain[s] ^ chain[t] ^ 1 << top[kind] - 8 * s,
+                        _winding(turn + _TURN[last + first])))
+    return out
+
+
+def _tree_cotree(h, v, vertex_cycles) -> tuple[list, list]:
+    """The tree-cotree split (Eppstein) of the `_tree_cycles` of the origami
+    (h, v) with these `Origami.vertex_cycles`, as (basis, cotree) lists of
+    (chain, wind).
+
+    The vertices are the classes of the vertex cycles, regular points
+    included; the right edge of s joins the bottom-left corners of h[s] and
+    v[h[s]], the top edge those of v[s] and h[v[s]].  A union-find over the
+    edges off the tree, in the order of `_tree_cycles`, puts each edge that
+    joins two components into the co-tree, V - 1 edges, and leaves the
+    fundamental cycles of the other 2g edges, a basis of the homology."""
+    vertex = [0] * len(h)
+    for i, members in enumerate(vertex_cycles):
+        for s in members:
+            vertex[s] = i
+    root = list(range(len(vertex_cycles)))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    basis, cotree = [], []
+    for kind, s, chain, wind in _tree_cycles(h, v):
+        corner = h[s] if kind == "E" else v[s]
+        a = find(vertex[corner])
+        b = find(vertex[v[corner] if kind == "E" else h[corner]])
+        if a == b:
+            basis.append((chain, wind))
+        else:
+            root[a] = b
+            cotree.append((chain, wind))
+    return basis, cotree
 
 
 @dataclass(frozen=True)

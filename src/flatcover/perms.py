@@ -218,11 +218,17 @@ def cycles(images: Sequence[int],
     return out
 
 
+#: _LABELS[i] is str(i + 1), the text label of element i; grown on demand
+_LABELS: list[str] = []
+
+
 def cycle_text(images: Sequence[int]) -> str:
     """1-based disjoint-cycle text of the permutation with these images;
     the identity gives ""."""
-    return "".join("(" + ",".join(str(i + 1) for i in c) + ")"
-                   for c in cycles(images))
+    if len(_LABELS) < len(images):
+        _LABELS.extend(str(i + 1) for i in range(len(_LABELS), len(images)))
+    labels = _LABELS
+    return "".join("(" + ",".join([labels[i] for i in c]) + ")" for c in cycles(images))
 
 
 def parse_cycles(text: str, n: int) -> Permutation:

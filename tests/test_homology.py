@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flatcover.origami
+from flatcover import InvariantError
 from flatcover.classify import square_spins
 from flatcover.covers import all_double_covers
-from flatcover.origami import (Cycle, Origami, _reduce_cyclic, intersection,
-                               l_origami, symplectic_reduce, winding_index)
+from flatcover.origami import (Cycle, Origami, _reduce_cyclic, _tree_cotree, _tree_cycles,
+                               intersection, l_origami, symplectic_reduce, winding_index)
 from flatcover.perms import parse_cycles
 
 J4 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
@@ -270,12 +271,124 @@ def test_arf_is_majority_value_of_q():
 
 
 def test_arf_needs_no_symplectic_reduce(monkeypatch):
-    def refuse(gram):
-        raise AssertionError("symplectic_reduce called")
-
-    monkeypatch.setattr(flatcover.origami, "symplectic_reduce", refuse)
+    # nor any integer Cycle, intersection number or taxi loop
     L = l_origami(6, 1)
     lifts = double_cover_lifts(L.origami, list(L.basis))
+
+    def refuse(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(flatcover.origami, "symplectic_reduce", refuse)
+    monkeypatch.setattr(Cycle, "_replay", staticmethod(refuse))
+    monkeypatch.setattr(flatcover.origami, "intersection", refuse)
+    monkeypatch.setattr(flatcover.origami, "winding_index", refuse)
     assert sorted(lift.arf_invariant() for lift in lifts) == [0] * 5 + [1] * 10
     with pytest.raises(AssertionError):
         FIVE.symplectic_basis()
+
+
+#: origamis outside H(2, 2), with their stratum and Arf invariant; genus 6 in
+#: H(10) gives 12 basis cycles, which take two lanes
+OTHER_STRATA = (
+    ("H(4)", 0, "n=5 h=(1,2,4)(3,5) v=(1,2,3,5)"),
+    ("H(4)", 1, "n=5 h=(1,3,2,4,5) v=(1,5,3,4,2)"),
+    ("H(6)", 0, "n=9 h=(1,6,4,3,9,8,5,2,7) v=(1,5,2,7)(3,9)(6,8)"),
+    ("H(6)", 1, "n=7 h=(1,7,3,2,5,4,6) v=(1,4)(2,6)(3,5)"),
+    ("H(2,2,2)", 0, "n=9 h=(1,9,5,2,3,8,7,4) v=(1,5,6,4,8,2,3,7,9)"),
+    ("H(2,2,2)", 1, "n=9 h=(2,9,3,4,8,5,6,7) v=(1,9,6,3,2,7,5,4,8)"),
+    ("H(4,4)", 0, "n=10 h=(1,7)(2,4,3,6,10,5,9) v=(1,3,9)(2,10,4,8)(5,6,7)"),
+    ("H(4,4)", 1, "n=12 h=(1,7,6,10,8,4)(2,11,9,5,3,12) v=(2,10,6,7,4,11,3,12)(5,8)"),
+    ("H(10)", 0, "n=11 h=(1,4,10,3,9,7)(8,11) v=(1,11,6,4,3,10,2,9,5,8)"),
+    ("H(10)", 1, "n=11 h=(1,10)(2,8,3,4,6,7,9,11) v=(1,4,8,6,7,3,11,10,9,5)"),
+)
+
+
+@pytest.mark.parametrize("stratum, arf, text", OTHER_STRATA)
+def test_arf_matches_integer_basis_beyond_the_census_stratum(stratum, arf, text):
+    o = Origami.from_text(text)
+    assert str(o.stratum()) == stratum
+    assert o.arf_invariant() == reference_arf(o) == arf
+
+
+@pytest.mark.parametrize("text", [text for _, _, text in OTHER_STRATA] + list(OFF_L)
+                         + ["n=1 h= v=", FIVE.to_text()])
+def test_cotree_leaves_2g_basis_cycles(text):
+    # Euler: of the n + 1 edges off the tree, V - 1 form the co-tree and
+    # 2n - (n - 1) - (V - 1) = 2g are left
+    o = Origami.from_text(text)
+    vertex_cycles = o.vertex_cycles()
+    basis, cotree = _tree_cotree(o.h.images, o.v.images, vertex_cycles)
+    assert len(basis) == 2 * o.stratum().genus
+    assert len(cotree) == len(vertex_cycles) - 1
+
+
+def mod2_chain(coefficients):
+    """Coefficients mod 2 as one int with a byte each, the first highest."""
+    return int.from_bytes(bytes(x & 1 for x in coefficients), "big")
+
+
+@pytest.mark.parametrize("d", range(3, 12))
+def test_tree_turning_is_winding_index_on_l_lifts(d):
+    for b, e in square_spins(d):
+        L = l_origami(b, e)
+        for lift in double_cover_lifts(L.origami, list(L.basis)):
+            tree = _tree_cycles(lift.h.images, lift.v.images)
+            cycles = lift._fundamental_cycles()
+            assert [wind for *_, wind in tree] == [winding_index(c) for c in cycles]
+            assert [chain for _, _, chain, _ in tree] == [mod2_chain(c.sig + c.tau)
+                                                          for c in cycles]
+
+
+# -- each self-check of arf_invariant fails on a mutated tree-cotree split ------
+
+def arf_with_mutated_split(monkeypatch, o, mutate):
+    split = flatcover.origami._tree_cotree
+
+    def mutated(h, v, vertex_cycles):
+        basis, cotree = split(h, v, vertex_cycles)
+        mutate(o, basis, cotree)
+        return basis, cotree
+
+    monkeypatch.setattr(flatcover.origami, "_tree_cotree", mutated)
+    return o.arf_invariant()
+
+
+def first_lift():
+    L = l_origami(6, 1)
+    return all_double_covers(L.origami, list(L.basis))[0].lift()
+
+
+def flip_q(o, basis, cotree):
+    chain, wind = cotree[0]
+    cotree[0] = (chain, wind + 1)
+
+
+def move_one_left_edge(o, basis, cotree):
+    # the left edge of square 3 joins two different vertices, so the chain
+    # is no longer closed and pairs nonzero with a residual
+    s = 3
+    corner_of = {t: i for i, members in enumerate(o.vertex_cycles()) for t in members}
+    assert corner_of[s] != corner_of[o.v(s)]
+    chain, wind = cotree[0]
+    cotree[0] = (chain ^ 1 << 8 * (o.n - 1 - s), wind)
+
+
+def drop_a_basis_cycle(o, basis, cotree):
+    del basis[-1]
+
+
+def repeat_a_basis_cycle(o, basis, cotree):
+    basis[1] = basis[0]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (flip_q, "q is 1 on a null-homologous class"),
+    (move_one_left_edge, "rank above 2g"),
+    (drop_a_basis_cycle, "5 tree-cotree basis cycles, genus 3"),
+    (repeat_a_basis_cycle, "2 hyperbolic pairs mod 2, genus 3"),
+])
+def test_arf_self_checks_catch_a_mutated_split(monkeypatch, mutate, message):
+    o = first_lift()
+    assert o.arf_invariant() == reference_arf(o)
+    with pytest.raises(InvariantError, match=message):
+        arf_with_mutated_split(monkeypatch, o, mutate)

@@ -176,6 +176,12 @@ def test_cycle_text_matches_cycles(p):
         "(" + ",".join(str(i + 1) for i in cyc) + ")" for cyc in reference_cycles(p))
 
 
+def test_cycle_text_labels_grow_on_demand():
+    assert cycle_text((1, 0)) == "(1,2)"
+    assert cycle_text(tuple(range(1, 120)) + (0,)) == "(" + ",".join(map(str, range(1, 121))) + ")"
+    assert cycle_text((0, 2, 1)) == "(2,3)"
+
+
 @given(perms())
 def test_cycles_match_reference(p):
     for include_fixed in (False, True):
