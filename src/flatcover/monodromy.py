@@ -389,13 +389,18 @@ def primitive_vector_count(n: int, length: int = 4) -> int:
 def primitive_vectors(n: int):
     """The vectors of (Z/n)^4 whose entries generate Z/n, in lexicographic
     order.  Which y2 qualify depends only on the divisor g = gcd(x1, y1, x2, n)
-    of n: those with gcd(g, y2) = 1, which is every y2 when g = 1."""
+    of n: those with gcd(g, y2) = 1, which is every y2 when g = 1.  So every
+    (x1, y1) with gcd(x1, y1, n) = 1 heads a whole n x n block of (x2, y2),
+    emitted as one product."""
     admissible = {g: [y for y in range(n) if gcd(g, y) == 1]
                   for g in range(1, n + 1) if n % g == 0}
     out = []
     for x1 in range(n):
         for y1 in range(n):
             g1 = gcd(x1, y1, n)
+            if g1 == 1:
+                out += product((x1,), (y1,), range(n), range(n))
+                continue
             for x2 in range(n):
                 out += [(x1, y1, x2, y2) for y2 in admissible[gcd(g1, x2)]]
     return out

@@ -365,7 +365,7 @@ def test_primitive_vectors():
     assert all(v != (0, 0, 0, 0) for v in primitive_vectors(2))
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", [*range(1, 13), 15, 18])
 def test_primitive_vectors_match_brute_force(n):
     vectors = primitive_vectors(n)
     assert vectors == [v for v in product(range(n), repeat=4) if gcd(*v, n) == 1]

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from flatcover import origami
-from flatcover.covers import Cover, all_double_covers, cover_from_basis_values
+from flatcover.classify import square_spins
+from flatcover.covers import Cover, all_double_covers, cover_from_basis_values, cover_label
 from flatcover.origami import (Cycle, Origami, OrbitCapExceeded, act_generator,
                                intersection, l_origami, lattice_index, mod2_forms, mod2_lane,
                                sl2z_orbit_graph, sl2z_word, translation_images)
 from flatcover.perms import (Permutation, _canonical_pair, compose, cycles,
-                             parse_cycles)
+                             inverse_images, parse_cycles)
 
 
 def mat2_mul(A, B):
@@ -358,13 +359,24 @@ def test_orbit_closed_under_inverse_generators(o):
 
 
 def test_orbit_of_lift_matches_reference():
-    lift = make_origami("(1,2)(6,7)(3,8)(4,9)(5,10)", "(2,3,4,5)(7,8,9,10)", 10)
-    forms = lift.sl2z_orbit_forms()
-    assert forms == reference_orbit_forms(lift)
-    report = lift.sl2z_orbit()
-    assert report.size == len(forms) == 36
-    assert report.representatives == tuple(origami_of(f).to_text()
-                                           for f in sorted(forms))
+    minus_one = ((-1, 0), (0, -1))
+    h4 = Origami.from_text("n=5 h=(1,3,5,2) v=(1,3,2,5,4)")
+    assert not h4.veech_contains(minus_one)
+    for o, size in ((make_origami("(1,2)(6,7)(3,8)(4,9)(5,10)", "(2,3,4,5)(7,8,9,10)", 10), 36),
+                    # H(4) without -I in its Veech group: S and U cycles of 4 and 6
+                    (h4, 12),
+                    (Origami.from_text("n=6 h=(1,5,4)(2,6) v=(2,5,3)"), 120),
+                    # the Z/7 lift of L(2, -1): 21 squares, 7 translations
+                    (Origami.from_text("n=21 h=(1,2)(3,6,9,12,15,18,21)(4,5)(7,8)(10,11)"
+                                       "(13,14)(16,17)(19,20) v=(1,3)(4,6)(7,9)(10,12)"
+                                       "(13,15)(16,18)(19,21)"), 1152)):
+        forms = o.sl2z_orbit_forms()
+        assert forms == reference_orbit_forms(o)
+        assert_orbit_graph_contract(o)
+        report = o.sl2z_orbit()
+        assert report.size == len(forms) == size
+        assert report.representatives == tuple(origami_of(f).to_text()
+                                               for f in sorted(forms))
 
 
 def relabelled(h, v, order):
@@ -396,6 +408,15 @@ def test_orbit_graph_of_lifts_and_l_shapes():
     assert_orbit_graph_contract(l_origami(6, 1).origami)
     assert_orbit_graph_contract(
         make_origami("(1,2)(6,7)(3,8)(4,9)(5,10)", "(2,3,4,5)(7,8,9,10)", 10))
+    # every double-cover lift for n <= 7, in both spins: the S/U walk of
+    # `sl2z_orbit_forms` against the graph and the four-generator reference
+    for n in range(3, 8):
+        for b, e in square_spins(n):
+            base = l_origami(b, e)
+            for cover in all_double_covers(base.origami, list(base.basis)):
+                lift = cover.lift()
+                assert_orbit_graph_contract(lift)
+                assert lift.sl2z_orbit_forms() == reference_orbit_forms(lift)
 
 
 # -- translations and quotients ---------------------------------------------
@@ -556,6 +577,62 @@ def test_orbit_graph_passes_labels_only_when_the_seed_has_a_translation(monkeypa
     base = l_origami(6, 1).origami
     sl2z_orbit_graph(base.h.images, base.v.images)
     assert passed and all(orbits is None for orbits in passed)
+
+
+def apply_word(h, v, word):
+    """The pair (h, v) acted on by the product of `word`, last factor first."""
+    for g in reversed(word):
+        h, v = act_generator(h, v, g)
+    return h, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(some_origamis)
+def test_s_and_u_steps_are_generator_words_relabelled_by_v(o):
+    h, v = o.h.images, o.v.images
+    s_pair = tuple(map(tuple, origami._s_step(h, v)))
+    u_pair = tuple(map(tuple, origami._u_step(h, v)))
+    # relabelled by v: square x gets label v[x]
+    by_v = inverse_images(v)
+    assert s_pair == relabelled(*apply_word(h, v, ["Rinv", "L", "Rinv"]), by_v)
+    assert u_pair == relabelled(*apply_word(h, v, ["Rinv", "L"]), by_v)
+    # S^2 = U^3 = -I up to relabelling
+    minus_one = _canonical_pair(*act_generator(h, v, "-I"))[:2]
+    assert _canonical_pair(*origami._s_step(*s_pair))[:2] == minus_one
+    pair = u_pair
+    for _ in range(2):
+        pair = origami._u_step(*pair)
+    assert _canonical_pair(*pair)[:2] == minus_one
+
+
+def test_orbit_walk_needs_one_canonical_form_per_cycle_step(monkeypatch):
+    calls = [0]
+    canonical_pair = origami._canonical_pair
+
+    def counting(h, v, orbits=None):
+        calls[0] += 1
+        return canonical_pair(h, v, orbits)
+
+    monkeypatch.setattr(origami, "_canonical_pair", counting)
+    counts = []
+    for e in (1, -1):
+        base = l_origami(30, e)
+        basis = list(base.basis)
+        lift = next(c.lift() for c in all_double_covers(base.origami, basis)
+                    if cover_label(basis, c)[1] == 1)
+        for o in (base.origami, lift):
+            calls[0] = 0
+            forms = o.sl2z_orbit_forms()
+            counts.append((len(forms), calls[0]))
+            # -I is in every Veech group here, so S-cycles have 1 or 2
+            # members and U-cycles 1 or 3; e2 and e3 count the fixed points
+            e2 = sum(_canonical_pair(*apply_word(*f, ["Rinv", "L", "Rinv"]))[:2] == f
+                     for f in forms)
+            e3 = sum(_canonical_pair(*apply_word(*f, ["Rinv", "L"]))[:2] == f for f in forms)
+            assert (len(forms) + e2) % 2 == 0 and (2 * len(forms) + e3) % 3 == 0
+            assert calls[0] == 2 + (len(forms) + e2) // 2 + (2 * len(forms) + e3) // 3
+    # the L/R graph makes 2|M| + 1 calls: 361, 2161, 451 and 2701
+    assert counts == [(180, 212), (1080, 1262), (225, 266), (1350, 1577)]
 
 
 @settings(max_examples=60, deadline=None)
