@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import InvariantError
 from .covers import affine_action_mod2, all_double_covers, cover_label
@@ -76,18 +77,28 @@ def echoes_of_WD(D: int, e: int | None = None) -> EchoTable:
         raise ValueError(f"no prototype L(b, e) has D = e^2 + 4b = {D}"
                          + ("" if e is None else f" and e = {e}"))
     b, e = matches[0]
-    gens = [mat_mod(mat_H(b, e), 2), mat_mod(mat_V(b, e), 2)]
+    gens = (mat_mod(mat_H(b, e), 2), mat_mod(mat_V(b, e), 2))
     if D % 8 == 1:
-        gens.append(mat_X())
-    parts = orbit_partition(gens, primitive_vectors(2), 2)
+        gens += (mat_X(),)
+    hyp, odd = _echo_blocks(gens)
+    return EchoTable(D, b, e, hyp, odd)
+
+
+@cache
+def _echo_blocks(gens):
+    """The (hyperelliptic, odd) orbit blocks of the 15 double covers under
+    the mod-2 matrices `gens`.  They depend on the generators alone, which
+    take four values over all discriminants, so each set is partitioned
+    once."""
     hyp, odd = [], []
-    for comp in parts:
+    for comp in orbit_partition(gens, primitive_vectors(2), 2):
         labels = tuple(sorted(vector_label(v) for v in comp))
         (hyp if labels[0] in HYP_LABELS else odd).append(labels)
     if (any(l not in HYP_LABELS for block in hyp for l in block)
             or any(l in HYP_LABELS for block in odd for l in block)):
-        raise InvariantError(f"orbit blocks of D={D} mix hyperelliptic and odd labels")
-    return EchoTable(D, b, e, tuple(sorted(hyp)), tuple(sorted(odd)))
+        raise InvariantError(f"orbit blocks of the mod-2 generators {gens} "
+                             "mix hyperelliptic and odd labels")
+    return tuple(sorted(hyp)), tuple(sorted(odd))
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,17 @@
 multitwist matrices of the L-shaped surfaces L(b,e) and their
 GL2+(R)-companions curly-L(b,e) (same shape, top square side lambda-2 and
 bottom rectangle width b-2).  The ring operations are those of
-`cyclotomic.RingElement`.  The intersection form on H_1 in the basis
-(a1, b1, a2, b2), `symplectic_pairing` and its Gram matrix `J4`, lives here
-for the whole package, since this module imports only `cyclotomic`, which
-imports no other flatcover module.
+`cyclotomic.RingElement`: x + y*lambda is stored as two integer numerators
+over one positive denominator in lowest terms, and `x`, `y` are Fraction
+views.  The intersection form on H_1 in the basis (a1, b1, a2, b2),
+`symplectic_pairing` and its Gram matrix `J4`, lives here for the whole
+package, since this module imports only `cyclotomic`, which imports no other
+flatcover module.
 
-Signs are exact: the sign of x + y*lambda is decided by rational case
-analysis on x, y and a comparison of squares against D = e^2 + 4b.  Elements
-have no ordering; compare by the sign of a difference.
+Signs are exact: the sign of x + y*lambda is decided by integer case
+analysis on the numerators of x and y and a comparison of squares against
+D = e^2 + 4b.  Elements have no ordering; compare by the sign of a
+difference.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import InvariantError
-from .cyclotomic import RingElement
+from .cyclotomic import Q, RingElement
 
 
 def is_prototype(b: int, e: int) -> bool:
@@ -37,8 +40,8 @@ class QuadraticElement(RingElement):
             raise ValueError("need D = e^2 + 4b >= 5")
         super().__init__((x, y), (b, e))
 
-    x = property(lambda self: self.coeffs[0])
-    y = property(lambda self: self.coeffs[1])
+    x = property(lambda self: Q(self.num[0], self.den))
+    y = property(lambda self: Q(self.num[1], self.den))
     b = property(lambda self: self.relation[0])
     e = property(lambda self: self.relation[1])
 
@@ -47,17 +50,19 @@ class QuadraticElement(RingElement):
 
     def galois_conjugate(self) -> "QuadraticElement":
         """lambda -> e - lambda."""
-        return self._like((self.x + self.e * self.y, -self.y))
+        x, y = self.num
+        return self._like((x + self.e * y, -y), self.den)
 
     def sign(self) -> int:
         """Sign of the real value under lambda = (e + sqrt(D))/2 > 0."""
-        A = 2 * self.x + self.e * self.y  # value = (A + y sqrt(D)) / 2
-        B = self.y
-        sa, sb = (A > 0) - (A < 0), (B > 0) - (B < 0)
+        x, y = self.num                 # the value times den > 0
+        b, e = self.relation
+        A = 2 * x + e * y               # 2 den value = A + y sqrt(D)
+        sa, sb = (A > 0) - (A < 0), (y > 0) - (y < 0)
         if sa * sb >= 0:
             return sa or sb
-        # opposite signs: the larger of A^2 and D B^2 wins
-        diff = A * A - B * B * (self.e * self.e + 4 * self.b)
+        # opposite signs: the larger of A^2 and D y^2 wins
+        diff = A * A - y * y * (e * e + 4 * b)
         return sa * ((diff > 0) - (diff < 0))
 
 

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flatcover import origami
+from flatcover import InvariantError, classify, origami
 from flatcover.classify import (EchoTable, HYP_LABELS, branched_cover_types,
                                 census_to_json, count_formulas, echoes_of_WD,
                                 is_primitive_cover, primitive_cover_oracle,
@@ -12,6 +12,8 @@ from flatcover.classify import (EchoTable, HYP_LABELS, branched_cover_types,
                                 verify_sts_orbits)
 from flatcover.covers import all_double_covers, cover_label
 from flatcover.lshape import is_prototype
+from flatcover.monodromy import (label_vector, mat_H, mat_V, mat_X, orbit_partition,
+                                 primitive_vectors, vector_label)
 from flatcover.origami import l_origami
 
 # expected orbit tables by discriminant class mod 8
@@ -106,6 +108,61 @@ def test_entry_points_return_or_raise_value_error(d, e, label, D, b, gamma):
     if len(gamma) != 4:
         with pytest.raises(ValueError):
             primitive_cover_oracle(d, e, gamma)
+
+
+@pytest.fixture
+def fresh_echo_cache():
+    """An empty echo-block cache before and after the test, so that blocks
+    cached under a monkeypatched `orbit_partition` stay in the test."""
+    classify._echo_blocks.cache_clear()
+    yield
+    classify._echo_blocks.cache_clear()
+
+
+def direct_echo_blocks(b, e):
+    """The (hyperelliptic, odd) blocks of W_D, D = e^2 + 4b, straight from
+    `orbit_partition` under H, V (and X when D = 1 mod 8) mod 2."""
+    gens = [tuple(tuple(x % 2 for x in row) for row in M) for M in (mat_H(b, e), mat_V(b, e))]
+    if (e * e + 4 * b) % 8 == 1:
+        gens.append(mat_X())
+    blocks = [tuple(sorted(vector_label(v) for v in part))
+              for part in orbit_partition(gens, primitive_vectors(2), 2)]
+    return (tuple(sorted(x for x in blocks if x[0] in HYP_LABELS)),
+            tuple(sorted(x for x in blocks if x[0] not in HYP_LABELS)))
+
+
+def test_echo_blocks_are_cached_per_mod2_generator_set(fresh_echo_cache):
+    for D in range(5, 3000):
+        for b, e in spins(D):
+            table = echoes_of_WD(D, e)
+            assert (table.hyp_orbits, table.odd_orbits) == direct_echo_blocks(b, e), (D, e)
+    assert classify._echo_blocks.cache_info().currsize == 4
+
+
+def test_primitivity_partitions_once_per_generator_set(monkeypatch, fresh_echo_cache):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return orbit_partition(*args)
+
+    monkeypatch.setattr(classify, "orbit_partition", counting)
+    for label in range(1, 16):
+        is_primitive_cover(13, 1, label)
+    assert len(calls) == 1
+
+
+def test_echo_blocks_that_mix_labels_are_refused(monkeypatch, fresh_echo_cache):
+    def merged(gens, vectors, mod):
+        # join the block of label 2 (hyperelliptic) to that of label 1 (odd)
+        parts = orbit_partition(gens, vectors, mod)
+        hyp, odd = (next(p for p in parts if label_vector(l) in p) for l in (2, 1))
+        return [p for p in parts if p not in (hyp, odd)] + [tuple(sorted(hyp + odd))]
+
+    monkeypatch.setattr(classify, "orbit_partition", merged)
+    for D in (8, 12, 13, 17):
+        with pytest.raises(InvariantError, match="mix hyperelliptic and odd labels"):
+            echoes_of_WD(D)
 
 
 def test_table_serialization():
