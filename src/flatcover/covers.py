@@ -19,8 +19,8 @@ chains mod 2, byte-sliced into one lane (bit k of a square's byte is chain
 k), along the base's orbit graph, into each target member's labels, one XOR
 push per edge side, and reads one F_2 matrix per edge off their
 intersection numbers (`origami.mod2_forms`), checking each image's Gram
-matrix.  A basis is four cycles on the base's squares (ValueError
-otherwise).
+matrix and that each distinct edge matrix lies in Sp(4, F_2).  A basis is
+four cycles on the base's squares (ValueError otherwise).
 """
 from __future__ import annotations
 
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 from . import InvariantError
 from .lshape import IDENTITY4, J4, symplectic_pairing
-from .monodromy import (mat_mod, mat_vec, primitive_vector_count, primitive_vectors,
-                        vector_label)
+from .monodromy import (is_symplectic, mat_mod, mat_vec, primitive_vector_count,
+                        primitive_vectors, vector_label)
 from .origami import (Cycle, Origami, OrbitGraph, mod2_forms, mod2_lane,
                       sl2z_orbit_graph, spanning_tree)
 from .perms import Permutation, inverse_images
@@ -208,8 +208,14 @@ def affine_action_mod2(o: Origami, basis: list[Cycle]) -> tuple[OrbitGraph, list
     (InvariantError otherwise; at member 0 this rejects a basis that is not
     symplectic mod 2), and entry (l, k) of the matrix is image class k . target
     class l ^ 1 mod 2, against the target's packed int, which is all that is
-    kept of a member's frame once it is expanded.  Equal matrices are one
-    tuple.  A basis that is not four cycles on o's squares is a ValueError.
+    kept of a member's frame once it is expanded.  On a first landing the
+    frame is the target's own, so entry (l, k) is Gram[k][l ^ 1], and the
+    check just passed makes that the identity: such a landing returns the
+    shared IDENTITY4 without reading it.  Equal matrices are one tuple, and
+    each distinct one must lie in Sp(4, F_2), M^t J M = J mod 2
+    (InvariantError otherwise): a pushed frame can keep every Gram matrix
+    while an edge matrix leaves the group.  A basis that is not four cycles
+    on o's squares is a ValueError.
 
     So the component of (member 0, gamma) in the skew product of the graph
     with the covers is every member times gamma's orbit under the matrices:
@@ -223,15 +229,18 @@ def affine_action_mod2(o: Origami, basis: list[Cycle]) -> tuple[OrbitGraph, list
     carried = {}  # the frames of the members reached and not yet expanded
     targets: list = [None] * len(graph.members)
     gram = tuple([x for row in mat_mod(J4, 2) for x in row])
-    shapes = {}  # each distinct matrix, by its entries row by row
+    # each distinct matrix, by its entries row by row
+    shapes = {tuple([x for row in IDENTITY4 for x in row]): IDENTITY4}
 
     def land(j, sig, tau):
         reads, packs = mod2_forms(*graph.members[j], sig, tau, 4)
         if tuple([(a & b).bit_count() & 1 for a in reads for b in packs]) != gram:
             raise InvariantError(f"the image frame at member {j} is not symplectic mod 2")
-        if targets[j] is None:
-            carried[j], targets[j] = (sig, tau), packs[0]
         t = targets[j]
+        if t is None:
+            # the frame is the target's own: entry (l, k) is gram[k][l ^ 1]
+            carried[j], targets[j] = (sig, tau), packs[0]
+            return IDENTITY4
         # row l of a matrix pairs with target class l ^ 1
         entries = tuple([(a & b).bit_count() & 1 for b in (t >> 1, t, t >> 3, t >> 2)
                          for a in reads])
@@ -251,4 +260,7 @@ def affine_action_mod2(o: Origami, basis: list[Cycle]) -> tuple[OrbitGraph, list
         tau_r = bytes([tau[s] for s in order_r])
         matrices.append(land(jl, sig_l, bytes([tau[s] ^ sig_l[t] for s, t in zip(order_l, hi)])))
         matrices.append(land(jr, bytes([sig[s] ^ tau_r[t] for s, t in zip(order_r, vi)]), tau_r))
+    for M in shapes.values():
+        if not is_symplectic(M, 2):
+            raise InvariantError(f"the edge matrix {M} is not in Sp(4, F_2)")
     return graph, matrices

@@ -302,9 +302,10 @@ def orbit_partition(gens, vectors, mod: int) -> list[tuple]:
     g(x0, x1, 0, 0) and Q[x2 m + x3] = g(0, 0, x2, x3), packed base W = 2m,
     so P + Q has no carry between fields.  The image of code c is
     s = P[c // m^2] + Q[c % m^2], and the two halves of s in base W^2 are
-    each reduced to a code by lookup in a table of W^2 entries.  The lists take m^4 entries, which is the size of the input for
-    every caller: all of (Z/m)^4, its primitive vectors (at least 1/zeta(4)
-    > 92 % of it) or the 15 nonzero vectors mod 2.
+    each reduced to a code by lookup in a table of W^2 entries.  The lists
+    take m^4 entries, which is the size of the input for every caller: all
+    of (Z/m)^4, its primitive vectors (at least 1/zeta(4) > 92 % of it) or
+    the 15 nonzero vectors mod 2.
 
     The search starts from the codes in increasing order, so labels count
     up in order of least element, and one pass over the codes reads the

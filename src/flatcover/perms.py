@@ -218,17 +218,34 @@ def cycles(images: Sequence[int],
     return out
 
 
-#: _LABELS[i] is str(i + 1), the text label of element i; grown on demand
+#: _LABELS[i] is "," + str(i + 1), the comma-prefixed text label of element
+#: i; grown on demand
 _LABELS: list[str] = []
 
 
 def cycle_text(images: Sequence[int]) -> str:
     """1-based disjoint-cycle text of the permutation with these images;
-    the identity gives ""."""
-    if len(_LABELS) < len(images):
-        _LABELS.extend(str(i + 1) for i in range(len(_LABELS), len(images)))
+    the identity gives "".
+
+    The cycle walk of `cycles` writes the text as it goes: "(" and the head's
+    label, a comma-prefixed label per further element, then ")", all joined
+    once."""
+    n = len(images)
+    if len(_LABELS) < n:
+        _LABELS.extend("," + str(i + 1) for i in range(len(_LABELS), n))
     labels = _LABELS
-    return "".join("(" + ",".join([labels[i] for i in c]) + ")" for c in cycles(images))
+    seen = [False] * n
+    out = []
+    for start, j in enumerate(images):
+        if seen[start] or j == start:
+            continue
+        out.append("(" + labels[start][1:])
+        while j != start:
+            seen[j] = True
+            out.append(labels[j])
+            j = images[j]
+        out.append(")")
+    return "".join(out)
 
 
 def parse_cycles(text: str, n: int) -> Permutation:

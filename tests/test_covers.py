@@ -464,3 +464,70 @@ def test_every_landing_checks_its_gram_matrix(monkeypatch, call):
     with pytest.raises(InvariantError, match=r"member (\d+)") as info:
         affine_action_mod2(o, basis)
     assert int(re.search(r"member (\d+)", str(info.value)).group(1)) > 0
+
+
+@pytest.mark.parametrize("b, e", [(6, 1), (30, 1), (30, -1), (16, 0)])
+def test_first_landings_carry_the_identity(b, e):
+    # the edge that discovers a member is its first edge in graph.edges
+    # order, L before R; it carries the frame there, so its matrix is the
+    # identity, the same tuple on every such edge
+    o, basis = lshape(b, e)
+    graph, matrices = affine_action_mod2(o, basis)
+    first = {0: None}
+    for i, edges in enumerate(graph.edges):
+        for g, (j, _) in enumerate(edges):
+            first.setdefault(j, 2 * i + g)
+    assert len(first) == len(graph.members)
+    for j, edge in first.items():
+        if j:
+            assert matrices[edge] is matrices[first[1]]
+            assert matrices[edge] == IDENTITY4
+    assert affine_action_mod2(o, basis)[1] == reference_affine_action_mod2(o, basis)
+
+
+@pytest.mark.parametrize("member", [1, 7, 40])
+def test_a_faulty_first_landing_fails_the_gram_check(monkeypatch, member):
+    # one bit of one read of a member's first landing flipped: the Gram
+    # check still runs there, before the identity is returned
+    import flatcover.covers
+    from flatcover.origami import mod2_forms
+    o, basis = lshape(30, -1)
+    graph, _ = affine_action_mod2(o, basis)
+    h_j, v_j = graph.members[member]
+    landings = []
+
+    def flipped(h, v, sig, tau, width):
+        reads, packs = mod2_forms(h, v, sig, tau, width)
+        if (h, v) == (h_j, v_j):
+            landings.append(sig)
+            if len(landings) == 1:
+                # a square where class 1 is nonzero, so class 0 . class 1 flips
+                ones = int.from_bytes(b"\1" * (2 * len(h)), "big")
+                bits = packs[1] & ones
+                reads[0] ^= bits & -bits
+        return reads, packs
+
+    monkeypatch.setattr(flatcover.covers, "mod2_forms", flipped)
+    with pytest.raises(InvariantError, match=f"member {member} "):
+        affine_action_mod2(o, basis)
+    assert len(landings) == 1
+
+
+def test_edge_matrices_outside_sp4_f2_raise(monkeypatch):
+    # swapping images 0 and 1 of inverse_images call 117 (counted from 0)
+    # on L(30, -1) leaves every landing's Gram matrix J4 mod 2 but puts an
+    # edge matrix outside Sp(4, F_2)
+    import flatcover.covers
+    calls = []
+
+    def swapped_once(images):
+        out = inverse_images(images)
+        if len(calls) == 117:
+            out[0], out[1] = out[1], out[0]
+        calls.append(images)
+        return out
+
+    o, basis = lshape(30, -1)
+    monkeypatch.setattr(flatcover.covers, "inverse_images", swapped_once)
+    with pytest.raises(InvariantError, match=r"Sp\(4, F_2\)"):
+        affine_action_mod2(o, basis)

@@ -511,6 +511,28 @@ def test_translations_keep_the_canonical_pair_of_cyclic_lifts():
                     assert_orbit_labels_change_nothing(o)
 
 
+def test_start_filter_keeps_one_start_per_orbit():
+    # every square of a Z/m lift of L(2, -1) is a cone square, in three
+    # translation orbits; a torus has none and starts at square 0 alone
+    for m in (5, 7):
+        o = relabel(cyclic_lift(2, -1, m), m)
+        h, v = o.h.images, o.v.images
+        assert o.n == 3 * m
+        assert all(h[v[s]] != v[h[s]] for s in range(o.n))
+        labels = orbit_labels(o)
+        assert len(set(labels)) == 3
+        got = _canonical_pair(h, v, labels)
+        assert got == _canonical_pair(h, v)
+        assert got[:2] == reference_canonical_form(o)
+    for i, o in enumerate(lattice_tori(6)):
+        o = relabel(o, i)
+        h, v = o.h.images, o.v.images
+        got = _canonical_pair(h, v, orbit_labels(o))
+        assert got == _canonical_pair(h, v)
+        assert got[:2] == reference_canonical_form(o)
+        assert got[2][0] == 0
+
+
 def test_translations_keep_the_canonical_pair_of_the_escalator():
     # the translation group is dihedral of order 8 and acts simply
     # transitively, so one start is tried
