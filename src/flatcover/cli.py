@@ -57,7 +57,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("covers", help="the 15 double covers of a genus-2 origami")
     sp.add_argument("--origami",
-                    help="text form; labels computed in a generic symplectic basis")
+                    help="text form; labels computed in a generic symplectic basis mod 2")
     sp.add_argument("--b", type=int,
                     help="with --e: use the L-shaped eigenform surface L(b,e) "
                          "and its pinned basis (labels match the echo tables)")

@@ -20,7 +20,9 @@ k), along the base's orbit graph, into each target member's labels, one XOR
 push per edge side, and reads one F_2 matrix per edge off their
 intersection numbers (`origami.mod2_forms`), checking each image's Gram
 matrix and that each distinct edge matrix lies in Sp(4, F_2).  A basis is
-four cycles on the base's squares (ValueError otherwise).
+four cycles on the base's squares; covers mod m also need each chain closed
+mod m and the Gram J4 mod m (ValueError otherwise), which the generic
+`Origami.symplectic_basis` meets for m = 2 only.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from . import InvariantError
 from .lshape import IDENTITY4, J4, symplectic_pairing
 from .monodromy import (is_symplectic, mat_mod, mat_vec, primitive_vector_count,
                         primitive_vectors, vector_label)
-from .origami import (Cycle, Origami, OrbitGraph, mod2_forms, mod2_lane,
+from .origami import (Cycle, Origami, OrbitGraph, intersection, mod2_forms, mod2_lane,
                       sl2z_orbit_graph, spanning_tree)
 from .perms import Permutation, inverse_images
 
@@ -110,7 +112,9 @@ def _cover_maker(o: Origami, m: int, basis: list[Cycle]):
     `gauge_fixed` is linear and commutes with reduction mod m, so it runs once
     on the four G_k along `spanning_tree`, and each cover's cocycle is
     sum dual[k] G_k mod m.  Its holonomy on each basis cycle is then read off
-    its own weights, over the nonzero sig/tau entries of the cycle.
+    its own weights, over the nonzero sig/tau entries of the cycle.  A basis
+    mod 2 only can pass that check, so each chain must be closed mod m (as
+    much flow into each square as out of it) and the Gram J4 mod m.
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")
@@ -118,6 +122,11 @@ def _cover_maker(o: Origami, m: int, basis: list[Cycle]):
     n = o.n
     h, v = o.h.images, o.v.images
     hi, vi = inverse_images(h), inverse_images(v)
+    if any((c.sig[t] + c.tau[t] - c.sig[hi[t]] - c.tau[vi[t]]) % m
+           for c in basis for t in range(n)):
+        raise ValueError(f"a basis chain is not closed mod {m}")
+    if tuple(tuple(intersection(o, a, b) % m for b in basis) for a in basis) != mat_mod(J4, m):
+        raise ValueError(f"the basis is not symplectic mod {m}")
     fixed = gauge_fixed(h, v, spanning_tree(h, v),
                         [([c.tau[t] for t in vi], [-c.sig[t] for t in hi])
                          for c in basis], m)

@@ -30,21 +30,21 @@ invariant exactly computable.
 
 The spanning-tree cycles are built, not cached, for each call that needs
 them.  `intersection` is the one integer pairing and `mod2_forms` the one
-over F_2.  Over F_2 chains are byte-sliced: `mod2_lane` packs up to 8 of
-them into a lane, two byte strings (sig, tau) whose byte per square holds
-chain k in bit k, and `mod2_forms` reads a lane's pairings with big-int AND
-and bit counts.  The Arf invariant needs no integer `Cycle`: one walk of the
-spanning tree gives every fundamental cycle's chain mod 2 and winding number
-(`_tree_cycles`), a tree-cotree split keeps 2g of them as a basis of the
-homology (`_tree_cotree`), and a symplectic Gram-Schmidt over F_2 runs on
-their mod-2 Gram rows, 8 cycles to a lane.  An integer symplectic basis,
-reduced from the `intersection` Gram matrix of the replayed fundamental
-cycles, is built only when `symplectic_basis` is asked for.
+over F_2, byte-sliced: a lane (`mod2_lane`) holds up to 8 chains mod 2 as
+two byte strings (sig, tau) whose byte per square has chain k in bit k, and
+is read with big-int AND and bit counts.  Symplectic bases and the Arf
+invariant need no integer `Cycle`: `_tree_cycles` gives every fundamental
+cycle's chain mod 2 and winding number in one walk of the tree,
+`_tree_cotree` keeps 2g of them as a basis of the homology, and
+`symplectic_reduce`, the one symplectic Gram-Schmidt, pairs them over F_2
+(`_reduced_split`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd, isqrt
+from operator import xor
 import json
 
 from . import InvariantError
@@ -77,18 +77,15 @@ class Cycle:
     step runs along tau_s and crosses the top edge of s, so the path crosses
     the right edge of s sig[s] times (rightward positive) and the top edge
     tau[s] times (upward positive).  `moves` keeps the taxi moves when the
-    cycle came from a single closed loop.
+    cycle came from a single closed loop.  A closed chain carries as much
+    flow into each square as out of it; the 0/1 chains of
+    `Origami.symplectic_basis` are closed mod 2 only.
     """
 
     n: int
     sig: tuple[int, ...]
     tau: tuple[int, ...]
     moves: str | None = None
-
-    @staticmethod
-    def zero(n: int) -> "Cycle":
-        z = (0,) * n
-        return Cycle(n, z, z)
 
     @staticmethod
     def from_loop(o: "Origami", start: int, moves: str) -> "Cycle":
@@ -225,65 +222,36 @@ def _winding(turning: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# integer symplectic reduction
+# symplectic reduction over F_2
 # ---------------------------------------------------------------------------
 
-def symplectic_reduce(gram: list[list[int]]) -> list[list[int]]:
-    """Integer coordinate vectors (a1, b1, a2, b2, ...) for an antisymmetric
-    Gram matrix whose nondegenerate quotient is unimodular.
-
-    Returns 2g vectors with pairing(a_i, b_i) = 1 and all other pairings 0.
+def symplectic_reduce(rows) -> list[tuple[int, int]]:
+    """Symplectic Gram-Schmidt over F_2 for the alternating form with these
+    Gram rows (bit j of rows[i] is vector i . vector j): hyperbolic pairs
+    (x, y), bitmasks over the vectors, with x . y = 1 and all other pairings
+    among them 0.  The last vector x and its first partner y form a pair, and
+    every other w becomes w + (w . y) x + (w . x) y, its pairings read off
+    the row it started as, since the two differ by vectors already paired
+    off.  A vector with no partner is skipped; callers count the pairs.
     """
-    m = len(gram)
-
-    def pair(u, v):
-        return sum(u[i] * gram[i][j] * v[j] for i in range(m) for j in range(m)
-                   if gram[i][j])
-
-    remaining = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    basis: list[list[int]] = []
-    while True:
-        best = None
-        for i in range(len(remaining)):
-            for j in range(i + 1, len(remaining)):
-                g = pair(remaining[i], remaining[j])
-                if g and (best is None or abs(g) < abs(best[2])):
-                    best = (i, j, g)
-        if best is None:
-            break
-        i, j, g = best
-        u, v = remaining[i], remaining[j]
-        if g < 0:
-            u, v = v, u
-        others = [w for k, w in enumerate(remaining) if k not in (i, j)]
-        # Euclid until pair(u, v) divides all pairings with u and v
-        while True:
-            g = pair(u, v)
-            if g < 0:
-                u, v = v, u
-                g = -g
-            # the replaced vector takes w's place, so the span is kept
-            for k, w in enumerate(others):
-                a = pair(u, w)
-                if a % g:
-                    others[k], v = v, [x - (a // g) * y for x, y in zip(w, v)]
-                    break
-                bb = pair(w, v)
-                if bb % g:
-                    others[k], u = u, [x - (bb // g) * y for x, y in zip(w, u)]
-                    break
-            else:
+    vecs = [(1 << i, row) for i, row in enumerate(rows)]
+    pairs = []
+    while vecs:
+        x, gx = vecs.pop()
+        for k, (y, _) in enumerate(vecs):
+            if (gx & y).bit_count() & 1:
                 break
-        if g != 1:
-            raise InvariantError("intersection form is not unimodular on the quotient")
-        cleared = []
-        for w in others:
-            a = pair(u, w)
-            bb = pair(v, w)
-            cleared.append([x - a * y + bb * z for x, y, z in zip(w, v, u)])
-        basis.extend([u, v])
-        remaining = cleared
-    return basis
+        else:
+            continue
+        del vecs[k]
+        pairs.append((x, y))
+        for k, (w, gw) in enumerate(vecs):
+            if (gw & y).bit_count() & 1:
+                w ^= x
+            if (gw & x).bit_count() & 1:
+                w ^= y
+            vecs[k] = (w, gw)
+    return pairs
 
 
 def lattice_index(vectors) -> int:
@@ -527,20 +495,45 @@ class Origami:
             raise InvariantError(f"{len(cycles)} fundamental cycles, not n + 1")
         return cycles
 
+    def _reduced_split(self):
+        """The `_tree_cotree` split over F_2, as (stratum, chains, reads, packs,
+        rows, pairs): the (chain, wind) of the 2g basis cycles, then of the
+        co-tree cycles, 8 to a lane for `mod2_forms`, so chain i . chain j mod 2
+        is the parity of reads[i] & packs[j] (bit j of rows[i] for j < 2g), and
+        the `symplectic_reduce` pairs of the basis, which must number the genus."""
+        vertex_cycles = self.vertex_cycles()
+        st = _stratum(vertex_cycles)
+        h, v, n = self.h.images, self.v.images, self.n
+        basis, cotree = _tree_cotree(h, v, vertex_cycles)
+        m = len(basis)
+        if m != 2 * st.genus:
+            raise InvariantError(f"{m} tree-cotree basis cycles, genus {st.genus}")
+        chains = basis + cotree
+        reads, packs = [], []
+        for i in range(0, len(chains), 8):
+            lane = chains[i:i + 8]
+            packed = sum(c << k for k, (c, _) in enumerate(lane)).to_bytes(2 * n, "big")
+            r, p = mod2_forms(h, v, packed[:n], packed[n:], len(lane))
+            reads += r
+            packs += p
+        rows = [sum(((read & packed).bit_count() & 1) << j for j, packed in enumerate(packs[:m]))
+                for read in reads]
+        pairs = symplectic_reduce(rows[:m])
+        if len(pairs) != st.genus:
+            raise InvariantError(f"{len(pairs)} hyperbolic pairs mod 2, genus {st.genus}")
+        return st, chains, reads, packs, rows, pairs
+
     def symplectic_basis(self) -> list[Cycle]:
-        """2g cycles (a1, b1, a2, b2, ...) with standard symplectic Gram,
-        reduced from the `intersection` Gram matrix of the fundamental
-        cycles, which only this method needs over the integers."""
-        cycles = self._fundamental_cycles()
-        gram = [[intersection(self, a, b) for b in cycles] for a in cycles]
-        out = []
-        for vec in symplectic_reduce(gram):
-            c = Cycle.zero(self.n)
-            for k, cyc in zip(vec, cycles):
-                if k:
-                    c = c + k * cyc
-            out.append(c)
-        return out
+        """2g 0/1 chains (a1, b1, a2, b2, ...), closed mod 2, with the
+        standard symplectic Gram matrix mod 2: the XORs of the `_tree_cotree`
+        basis chains given by the `_reduced_split` pairs.  A basis mod 2 only:
+        Z/m covers with m >= 3 need an integer one, such as `l_origami`'s."""
+        _, chains, *_, pairs = self._reduced_split()
+        n = self.n
+        sums = [reduce(xor, [c for i, (c, _) in enumerate(chains) if mask >> i & 1])
+                for pair in pairs for mask in pair]
+        return [Cycle(n, tuple(bits[:n]), tuple(bits[n:]))
+                for bits in (c.to_bytes(2 * n, "big") for c in sums)]
 
     # -- periods and reducedness -------------------------------------------
 
@@ -571,77 +564,45 @@ class Origami:
 
     def arf_invariant(self) -> int:
         """Arf invariant of the spin structure q(c) = winding_index(c) + 1
-        mod 2, computed over F_2 on the 2g basis cycles of `_tree_cotree`.
+        mod 2, over F_2 on the basis of `_reduced_split`: each of its pairs
+        (x, y) adds q(x) q(y), with q(w + x) = q(w) + q(x) + b(w, x).
 
-        The n + 1 cycles, basis then co-tree, are packed 8 to a lane for
-        `mod2_forms`; bit j of cycle i's row g is the parity of
-        reads[i] & packs[j], its pairing with basis cycle j.  Vectors are
-        bitmasks over the cycles, each with the row g of the cycle it started
-        as and its value q.  A basis vector x and a partner y among them with
-        b(x, y) = 1 form a hyperbolic pair and add q(x) q(y) to the Arf
-        invariant; every other w becomes w + b(w, y) x + b(w, x) y, with
-        q(w + x) = q(w) + q(x) + b(w, x), where b(w, x) is the parity of
-        g & x: w and its start differ by vectors already paired off, which
-        pair to zero with x.  The pairs must number the genus.
-
-        Each co-tree vector is then its cycle c plus its projection p onto the
-        pairs, and pairs to zero with the basis.  Checking c_e . c_f = p_e . c_f
-        for co-tree cycles e < f makes these residuals pair to zero with each
-        other too, so the mod-2 Gram of the n + 1 cycles has rank 2g and the
-        residuals span its radical, the classes null-homologous on the closed
-        surface: q must vanish on each of them.
+        Each co-tree cycle c plus its projection p = sum b(c, y) x + b(c, x) y
+        onto the pairs pairs to zero with the basis.  Checking
+        c_e . c_f = p_e . c_f for co-tree cycles e < f makes these residuals
+        pair to zero with each other too, so the mod-2 Gram of the n + 1
+        cycles has rank 2g and the residuals span its radical, the classes
+        null-homologous on the closed surface: q must vanish on each of them.
         """
-        vertex_cycles = self.vertex_cycles()
-        st = _stratum(vertex_cycles)
+        st, chains, reads, packs, rows, pairs = self._reduced_split()
         if any(k % 2 for k in st.zero_orders):
             raise ValueError("Arf invariant needs all zero orders even")
-        h, v = self.h.images, self.v.images
-        basis, cotree = _tree_cotree(h, v, vertex_cycles)
-        m = len(basis)
-        if m != 2 * st.genus:
-            raise InvariantError(f"{m} tree-cotree basis cycles, genus {st.genus}")
-        chains = basis + cotree
-        n = self.n
-        reads, packs = [], []
-        for i in range(0, len(chains), 8):
-            lane = chains[i:i + 8]
-            packed = sum(c << k for k, (c, _) in enumerate(lane)).to_bytes(2 * n, "big")
-            r, p = mod2_forms(h, v, packed[:n], packed[n:], len(lane))
-            reads += r
-            packs += p
-        rows = [sum(((read & packed).bit_count() & 1) << j for j, packed in enumerate(packs[:m]))
-                for read in reads]
-        vecs = [(1 << i, g, (w + 1) % 2) for i, (g, (_, w)) in enumerate(zip(rows, chains))]
-        vecs, residuals = vecs[:m], vecs[m:]
-        arf = pairs = 0
-        while vecs:
-            x, gx, qx = vecs.pop()
-            for k, (y, _, _) in enumerate(vecs):
-                if (gx & y).bit_count() % 2:
-                    break
-            else:
-                continue
-            _, _, qy = vecs.pop(k)
-            arf ^= qx & qy
-            pairs += 1
-            for others in (vecs, residuals):
-                for k, (w, gw, qw) in enumerate(others):
-                    bx = (gw & x).bit_count() % 2
-                    if (gw & y).bit_count() % 2:
-                        # b(w + x, y) = 0, so adding y below needs no correction
-                        w, qw = w ^ x, qw ^ qx ^ bx
-                    if bx:
-                        w, qw = w ^ y, qw ^ qy
-                    others[k] = (w, gw, qw)
-        if pairs != st.genus:
-            raise InvariantError(f"{pairs} hyperbolic pairs mod 2, genus {st.genus}")
-        for e, (w, _, _) in enumerate(residuals):
-            read = reads[m + e]
-            for f in range(e + 1, len(residuals)):
-                if ((read & packs[m + f]).bit_count() + (w & rows[m + f]).bit_count()) % 2:
+        q = [(w + 1) % 2 for _, w in chains]
+
+        # q of a sum of basis cycles
+        def q_sum(mask):
+            total = 0
+            while mask:
+                i = mask.bit_length() - 1
+                mask ^= 1 << i
+                total ^= q[i] ^ ((rows[i] & mask).bit_count() & 1)
+            return total
+
+        qpairs = [(x, y, q_sum(x), q_sum(y)) for x, y in pairs]
+        arf = sum(qx & qy for _, _, qx, qy in qpairs) % 2
+        for e in range(2 * st.genus, len(chains)):
+            w, qw, row, read = 1 << e, q[e], rows[e], reads[e]
+            for x, y, qx, qy in qpairs:
+                by = (row & y).bit_count() & 1
+                if by:
+                    w, qw = w ^ x, qw ^ qx
+                if (row & x).bit_count() & 1:
+                    w, qw = w ^ y, qw ^ qy ^ by
+            for f in range(e + 1, len(chains)):
+                if ((read & packs[f]).bit_count() + (w & rows[f]).bit_count()) % 2:
                     raise InvariantError("mod-2 Gram of the fundamental cycles has rank above 2g")
-        if any(q for _, _, q in residuals):
-            raise InvariantError("q is 1 on a null-homologous class")
+            if qw:
+                raise InvariantError("q is 1 on a null-homologous class")
         return arf
 
 

@@ -13,8 +13,9 @@ from flatcover.lshape import IDENTITY4, symplectic_pairing
 from flatcover.monodromy import (group_closure, is_symplectic, mat_H, mat_mod, mat_V, mat_X,
                                  orbit_partition, primitive_vectors, vector_label)
 from flatcover.origami import (Cycle, Origami, act_generator, intersection, l_origami,
-                               sl2z_orbit_graph, spanning_tree, symplectic_reduce)
+                               sl2z_orbit_graph, spanning_tree)
 from flatcover.perms import Permutation, inverse_images, parse_cycles
+from test_homology import combine, integer_symplectic_basis, integer_symplectic_reduce
 from test_origami import reference_crossings
 
 
@@ -88,13 +89,16 @@ def test_holonomy_matches_crossing_count():
     for o in random_genus2_origamis(6, seed=2024):
         cycles = o._fundamental_cycles()
         gram = [[intersection(o, a, b) for b in cycles] for a in cycles]
+        coords = integer_symplectic_reduce(gram)
         counts = [reference_crossings(o, c) for c in cycles]
-        # `symplectic_basis` sums the fundamental cycles with these coordinates
+        # an integer basis sums the fundamental cycles with these coordinates
         counts += [tuple([sum(k * count[i][t] for k, count in zip(vec, counts))
                           for t in range(o.n)] for i in (0, 1))
-                   for vec in symplectic_reduce(gram)]
-        basis = o.symplectic_basis()
-        for c in all_double_covers(o, basis) + cyclic_covers(o, 3, basis):
+                   for vec in coords]
+        basis = [combine(o, cycles, vec) for vec in coords]
+        covers = (all_double_covers(o, o.symplectic_basis()) + all_double_covers(o, basis)
+                  + cyclic_covers(o, 3, basis))
+        for c in covers:
             for cyc, count in zip(cycles + basis, counts):
                 assert c.holonomy(cyc) == reference_holonomy(c, count)
 
@@ -120,6 +124,31 @@ def test_lift_geometry():
             assert lift.n == 2 * o.n
             assert str(lift.stratum()) == "H(2,2)"
             assert lift.is_reduced()
+
+
+@pytest.mark.parametrize("d", range(3, 22))
+def test_generic_basis_gives_the_transported_lifts(d):
+    # A is a seeded word in L and R; the double covers of A L in its generic
+    # basis mod 2 are A applied to the double covers of L in its pinned
+    # basis, compared as sets of (canonical form, Arf invariant)
+    rng = random.Random(d)
+    for b, e in square_spins(d):
+        o, basis = lshape(b, e)
+        word = [rng.choice("LR") for _ in range(7)]
+
+        def moved(x):
+            h, v = x.h.images, x.v.images
+            for g in word:
+                h, v = act_generator(h, v, g)
+            return Origami(Permutation(h), Permutation(v))
+
+        image = moved(o)
+        lifts = [c.lift() for c in all_double_covers(o, basis)]
+        want = {(moved(lift).canonical_form(), lift.arf_invariant()) for lift in lifts}
+        got = {(lift.canonical_form(), lift.arf_invariant())
+               for lift in (c.lift() for c in all_double_covers(image, image.symplectic_basis()))}
+        assert len(got) == 15
+        assert got == want
 
 
 def test_deck_shift_is_translation():
@@ -230,9 +259,11 @@ def test_weights_match_reference_on_l_2_minus_1_up_to_m_7():
 
 
 def test_weights_match_reference_off_l():
+    # the generic basis is one mod 2 only; Z/m covers take an integer one
     for text in OFF_L:
         o = Origami.from_text(text)
-        assert_weights_match_reference(o, o.symplectic_basis(), range(2, 8))
+        assert_weights_match_reference(o, o.symplectic_basis(), (2,))
+        assert_weights_match_reference(o, integer_symplectic_basis(o), range(2, 8))
 
 
 def test_tree_lists_every_square_once_from_square_zero():
@@ -296,16 +327,58 @@ def test_gauge_fixed_keeps_the_cover_and_zeroes_the_tree():
                 assert Cover(o, m, *fixed).lift() == lift
 
 
-def test_cover_holonomy_is_checked_on_every_cover():
-    # with a1 and b1 swapped the basis is not symplectic, so the cocycle of
-    # the dual class does not take the prescribed values on it
+def test_cover_basis_must_be_symplectic_mod_m():
+    # with a1 and b1 swapped the basis is not symplectic
     for b, e in ((2, -1), (6, 1)):
         o, basis = lshape(b, e)
         bad = [basis[1], basis[0], basis[2], basis[3]]
-        with pytest.raises(InvariantError):
+        with pytest.raises(ValueError, match="not symplectic mod 3"):
             cyclic_covers(o, 3, bad)
-        with pytest.raises(InvariantError):
+        with pytest.raises(ValueError, match="not symplectic mod 5"):
             cover_from_basis_values(o, 5, bad, (1, 0, 0, 0))
+
+
+def test_cover_basis_mod_2_is_refused_mod_3():
+    # the generic basis of this surface is one mod 2 only, yet the cocycle
+    # built from it takes the prescribed values on it mod 3: only the basis
+    # check stands between it and a cover of another class
+    o = Origami.from_text(OFF_L[0])
+    basis = o.symplectic_basis()
+    m, values = 3, (0, 0, 0, 1)
+    h, v = o.h.images, o.v.images
+    hi, vi = inverse_images(h), inverse_images(v)
+    fixed = gauge_fixed(h, v, spanning_tree(h, v),
+                        [([c.tau[t] for t in vi], [-c.sig[t] for t in hi]) for c in basis], m)
+    dual = tuple(symplectic_pairing(values, e) for e in IDENTITY4)
+    w = [sum(g * x for g, x in zip(dual, col)) % m
+         for col in zip(*[w_right + w_up for w_right, w_up in fixed])]
+    assert Cover(o, m, tuple(w[:o.n]), tuple(w[o.n:])).holonomy_on_basis(basis) == values
+    assert cover_from_basis_values(o, 2, basis, values).holonomy_on_basis(basis) == values
+    with pytest.raises(ValueError, match="a basis chain is not closed mod 3"):
+        cover_from_basis_values(o, m, basis, values)
+
+
+def test_cover_holonomy_is_checked_on_every_cover(monkeypatch):
+    # one weight of the gauge-fixed dual cocycle of a1 is corrupted, on an
+    # edge that a1 crosses, so the covers whose dual class has a nonzero
+    # a1-coordinate miss their prescribed values
+    import flatcover.covers
+    gauge = flatcover.covers.gauge_fixed
+    for b, e in ((2, -1), (6, 1)):
+        o, basis = lshape(b, e)
+        s = next(s for s, x in enumerate(basis[0].sig) if x)
+
+        def corrupted(h, v, tree, cocycles, m, s=s):
+            fixed = gauge(h, v, tree, cocycles, m)
+            w_right, w_up = fixed[0]
+            fixed[0] = (w_right[:s] + ((w_right[s] + 1) % m,) + w_right[s + 1:], w_up)
+            return fixed
+
+        monkeypatch.setattr(flatcover.covers, "gauge_fixed", corrupted)
+        with pytest.raises(InvariantError, match="differs from the prescribed values"):
+            cyclic_covers(o, 3, basis)
+        with pytest.raises(InvariantError, match="differs from the prescribed values"):
+            cover_from_basis_values(o, 5, basis, (0, 1, 0, 0))
 
 
 def test_affine_action_mod2_guards():

@@ -11,6 +11,7 @@ from flatcover.covers import all_double_covers
 from flatcover.origami import (Cycle, Origami, _reduce_cyclic, _tree_cotree, _tree_cycles,
                                intersection, l_origami, symplectic_reduce, winding_index)
 from flatcover.perms import parse_cycles
+from test_origami import assert_symplectic_mod2
 
 J4 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
 
@@ -101,10 +102,9 @@ def test_fundamental_cycles_and_basis():
     for o in (FIVE, l_origami(4, 0).origami):
         cycles = o._fundamental_cycles()
         assert len(cycles) == o.n + 1
-        basis = o.symplectic_basis()
-        assert len(basis) == 2 * o.stratum().genus
-        gram = [[intersection(o, a, b) for b in basis] for a in basis]
-        assert gram == J4
+        assert_symplectic_mod2(o, o.symplectic_basis())
+        basis = integer_symplectic_basis(o)
+        assert [[intersection(o, a, b) for b in basis] for a in basis] == J4
 
 
 def test_l_origami_pinned_basis_is_symplectic():
@@ -120,20 +120,137 @@ def pair4(x, y):
     return sum(x[i] * J4[i][j] * y[j] for i in range(4) for j in range(4))
 
 
+# -- the integer symplectic reduction, the reference for F_2 bases ------------
+
+def integer_symplectic_reduce(gram: list[list[int]]) -> list[list[int]]:
+    """Integer coordinate vectors (a1, b1, a2, b2, ...) for an antisymmetric
+    Gram matrix whose nondegenerate quotient is unimodular.
+
+    Returns 2g vectors with pairing(a_i, b_i) = 1 and all other pairings 0.
+    """
+    m = len(gram)
+
+    def pair(u, v):
+        return sum(u[i] * gram[i][j] * v[j] for i in range(m) for j in range(m)
+                   if gram[i][j])
+
+    remaining = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    basis: list[list[int]] = []
+    while True:
+        best = None
+        for i in range(len(remaining)):
+            for j in range(i + 1, len(remaining)):
+                g = pair(remaining[i], remaining[j])
+                if g and (best is None or abs(g) < abs(best[2])):
+                    best = (i, j, g)
+        if best is None:
+            break
+        i, j, g = best
+        u, v = remaining[i], remaining[j]
+        if g < 0:
+            u, v = v, u
+        others = [w for k, w in enumerate(remaining) if k not in (i, j)]
+        # Euclid until pair(u, v) divides all pairings with u and v
+        while True:
+            g = pair(u, v)
+            if g < 0:
+                u, v = v, u
+                g = -g
+            # the replaced vector takes w's place, so the span is kept
+            for k, w in enumerate(others):
+                a = pair(u, w)
+                if a % g:
+                    others[k], v = v, [x - (a // g) * y for x, y in zip(w, v)]
+                    break
+                bb = pair(w, v)
+                if bb % g:
+                    others[k], u = u, [x - (bb // g) * y for x, y in zip(w, u)]
+                    break
+            else:
+                break
+        if g != 1:
+            raise InvariantError("intersection form is not unimodular on the quotient")
+        cleared = []
+        for w in others:
+            a = pair(u, w)
+            bb = pair(v, w)
+            cleared.append([x - a * y + bb * z for x, y, z in zip(w, v, u)])
+        basis.extend([u, v])
+        remaining = cleared
+    return basis
+
+
+def combine(o, cycles, coords):
+    """The integer combination of `cycles` with these coordinates."""
+    sig = tuple(sum(k * c.sig[t] for k, c in zip(coords, cycles)) for t in range(o.n))
+    tau = tuple(sum(k * c.tau[t] for k, c in zip(coords, cycles)) for t in range(o.n))
+    return Cycle(o.n, sig, tau)
+
+
+def integer_symplectic_basis(o):
+    """An integer symplectic basis (a1, b1, a2, b2, ...) of the origami o,
+    reduced from the `intersection` Gram matrix of its fundamental cycles."""
+    cycles = o._fundamental_cycles()
+    gram = [[intersection(o, a, b) for b in cycles] for a in cycles]
+    return [combine(o, cycles, vec) for vec in integer_symplectic_reduce(gram)]
+
+
 def test_symplectic_reduce():
     # a Gram matrix already in symplectic shape is returned as the identity
     # coordinate change
-    coords = symplectic_reduce([r[:] for r in J4])
+    coords = integer_symplectic_reduce([r[:] for r in J4])
     vecs = [tuple(c) for c in coords]
     assert pair4(vecs[0], vecs[1]) == 1
     assert pair4(vecs[2], vecs[3]) == 1
     assert pair4(vecs[0], vecs[2]) == pair4(vecs[0], vecs[3]) == pair4(vecs[1], vecs[2]) == 0
+    # over F_2 the last vector is paired first, with its first partner
+    rows = [sum((x & 1) << j for j, x in enumerate(row)) for row in J4]
+    assert symplectic_reduce(rows) == [(0b1000, 0b0100), (0b0010, 0b0001)]
+
+
+def f2_pairing(rows, x, y):
+    """x . y mod 2 for bitmasks over the vectors with Gram rows `rows`."""
+    return sum((row & y).bit_count() for i, row in enumerate(rows) if x >> i & 1) % 2
+
+
+def f2_rank(rows):
+    rank, rows = 0, list(rows)
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+            rank += 1
+    return rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10).flatmap(
+    lambda k: st.lists(st.booleans(), min_size=k * (k - 1) // 2,
+                       max_size=k * (k - 1) // 2).map(lambda bits: (k, bits))))
+def test_symplectic_reduce_pairs_span_a_complement_of_the_radical(form):
+    # any alternating form over F_2, degenerate ones included: the pairs are
+    # a symplectic system of half its rank
+    k, bits = form
+    rows = [0] * k
+    upper = iter(bits)
+    for i in range(k):
+        for j in range(i + 1, k):
+            if next(upper):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    pairs = symplectic_reduce(rows)
+    assert 2 * len(pairs) == f2_rank(rows)
+    vectors = [mask for pair in pairs for mask in pair]
+    for a, x in enumerate(vectors):
+        for b, y in enumerate(vectors):
+            assert f2_pairing(rows, x, y) == (a ^ 1 == b)
 
 
 def reduced_gram(generators):
-    """The J4-Gram of the vectors `symplectic_reduce` finds in the lattice
-    spanned by integer generators of Z^4."""
-    coords = symplectic_reduce([[pair4(x, y) for y in generators] for x in generators])
+    """The J4-Gram of the vectors `integer_symplectic_reduce` finds in the
+    lattice spanned by integer generators of Z^4."""
+    coords = integer_symplectic_reduce([[pair4(x, y) for y in generators] for x in generators])
     vectors = [[sum(c * g[i] for c, g in zip(coord, generators)) for i in range(4)]
                for coord in coords]
     return [[pair4(x, y) for y in vectors] for x in vectors]
@@ -143,7 +260,7 @@ def test_symplectic_reduce_keeps_the_span_through_euclid_steps():
     # (-3, -3), (-3, -2) and (-2, 0) span Z^2 under x0 y1 - x1 y0; Euclid
     # steps with quotient 2 must not drop a generator from the span
     gram = [[0, -3, -6], [3, 0, -4], [6, 4, 0]]
-    coords = symplectic_reduce(gram)
+    coords = integer_symplectic_reduce(gram)
     assert len(coords) == 2
     assert sum(coords[0][i] * gram[i][j] * coords[1][j]
                for i in range(3) for j in range(3)) == 1
@@ -213,10 +330,10 @@ def q_on_subsets(o):
 
 def reference_arf(o):
     """Arf invariant from q on an integer symplectic basis (a1, b1, ...) in
-    fundamental-cycle coordinates, as returned by `symplectic_reduce`."""
+    fundamental-cycle coordinates, as returned by `integer_symplectic_reduce`."""
     cycles, q = q_on_subsets(o)
     gram = [[intersection(o, a, b) for b in cycles] for a in cycles]
-    coords = symplectic_reduce(gram)
+    coords = integer_symplectic_reduce(gram)
     odd = [[i for i, k in enumerate(vec) if k % 2] for vec in coords]
     return sum(q(odd[k]) * q(odd[k + 1]) for k in range(0, len(odd), 2)) % 2
 
@@ -271,20 +388,20 @@ def test_arf_is_majority_value_of_q():
 
 
 def test_arf_needs_no_symplectic_reduce(monkeypatch):
-    # nor any integer Cycle, intersection number or taxi loop
+    # the Arf invariant and the F_2 symplectic basis need no integer Cycle,
+    # intersection number or taxi loop
     L = l_origami(6, 1)
     lifts = double_cover_lifts(L.origami, list(L.basis))
 
     def refuse(*args):
         raise AssertionError("called")
 
-    monkeypatch.setattr(flatcover.origami, "symplectic_reduce", refuse)
     monkeypatch.setattr(Cycle, "_replay", staticmethod(refuse))
     monkeypatch.setattr(flatcover.origami, "intersection", refuse)
     monkeypatch.setattr(flatcover.origami, "winding_index", refuse)
     assert sorted(lift.arf_invariant() for lift in lifts) == [0] * 5 + [1] * 10
-    with pytest.raises(AssertionError):
-        FIVE.symplectic_basis()
+    assert len(FIVE.symplectic_basis()) == 4
+    assert len(lifts[0].symplectic_basis()) == 6
 
 
 #: origamis outside H(2, 2), with their stratum and Arf invariant; genus 6 in
@@ -341,16 +458,16 @@ def test_tree_turning_is_winding_index_on_l_lifts(d):
 
 # -- each self-check of arf_invariant fails on a mutated tree-cotree split ------
 
-def arf_with_mutated_split(monkeypatch, o, mutate):
+def mutate_split(monkeypatch, mutate):
+    """Make `_tree_cotree` apply mutate(basis, cotree) to its split."""
     split = flatcover.origami._tree_cotree
 
     def mutated(h, v, vertex_cycles):
         basis, cotree = split(h, v, vertex_cycles)
-        mutate(o, basis, cotree)
+        mutate(basis, cotree)
         return basis, cotree
 
     monkeypatch.setattr(flatcover.origami, "_tree_cotree", mutated)
-    return o.arf_invariant()
 
 
 def first_lift():
@@ -390,5 +507,14 @@ def repeat_a_basis_cycle(o, basis, cotree):
 def test_arf_self_checks_catch_a_mutated_split(monkeypatch, mutate, message):
     o = first_lift()
     assert o.arf_invariant() == reference_arf(o)
+    mutate_split(monkeypatch, lambda basis, cotree: mutate(o, basis, cotree))
     with pytest.raises(InvariantError, match=message):
-        arf_with_mutated_split(monkeypatch, o, mutate)
+        o.arf_invariant()
+
+
+def test_symplectic_basis_catches_a_repeated_basis_cycle(monkeypatch):
+    o = first_lift()
+    assert_symplectic_mod2(o, o.symplectic_basis())
+    mutate_split(monkeypatch, lambda basis, cotree: repeat_a_basis_cycle(o, basis, cotree))
+    with pytest.raises(InvariantError, match="2 hyperbolic pairs mod 2, genus 3"):
+        o.symplectic_basis()

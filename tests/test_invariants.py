@@ -70,18 +70,18 @@ def test_library_uses_no_floating_point():
 
 
 def test_invariant_error_survives_optimize_flag():
-    # a Gram matrix with pairing 2 is not unimodular on the quotient
+    # the turns of a closed loop add up to a multiple of 4
     code = ("from flatcover import InvariantError\n"
-            "from flatcover.origami import symplectic_reduce\n"
+            "from flatcover.origami import _winding\n"
             "try:\n"
-            "    print(symplectic_reduce([[0, 2], [-2, 0]]))\n"
+            "    print(_winding(2))\n"
             "except InvariantError as exc:\n"
             "    print('InvariantError:', exc)\n")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("InvariantError: intersection form is not unimodular")
+    assert proc.stdout.startswith("InvariantError: turning count of a closed loop")
 
 
 @pytest.mark.parametrize("module", ["lshape", "cyclotomic", "monodromy"])

@@ -657,16 +657,25 @@ def test_orbit_walk_needs_one_canonical_form_per_cycle_step(monkeypatch):
     assert counts == [(180, 212), (1080, 1262), (225, 266), (1350, 1577)]
 
 
+def assert_symplectic_mod2(o, basis):
+    """basis is 2g chains of 0s and 1s, each closed mod 2, with the standard
+    symplectic Gram matrix mod 2.  A chain is closed when as much flows into
+    each square t as out of it: sig[t] + tau[t] = sig[h^-1 t] + tau[v^-1 t]."""
+    g = o.stratum().genus
+    assert len(basis) == 2 * g
+    hi, vi = o.h.inverse().images, o.v.inverse().images
+    for c in basis:
+        assert set(c.sig + c.tau) <= {0, 1}
+        assert all((c.sig[t] + c.tau[t] - c.sig[hi[t]] - c.tau[vi[t]]) % 2 == 0
+                   for t in range(o.n))
+    standard = [[int(k ^ 1 == l) for l in range(2 * g)] for k in range(2 * g)]
+    assert [[intersection(o, x, y) % 2 for y in basis] for x in basis] == standard
+
+
 @settings(max_examples=60, deadline=None)
 @given(origamis(max_n=8))
 def test_symplectic_basis_has_standard_gram(o):
-    basis = o.symplectic_basis()
-    g = o.stratum().genus
-    assert len(basis) == 2 * g
-    standard = [[0] * (2 * g) for _ in range(2 * g)]
-    for k in range(0, 2 * g, 2):
-        standard[k][k + 1], standard[k + 1][k] = 1, -1
-    assert [[intersection(o, x, y) for y in basis] for x in basis] == standard
+    assert_symplectic_mod2(o, o.symplectic_basis())
 
 
 def assert_mod2_forms_are_intersection_mod2(o, chains=None):
@@ -765,7 +774,7 @@ def assert_chain_is_crossing_count(o):
         for b, (dsig, dtau) in zip(cycles, counts):
             assert intersection(o, a, b) == (sum(x * y for x, y in zip(a.sig, dsig))
                                              - sum(x * y for x, y in zip(a.tau, dtau)))
-    other = Cycle.zero(o.n + 1)
+    other = Cycle(o.n + 1, (0,) * (o.n + 1), (0,) * (o.n + 1))
     for args in ((o, cycles[0], other), (o, other, cycles[0]), (o, other, other)):
         with pytest.raises(ValueError):
             intersection(*args)
