@@ -382,8 +382,8 @@ class Origami:
         relabeling; cached.
 
         The set of these squares is kept by every relabelling, so the key is
-        complete.  A start is dropped as soon as an entry of its hn exceeds
-        the best hn so far, and vn is compared only when hn ties (see
+        complete.  The starts play a lazy tournament on hn, vn is compared
+        only when hn ties, and only the winner's BFS runs to the end (see
         `_canonical_pair`).  The orbit enumerations `sl2z_orbit_graph` and
         `sl2z_orbit_walk` use the same key, so a member is found by the
         canonical form of any pair in the orbit; they also pass the seed's

@@ -9,6 +9,7 @@ literature, e.g. "(1,2)(3,4)"; internally everything is 0-based.
 """
 from __future__ import annotations
 
+from itertools import islice
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -146,9 +147,15 @@ def _canonical_pair(h: Sequence[int], v: Sequence[int],
     transitive, hence regular, and its elements are translations carrying
     square 0 to any square; every start gives the same (hn, vn).
 
-    The BFS fixes hn[k] = new[h[order[k]]] as soon as it takes node k from
-    the queue, so a start is dropped at the first entry where its hn exceeds
-    the best hn so far; vn is compared only when hn ties all the way.
+    The BFS fixes hn[k] = new[h[order[k]]] when it takes node k from the
+    queue, so the starts play a lazy tournament on hn.  The best start so far
+    keeps a partial BFS, advanced one node at a time and only as far as a
+    challenger has matched it.  The challenger stops at its first entry
+    above the best's hn and becomes the best, with its partial BFS, at its
+    first entry below it.  Starts whose hn ties all the way are compared by
+    vn, and on equal vn the earlier start stays: the result and `order` are
+    those of the first start reaching the least (hn, vn).  After the last
+    start the winner alone finishes its BFS and builds (hn, vn).
 
     `orbits` optionally labels each square by its orbit under the
     translations, the permutations commuting with h and v: squares with equal
@@ -166,13 +173,21 @@ def _canonical_pair(h: Sequence[int], v: Sequence[int],
         for start in starts:
             firsts.setdefault(orbits[start], start)
         starts = firsts.values()
-    best_h = best_v = best_order = None
+    starts = iter(starts)
+    # the best start's BFS: labels, visiting order, next label, nodes taken
+    # from the queue, and its vn once a tie has needed it
+    start = next(starts)
+    best_new = [-1] * n
+    best_new[start] = 0
+    best_order = [start]
+    best_cnt = 1
+    done = 0
+    best_v = None
     for start in starts:
         new = [-1] * n
         new[start] = 0
         order = [start]
         cnt = 1
-        tied = best_h is not None
         for k, s in enumerate(order):
             t = h[s]
             x = new[t]
@@ -180,23 +195,56 @@ def _canonical_pair(h: Sequence[int], v: Sequence[int],
                 new[t] = x = cnt
                 cnt += 1
                 order.append(t)
-            if tied and x != best_h[k]:
-                if x > best_h[k]:
-                    break
-                tied = False
+            if k < done:
+                y = best_new[h[best_order[k]]]
+            else:
+                # the best takes node k from its queue
+                b = best_order[k]
+                t = h[b]
+                y = best_new[t]
+                if y < 0:
+                    best_new[t] = y = best_cnt
+                    best_cnt += 1
+                    best_order.append(t)
+                t = v[b]
+                if best_new[t] < 0:
+                    best_new[t] = best_cnt
+                    best_cnt += 1
+                    best_order.append(t)
+                done = k + 1
+            if x > y:
+                break
             t = v[s]
             if new[t] < 0:
                 new[t] = cnt
                 cnt += 1
                 order.append(t)
+            if x < y:
+                best_new, best_order, best_cnt, done = new, order, cnt, k + 1
+                best_v = None
+                break
         else:
+            # hn ties all the way, and both BFSs are complete
             vn = tuple([new[v[s]] for s in order])
-            if not tied:
-                best_h = tuple([new[h[s]] for s in order])
-                best_v, best_order = vn, order
-            elif vn < best_v:
-                best_v, best_order = vn, order
-    return best_h, best_v, best_order
+            if best_v is None:
+                best_v = tuple([best_new[v[s]] for s in best_order])
+            if vn < best_v:
+                best_new, best_order, best_v = new, order, vn
+    # the winner alone finishes its BFS
+    for s in islice(best_order, done, None):
+        t = h[s]
+        if best_new[t] < 0:
+            best_new[t] = best_cnt
+            best_cnt += 1
+            best_order.append(t)
+        t = v[s]
+        if best_new[t] < 0:
+            best_new[t] = best_cnt
+            best_cnt += 1
+            best_order.append(t)
+    if best_v is None:
+        best_v = tuple([best_new[v[s]] for s in best_order])
+    return tuple([best_new[h[s]] for s in best_order]), best_v, best_order
 
 
 def cycles(images: Sequence[int],

@@ -1,5 +1,7 @@
 """The summary of `tools/bench_pairs.py`, on synthetic runs (no subprocess)."""
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -116,3 +118,30 @@ def test_failed_runs_and_unpaired_seeds():
     assert set(out["median_by_workload"]["covers"]) == {"parent"}
     assert set(out["ratios_change_over_parent"]) == {"census"}
     assert not bench_pairs.summarize(runs[2:], "census", "wall_s")["claim"]["met"]
+
+
+def test_without_a_claim_the_record_claims_nothing(tmp_path, monkeypatch, capsys):
+    runs = ten_pairs(PARENT, CHANGE)
+    out = bench_pairs.summarize(runs)
+    assert out["claim"] is None
+    claimed = bench_pairs.summarize(runs, "census", "wall_s")
+    assert out["median_by_workload"] == claimed["median_by_workload"]
+    assert out["ratios_change_over_parent"] == claimed["ratios_change_over_parent"]
+
+    # main writes a null claim and says so, with the git calls and the runs
+    # stubbed out
+    (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 1}')
+    walls = iter([0.100, 0.090, 0.091, 0.101])     # parent first on seed 1
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda *a, **k: subprocess.CompletedProcess(a, 0, stdout="abc\n"))
+    monkeypatch.setattr(bench_pairs, "export_parent", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "export_change", lambda dest: None)
+    monkeypatch.setattr(bench_pairs, "run_one",
+                        lambda tree_dir, w, seed, s: {
+                            "code": 0, "result": run(None, seed, next(walls))["result"]})
+    assert bench_pairs.main(["--parent", "HEAD~1", "--label", "none", "--what", "w",
+                             "--plan", "census=2"]) == 0
+    record = json.loads((tmp_path / "BENCH_none.json").read_text())
+    assert record["claim"] is None and len(record["runs"]) == 4
+    assert capsys.readouterr().err.rstrip().endswith("no claim")

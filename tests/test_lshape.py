@@ -92,6 +92,21 @@ def test_zero_divisors_at_square_discriminant():
             1 / z
 
 
+def test_square_discriminant_computes_in_q_times_q_not_the_reals():
+    """At a square D the ring Q[t]/(f) is Q x Q, and ==, `inverse` and
+    `sign` disagree with the real values.  This pins today's semantics, the
+    open mend of ROADMAP item 11: a mend that makes them agree flips both
+    checks on purpose."""
+    # L(6, -1): lambda = 2, so lambda + 3 is 5 as a real number, yet it is
+    # the zero divisor t + 3 of Q[t]/((t - 2)(t + 3))
+    assert (lam(6, -1) + 3).sign() == 1
+    with pytest.raises(ZeroDivisionError):
+        (lam(6, -1) + 3).inverse()
+    # L(6, 1): lambda = 3 as a real number, but not in the ring
+    assert lam(6, 1) != 3
+    assert (lam(6, 1) - 3).sign() == 0
+
+
 @settings(max_examples=60)
 @given(quads(6, 1))
 def test_galois_conjugate_is_involution(a):

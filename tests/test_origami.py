@@ -657,6 +657,120 @@ def test_orbit_walk_needs_one_canonical_form_per_cycle_step(monkeypatch):
     assert counts == [(180, 212), (1080, 1262), (225, 266), (1350, 1577)]
 
 
+# -- the start tournament against the sequential loop ------------------------
+
+def sequential_canonical_pair(h, v, orbits=None):
+    """The start loop that the tournament of `_canonical_pair` replaced: each
+    start runs its BFS until an entry of its hn exceeds the best hn so far,
+    or to the end, and builds its (hn, vn) there."""
+    n = len(h)
+    starts = [s for s in range(n) if h[v[s]] != v[h[s]]] or [0]
+    if orbits is not None:
+        # keep the first start of each orbit; translations commute with h
+        # and v, so each orbit lies inside `starts` or misses it
+        firsts: dict[int, int] = {}
+        for start in starts:
+            firsts.setdefault(orbits[start], start)
+        starts = firsts.values()
+    best_h = best_v = best_order = None
+    for start in starts:
+        new = [-1] * n
+        new[start] = 0
+        order = [start]
+        cnt = 1
+        tied = best_h is not None
+        for k, s in enumerate(order):
+            t = h[s]
+            x = new[t]
+            if x < 0:
+                new[t] = x = cnt
+                cnt += 1
+                order.append(t)
+            if tied and x != best_h[k]:
+                if x > best_h[k]:
+                    break
+                tied = False
+            t = v[s]
+            if new[t] < 0:
+                new[t] = cnt
+                cnt += 1
+                order.append(t)
+        else:
+            vn = tuple([new[v[s]] for s in order])
+            if not tied:
+                best_h = tuple([new[h[s]] for s in order])
+                best_v, best_order = vn, order
+            elif vn < best_v:
+                best_v, best_order = vn, order
+    return best_h, best_v, best_order
+
+
+TORI = list(lattice_tori(12))
+
+
+@st.composite
+def relabelled_tori(draw):
+    return relabel(draw(st.sampled_from(TORI)), draw(st.integers(0, 2 ** 30)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(origamis(max_n=12), lifted_origamis(max_n=12), relabelled_tori()))
+def test_tournament_matches_the_sequential_loop(o):
+    # the same (hn, vn) and the same relabelling `order`, with and without
+    # translation labels
+    h, v = o.h.images, o.v.images
+    for labels in (None, orbit_labels(o)):
+        assert _canonical_pair(h, v, labels) == sequential_canonical_pair(h, v, labels)
+
+
+def test_tied_starts_keep_the_first():
+    # unlabelled, the 7 starts of one translation orbit of the Z/7 lift of
+    # L(2, -1) tie on (hn, vn); the earliest of them gives `order`
+    for seed in range(3):
+        o = relabel(cyclic_lift(2, -1, 7), seed)
+        h, v = o.h.images, o.v.images
+        got = _canonical_pair(h, v)
+        assert got == sequential_canonical_pair(h, v)
+        tied = [s for s in range(o.n) if bfs_relabelling(h, v, s) == got[:2]]
+        labels = orbit_labels(o)
+        assert tied == [s for s in range(o.n) if labels[s] == labels[tied[0]]]
+        assert len(tied) == 7 and got[2][0] == tied[0]
+
+
+class CountingImages(tuple):
+    """An image tuple that counts the reads of its entries."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        CountingImages.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_tournament_reads_each_square_about_nine_times(monkeypatch):
+    # the cone-square scan reads h and v 4 times per square, a full BFS 2
+    # and the (hn, vn) tuples 2; the sequential loop makes 11.16 reads per
+    # square per call on this orbit, as it runs 1.6 full BFSs a call
+    base = l_origami(16, 0)
+    basis = list(base.basis)
+    lift = next(c.lift() for c in all_double_covers(base.origami, basis)
+                if cover_label(basis, c)[1] == 3)
+    calls = []
+    canonical_pair = origami._canonical_pair
+
+    def recording(h, v, orbits=None):
+        calls.append((tuple(h), tuple(v), orbits))
+        return canonical_pair(h, v, orbits)
+
+    monkeypatch.setattr(origami, "_canonical_pair", recording)
+    assert len(lift.sl2z_orbit_forms()) == 432
+    assert len(calls) == 506
+    CountingImages.reads = 0
+    for h, v, orbits in calls:
+        _canonical_pair(CountingImages(h), CountingImages(v), orbits)
+    assert CountingImages.reads <= 9.5 * sum(len(h) for h, _, _ in calls)
+
+
 def assert_symplectic_mod2(o, basis):
     """basis is 2g chains of 0s and 1s, each closed mod 2, with the standard
     symplectic Gram matrix mod 2.  A chain is closed when as much flows into

@@ -15,7 +15,8 @@ line of a run is its result.
 
 `summarize` turns the runs into the file's keys: the medians per workload and
 tree, the claim on one workload's metric over the seeds that ran in both
-trees, and the ratios change / parent of the medians.
+trees, and the ratios change / parent of the medians.  Without `--claim` the
+record's claim is null: a change that claims no gain is recorded without one.
 """
 from __future__ import annotations
 
@@ -59,10 +60,10 @@ def _value(run, metric):
     return run["result"]["metrics"][metric]["value"]
 
 
-def summarize(runs, claim_workload, claim_metric):
+def summarize(runs, claim_workload=None, claim_metric=None):
     """The summary keys of a BENCH file from a list of runs, each a dict with
     tree, workload, seed, code and result (the run's last stdout line, or
-    None when it printed none).
+    None when it printed none).  Without a claim_workload the claim is None.
 
     median_by_workload[w][tree] holds the median of each metric over the
     tree's runs with a result, failed_frac (failed / attempted, pooled),
@@ -92,6 +93,13 @@ def summarize(runs, claim_workload, claim_metric):
             row["runs"] = len(mine)
             medians[w][tree] = row
 
+    ratios = {w: {m: round(rows["change"][m] / rows["parent"][m], 3)
+                  for m in METRICS if rows["parent"][m]}
+              for w, rows in medians.items() if set(rows) == set(TREES)}
+    out = {"median_by_workload": medians, "claim": None,
+           "ratios_change_over_parent": ratios}
+    if claim_workload is None:
+        return out
     lower = METRICS[claim_metric]
     mine = {tree: {r["seed"]: r["result"] for r in done
                    if r["workload"] == claim_workload and r["tree"] == tree}
@@ -123,12 +131,8 @@ def summarize(runs, claim_workload, claim_metric):
         })
     else:
         claim["met"] = False
-
-    ratios = {w: {m: round(rows["change"][m] / rows["parent"][m], 3)
-                  for m in METRICS if rows["parent"][m]}
-              for w, rows in medians.items() if set(rows) == set(TREES)}
-    return {"median_by_workload": medians, "claim": claim,
-            "ratios_change_over_parent": ratios}
+    out["claim"] = claim
+    return out
 
 
 def export_parent(rev: str, dest: Path) -> None:
@@ -178,11 +182,12 @@ def parse_args(argv):
     p.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     p.add_argument("--what", required=True, help="one line on what the change does")
     p.add_argument("--plan", nargs="+", required=True, metavar="WORKLOAD=PAIRS")
-    p.add_argument("--claim", required=True, metavar="WORKLOAD.METRIC")
+    p.add_argument("--claim", metavar="WORKLOAD.METRIC",
+                   help="the metric the change claims to improve; none by default")
     args = p.parse_args(argv)
     args.plan = [(w, int(k)) for w, k in (item.split("=") for item in args.plan)]
-    args.claim = tuple(args.claim.split("."))
-    if args.claim[1] not in METRICS:
+    args.claim = tuple(args.claim.split(".")) if args.claim else ()
+    if args.claim and args.claim[1] not in METRICS:
         p.error(f"unknown metric {args.claim[1]}")
     return args
 
@@ -220,7 +225,9 @@ def main(argv=None) -> int:
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
-    print(f"wrote {path}; claim met: {record['claim']['met']}", file=sys.stderr)
+    claim = record["claim"]
+    print(f"wrote {path}; " + (f"claim met: {claim['met']}" if claim else "no claim"),
+          file=sys.stderr)
     return 0
 
 
