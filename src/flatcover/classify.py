@@ -235,11 +235,12 @@ def verify_sts_orbits(n: int, cap: int = 31) -> dict:
     eigenform surfaces (n <= cap), by the action on homology mod 2.
 
     For each spin component: read the affine group's action on the dual
-    classes mod 2 off the L-shaped base, one F_2 matrix per edge of its orbit
-    graph (`covers.affine_action_mod2`), and partition the 15 classes by
-    `orbit_partition` under those matrices.  The orbit of a lifted 2n-square
-    surface is the base orbit times the block of its class, so its size is
-    base size x block size and no lift gets a canonical form.  This needs
+    classes mod 2 off the L-shaped base, one F_2 matrix per step of the S/U
+    walk of its orbit (`covers.affine_action_mod2`), and partition the 15
+    classes by `orbit_partition` under those matrices.  The orbit of a
+    lifted 2n-square surface is the base orbit times the block of its class,
+    so its size is base size x block size and no lift gets a canonical
+    form.  This needs
     each lift's translations to be its deck group: an orbit whose first
     lift has more is cross-checked by direct enumeration of the lift's
     orbit.  The lifts give each orbit its Arf invariant and translation
@@ -263,8 +264,8 @@ def verify_sts_orbits(n: int, cap: int = 31) -> dict:
         basis = list(base.basis)
         lifts = {cover_label(basis, c)[1]: c.lift()
                  for c in all_double_covers(base.origami, basis)}
-        graph, matrices = affine_action_mod2(base.origami, basis)
-        base_size = len(graph.members)
+        walk, matrices = affine_action_mod2(base.origami, basis)
+        base_size = len(walk.members)
         blocks = [tuple(sorted(vector_label(v) for v in part))
                   for part in orbit_partition(set(matrices), primitive_vectors(2), 2)]
         if set(blocks) != set(table.hyp_orbits + table.odd_orbits):

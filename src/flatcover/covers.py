@@ -14,12 +14,13 @@ is sum gamma[k] G_k mod m over the gauge-fixed dual cocycles G_k of the four
 basis cycles, so the covers of one surface and modulus take one walk of the
 tree in all.  The double covers are the Z/2 cyclic covers: the primitive
 vectors of (Z/2)^4 are its 15 nonzero vectors.  A cover's dual class moves
-under SL(2,Z) as a homology class, so `affine_action_mod2` pushes four
+under SL(2,Z) as a homology class, so `affine_action_mod2` carries four
 chains mod 2, byte-sliced into one lane (bit k of a square's byte is chain
-k), along the base's orbit graph, into each target member's labels, one XOR
-push per edge side, and reads one F_2 matrix per edge off their
+k), along each S and U cycle walk of the base's orbit
+(`origami.sl2z_orbit_walk`), one push per step, relabels them into the
+member each step reaches, and reads one F_2 matrix per step off their
 intersection numbers (`origami.mod2_forms`), checking each image's Gram
-matrix and that each distinct edge matrix lies in Sp(4, F_2).  A basis is
+matrix and that each distinct matrix lies in Sp(4, F_2).  A basis is
 four cycles on the base's squares; covers mod m also need each chain closed
 mod m and the Gram J4 mod m (ValueError otherwise), which the generic
 `Origami.symplectic_basis` meets for m = 2 only.
@@ -27,13 +28,14 @@ mod m and the Gram J4 mod m (ValueError otherwise), which the generic
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import xor
 
 from . import InvariantError
 from .lshape import IDENTITY4, J4, symplectic_pairing
 from .monodromy import (is_symplectic, mat_mod, mat_vec, primitive_vector_count,
                         primitive_vectors, vector_label)
-from .origami import (Cycle, Origami, OrbitGraph, intersection, mod2_forms, mod2_lane,
-                      sl2z_orbit_graph, spanning_tree)
+from .origami import (Cycle, Origami, OrbitWalk, intersection, mod2_forms, mod2_lane,
+                      sl2z_orbit_walk, spanning_tree, walk_step)
 from .perms import Permutation, inverse_images
 
 
@@ -194,61 +196,68 @@ def cyclic_covers(o: Origami, n: int, basis: list[Cycle]) -> list[Cover]:
     return covers
 
 
-def affine_action_mod2(o: Origami, basis: list[Cycle]) -> tuple[OrbitGraph, list[tuple]]:
-    """The SL(2,Z)-orbit graph of the genus-2 origami o, and the 4x4 F_2
-    matrices of its affine group's action on H_1 mod 2 (so on the gamma of
-    `cover_label`) in the coordinates of `basis` (a1, b1, a2, b2): x -> M x
-    for M = matrices[2 i], matrices[2 i + 1] on the L, R edges of member i.
+def affine_action_mod2(o: Origami, basis: list[Cycle]) -> tuple[OrbitWalk, list[tuple]]:
+    """The SL(2,Z)-orbit walk of the genus-2 origami o (`sl2z_orbit_walk`),
+    and the 4x4 F_2 matrices of its affine group's action on H_1 mod 2 (so
+    on the gamma of `cover_label`) in the coordinates of `basis`
+    (a1, b1, a2, b2): x -> M x for M = matrices[s] on the s-th step of the
+    walk, its steps taken walk by walk in order.
 
     Each member carries a frame of four classes mod 2 as one lane of
     `origami.mod2_lane`: two byte strings (sig, tau), one byte per square,
-    whose bit k is class k's chain there.  An edge pushes the frame straight
-    into the labels of its target (h_j, v_j) with the edge's `order`, all
-    four classes at once, "+" being XOR.  L sends h to v^-1 h and an E step
-    to E then N: sig_j[k] = sig[order[k]] and
-    tau_j[k] = tau[order[k]] + sig_j[h_j^-1[k]].  R sends v to h^-1 v and an
-    N step to N then E: tau_j[k] = tau[order[k]] and
-    sig_j[k] = sig[order[k]] + tau_j[v_j^-1[k]].  Each member is the target
-    of one L and one R edge, so each h_j and v_j is inverted once.  Member
-    0's frame is the basis relabelled by `seed_order`, and the edge that
-    first reaches a member carries its frame there, so the BFS tree edges act
-    as the identity.  Each landing reads the image frame on the target with
-    `origami.mod2_forms`: its Gram matrix mod 2 must be J4 mod 2
-    (InvariantError otherwise; at member 0 this rejects a basis that is not
-    symplectic mod 2), and entry (l, k) of the matrix is image class k . target
-    class l ^ 1 mod 2, against the target's packed int, which is all that is
-    kept of a member's frame once it is expanded.  On a first landing the
-    frame is the target's own, so entry (l, k) is Gram[k][l ^ 1], and the
-    check just passed makes that the identity: such a landing returns the
-    shared IDENTITY4 without reading it.  Equal matrices are one tuple, and
-    each distinct one must lie in Sp(4, F_2), M^t J M = J mod 2
-    (InvariantError otherwise): a pushed frame can keep every Gram matrix
-    while an edge matrix leaves the group.  A basis that is not four cycles
-    on o's squares is a ValueError.
+    whose bit k is class k's chain there.  A walk from member i carries i's
+    frame along its steps on the same squares, all four classes at once,
+    "+" being XOR.  S turns an E step from s into an N step and an N step
+    into a W step into v[s]; U turns an E step into an N step and an N step
+    into an N step, then a W step into v[s].  So with vi the images of v^-1
+    of the pair before the step, S sends the frame to sig'[t] = tau[vi[t]]
+    and tau' = sig, and U to sig'[t] = tau[vi[t]] and tau' = sig + tau.
+    Each step's frame is relabelled by the step's `order` into the member j
+    it reaches.  Member 0's frame is the basis relabelled by `seed_order`,
+    and the step that first reaches a member carries its frame there, so
+    these steps act as the identity.  Each landing reads the
+    image frame on the target with `origami.mod2_forms`: its Gram matrix
+    mod 2 must be J4 mod 2 (InvariantError otherwise; at member 0 this
+    rejects a basis that is not symplectic mod 2), and entry (l, k) of the
+    matrix is image class k . target class l ^ 1 mod 2, against the
+    target's packed int, tau then sig, which is all that is kept of a
+    member's frame.  On a first landing the frame is the target's own, so
+    entry (l, k) is Gram[k][l ^ 1], and the check just passed makes that
+    the identity: such a landing returns the shared IDENTITY4 without
+    reading it.  Equal matrices are one tuple, and each distinct one must
+    lie in Sp(4, F_2), M^t J M = J mod 2 (InvariantError otherwise): a
+    pushed frame can keep every Gram matrix while a matrix leaves the
+    group.  A basis that is not four cycles on o's squares is a ValueError.
 
-    So the component of (member 0, gamma) in the skew product of the graph
-    with the covers is every member times gamma's orbit under the matrices:
-    the lifted origami's orbit when the base has no nontrivial translation
-    (checked: InvariantError) and the lift's translations are its deck group.
+    A step that returns to its walk's start is an elliptic element of the
+    Veech group, and its matrix a generator like any other.  The never
+    computed k-th step of a full S-pair or U-triangle is S^2 or U^3 = -I,
+    the identity mod 2, so the matrices generate the image of the Veech
+    group, as the Schreier generators of the S/U orbit graph do.  So the
+    component of (member 0, gamma) in the skew product of the orbit with the
+    covers is every member times gamma's orbit under the matrices: the
+    lifted origami's orbit when the base has no nontrivial translation
+    (checked: InvariantError) and the lift's translations are its deck
+    group.
     """
     if len(o.translations()) != 1:
         raise InvariantError("the base has a nontrivial translation")
     _check_basis(o, basis)
-    graph = sl2z_orbit_graph(o.h.images, o.v.images)
-    carried = {}  # the frames of the members reached and not yet expanded
-    targets: list = [None] * len(graph.members)
+    walk = sl2z_orbit_walk(o.h.images, o.v.images)
+    n = o.n
+    targets: list = [None] * len(walk.members)
     gram = tuple([x for row in mat_mod(J4, 2) for x in row])
     # each distinct matrix, by its entries row by row
     shapes = {tuple([x for row in IDENTITY4 for x in row]): IDENTITY4}
 
     def land(j, sig, tau):
-        reads, packs = mod2_forms(*graph.members[j], sig, tau, 4)
+        reads, packs = mod2_forms(*walk.members[j], sig, tau, 4)
         if tuple([(a & b).bit_count() & 1 for a in reads for b in packs]) != gram:
             raise InvariantError(f"the image frame at member {j} is not symplectic mod 2")
         t = targets[j]
         if t is None:
             # the frame is the target's own: entry (l, k) is gram[k][l ^ 1]
-            carried[j], targets[j] = (sig, tau), packs[0]
+            targets[j] = packs[0]
             return IDENTITY4
         # row l of a matrix pairs with target class l ^ 1
         entries = tuple([(a & b).bit_count() & 1 for b in (t >> 1, t, t >> 3, t >> 2)
@@ -258,18 +267,19 @@ def affine_action_mod2(o: Origami, basis: list[Cycle]) -> tuple[OrbitGraph, list
             matrix = shapes[entries] = tuple(entries[l:l + 4] for l in range(0, 16, 4))
         return matrix
 
-    land(0, *mod2_lane([([c.sig[s] for s in graph.seed_order],
-                         [c.tau[s] for s in graph.seed_order]) for c in basis]))
+    land(0, *mod2_lane([([c.sig[s] for s in walk.seed_order],
+                         [c.tau[s] for s in walk.seed_order]) for c in basis]))
     matrices = []
-    for i, ((jl, order_l), (jr, order_r)) in enumerate(graph.edges):
-        sig, tau = carried.pop(i)
-        hi = inverse_images(graph.members[jl][0])
-        vi = inverse_images(graph.members[jr][1])
-        sig_l = bytes([sig[s] for s in order_l])
-        tau_r = bytes([tau[s] for s in order_r])
-        matrices.append(land(jl, sig_l, bytes([tau[s] ^ sig_l[t] for s, t in zip(order_l, hi)])))
-        matrices.append(land(jr, bytes([sig[s] ^ tau_r[t] for s, t in zip(order_r, vi)]), tau_r))
+    for i, g, steps in walk.walks:
+        h, v = walk.members[i]
+        own = targets[i].to_bytes(2 * n, "big")
+        sig, tau = own[n:], own[:n]
+        for j, order in steps:
+            vi = inverse_images(v)
+            h, v = walk_step(h, vi, g)
+            sig, tau = bytes([tau[t] for t in vi]), sig if g == "S" else bytes(map(xor, sig, tau))
+            matrices.append(land(j, bytes([sig[s] for s in order]), bytes([tau[s] for s in order])))
     for M in shapes.values():
         if not is_symplectic(M, 2):
-            raise InvariantError(f"the edge matrix {M} is not in Sp(4, F_2)")
-    return graph, matrices
+            raise InvariantError(f"the matrix {M} is not in Sp(4, F_2)")
+    return walk, matrices

@@ -5,15 +5,15 @@ the square to the right of s, v(s) the square above.  Origamis are considered
 up to simultaneous conjugation; `canonical_form` computes a canonical
 relabeling, and equality/hashing go through it.
 
-SL(2,Z) acts on origamis through `act_generator`, and an orbit is enumerated
-in two ways.  `sl2z_orbit_graph` is a BFS over L and R that records every
-edge's relabelling, which `covers.affine_action_mod2` needs to push homology
-frames along the edges.  `sl2z_orbit_walk`, behind
-`Origami.sl2z_orbit_forms`, finds the member set alone by walking the cycles
-of S = R^-1 L R^-1 and U = R^-1 L, which present PSL(2,Z) = Z/2 * Z/3.  S
-sends (h, v) to (v^-1, v^-1 h v) and U to (v^-1 h, v^-1 h v); relabelled by
-v these are (v^-1, h) and (h v^-1, h), pairs on the same squares with the
-same translations, so the seed's translation-orbit labels carry over.  -I is
+SL(2,Z) acts on origamis through `act_generator`, and `sl2z_orbit_walk` is
+the one orbit enumerator.  It walks the cycles of S = R^-1 L R^-1 and
+U = R^-1 L, which present PSL(2,Z) = Z/2 * Z/3, and hands back the members
+(`Origami.sl2z_orbit_forms` keeps only these) and every step it computes,
+with the relabelling onto the member it reaches, along which
+`covers.affine_action_mod2` pushes homology frames.  S sends (h, v) to
+(v^-1, v^-1 h v) and U to (v^-1 h, v^-1 h v); relabelled by v these are
+(v^-1, h) and (h v^-1, h), pairs on the same squares with the same
+translations, so the seed's translation-orbit labels carry over.  -I is
 central, so it fixes every member exactly when it fixes the seed, and the
 last step of each S-pair or U-triangle (of each 4- or 6-cycle when -I moves
 the seed) is known to close it and needs no canonical form.
@@ -384,11 +384,11 @@ class Origami:
         The set of these squares is kept by every relabelling, so the key is
         complete.  The starts play a lazy tournament on hn, vn is compared
         only when hn ties, and only the winner's BFS runs to the end (see
-        `_canonical_pair`).  The orbit enumerations `sl2z_orbit_graph` and
-        `sl2z_orbit_walk` use the same key, so a member is found by the
-        canonical form of any pair in the orbit; they also pass the seed's
-        translation orbits, so that only the first start of each orbit is
-        tried, and the result and the relabelling `order` do not change.
+        `_canonical_pair`).  The orbit enumeration `sl2z_orbit_walk` uses
+        the same key, so a member is found by the canonical form of any pair
+        in the orbit; it also passes the seed's translation orbits, so that
+        only the first start of each orbit is tried, and the result and the
+        relabelling `order` do not change.
         """
         if self._canon is None:
             hn, vn, _ = _canonical_pair(self.h.images, self.v.images)
@@ -428,12 +428,11 @@ class Origami:
         return self.act_matrix(M).canonical_form() == self.canonical_form()
 
     def sl2z_orbit_forms(self, cap: int = 10**6) -> set:
-        """Canonical forms of the full SL(2,Z)-orbit, the members of
-        `sl2z_orbit_graph`, found by `sl2z_orbit_walk` over the cycles of
-        S and U, which needs about 7/6 canonical forms per member where the
-        graph's L/R edges need 2.  Raises OrbitCapExceeded once more than
-        `cap` >= 1 forms are found."""
-        return sl2z_orbit_walk(self.h.images, self.v.images, cap)
+        """Canonical forms of the full SL(2,Z)-orbit, the members found by
+        `sl2z_orbit_walk` over the cycles of S and U, about 7/6 canonical
+        forms per member.  Raises OrbitCapExceeded once more than `cap` >= 1
+        forms are found."""
+        return set(sl2z_orbit_walk(self.h.images, self.v.images, cap).members)
 
     def sl2z_orbit(self, cap: int = 10**6) -> OrbitReport:
         reps = sorted(self.sl2z_orbit_forms(cap))
@@ -782,26 +781,27 @@ def _tree_cotree(h, v, vertex_cycles) -> tuple[list, list]:
 
 
 @dataclass(frozen=True)
-class OrbitGraph:
-    """The SL(2,Z)-orbit of an origami as a graph on canonical forms.
+class OrbitWalk:
+    """The SL(2,Z)-orbit of an origami as `sl2z_orbit_walk` finds it.
 
     members[0] is the canonical form of the input pair and `seed_order` its
-    relabelling: seed_order[k] is the input square with label k.  edges[i]
-    holds, for L and then R, the pair (j, order): act_generator(members[i], g)
-    relabelled by `order` (its square order[k] gets label k) is members[j].
+    relabelling: seed_order[k] is the input square with label k.  Each entry
+    (i, g, steps) of `walks` is one walk of the S-cycle (g = "S") or U-cycle
+    (g = "U") of members[i], in the order walked: steps[t] = (j, order) says
+    that t + 1 `walk_step`s from members[i], relabelled by `order` (its
+    square order[k] gets label k), give members[j].
     """
 
     members: list[tuple[tuple[int, ...], tuple[int, ...]]]
-    edges: list[tuple[tuple[int, list[int]], tuple[int, list[int]]]]
     seed_order: list[int]
+    walks: list[tuple[int, str, list[tuple[int, list[int]]]]]
 
 
 def _orbit_seed(h, v):
-    """The seed of an orbit enumeration of the origami (h, v), shared by
-    `sl2z_orbit_graph` and `sl2z_orbit_walk`: its canonical pair, the
-    relabelling `order` that gives it, and the labels of the canonical
-    pair's squares by translation orbit (None when the identity is the only
-    translation).
+    """The seed of `sl2z_orbit_walk` on the origami (h, v): its canonical
+    pair, the relabelling `order` that gives it, and the labels of the
+    canonical pair's squares by translation orbit (None when the identity is
+    the only translation).
 
     A translation t of (h, v) commutes with every pair in the orbit, since
     each is a pair of words in h and v on the same squares up to
@@ -816,109 +816,67 @@ def _orbit_seed(h, v):
     return (hn, vn), order, orbits and [orbits[x] for x in order]
 
 
-def sl2z_orbit_graph(h, v, cap: int = 10**6) -> OrbitGraph:
-    """The SL(2,Z)-orbit graph of the origami (h, v), by BFS over L and R.
-
-    L and R generate SL(2,Z), the orbit is finite and each of them acts on it
-    as a bijection, so L^-1 and R^-1 act as powers of L and R there and the
-    forward closure is the whole orbit.  The pairs stay transitive, since
-    <v^-1 h, v> = <h, v> = <h, h^-1 v>.  Raises OrbitCapExceeded once more
-    than `cap` >= 1 forms are found.
-
-    Each member is keyed by `_canonical_pair`, which starts its BFS only at
-    the squares whose top-right corner is a cone point, as
-    `Origami.canonical_form` does, so a member can be looked up by the
-    canonical form of any pair in the orbit.  The squares carry the seed's
-    translation labels (`_orbit_seed`), relabelled along each edge that
-    discovers a member and dropped once the member is expanded.
-
-    Every L and R edge gets its canonical call here, two per member, because
-    `covers.affine_action_mod2` needs each edge's relabelling to push the
-    homology frames along it; `sl2z_orbit_walk` finds the member set alone
-    with fewer calls.
-    """
-    if cap < 1:
-        raise ValueError("orbit cap must be at least 1")
-    seed, seed_order, labels = _orbit_seed(h, v)
-    members = [seed]
-    pending = [labels]
-    index = {seed: 0}
-    edges = []
-    for i, (h, v) in enumerate(members):
-        labels, pending[i] = pending[i], None
-        out = []
-        for g in ("L", "R"):
-            hn, vn, order = _canonical_pair(*act_generator(h, v, g), labels)
-            j = index.get((hn, vn))
-            if j is None:
-                if len(members) >= cap:
-                    raise OrbitCapExceeded(len(members))
-                j = index[hn, vn] = len(members)
-                members.append((hn, vn))
-                pending.append(labels and [labels[x] for x in order])
-            out.append((j, order))
-        edges.append(tuple(out))
-    return OrbitGraph(members, edges, seed_order)
+def walk_step(h, vi, g: str):
+    """S = R^-1 L R^-1 (g = "S") or U = R^-1 L (g = "U") on the origami
+    (h, v), given vi, the images of v^-1: (v^-1, v^-1 h v) or
+    (v^-1 h, v^-1 h v), relabelled by v to (v^-1, h) or (h v^-1, h), pairs
+    on the same squares."""
+    return (vi if g == "S" else [h[t] for t in vi]), h
 
 
-def _s_step(h, v):
-    """S = R^-1 L R^-1 on the origami (h, v): (v^-1, v^-1 h v), relabelled
-    by v to (v^-1, h), a pair on the same squares."""
-    return inverse_images(v), h
-
-
-def _u_step(h, v):
-    """U = R^-1 L on the origami (h, v): (v^-1 h, v^-1 h v), relabelled by v
-    to (h v^-1, h), a pair on the same squares."""
-    return [h[t] for t in inverse_images(v)], h
-
-
-def sl2z_orbit_walk(h, v, cap: int = 10**6) -> set:
-    """The canonical forms of the SL(2,Z)-orbit of the origami (h, v), the
-    members of `sl2z_orbit_graph`, by walking the cycles of S and U.
+def sl2z_orbit_walk(h, v, cap: int = 10**6) -> OrbitWalk:
+    """The SL(2,Z)-orbit of the origami (h, v), found by walking the cycles
+    of S and U, with every step the walk computes.
 
     S = R^-1 L R^-1 and U = R^-1 L generate SL(2,Z) with S^2 = U^3 = -I, and
     -I is central: if it fixes the seed, it fixes g(seed) = g(-I seed) =
     -I g(seed) for every g, and otherwise it fixes no member.  One canonical
     call on (h^-1, v^-1) at the seed therefore sets the cycle orders, k = 2
     for S and 3 for U when -I fixes the seed and 4 and 6 otherwise: every
-    S-cycle and U-cycle of the orbit has a length dividing its k.
+    S-cycle and U-cycle of the orbit has a length dividing its k.  The pairs
+    stay transitive, since <v^-1, h> = <h v^-1, h> = <h, v>.
 
     From each member, in order of discovery, whose S-cycle or U-cycle no walk
-    has yet passed through, that cycle is walked: each step (`_s_step`,
-    `_u_step`) acts on the previous step's pair, not on its canonical form,
-    and is canonicalised; the walk stops at a step that returns to the start
-    or after k - 1 steps, as the k-th closes the cycle.  With -I in the
-    Veech group this costs (|M| + e2)/2 + (2|M| + e3)/3 + 2 canonical
-    calls, where e2 and e3 count the members fixed by S and by U, against the
-    graph's 2|M| + 1.
+    has yet passed through, that cycle is walked: each step (`walk_step`)
+    acts on the previous step's pair, not on its canonical form, and is
+    canonicalised and recorded (`OrbitWalk`); the walk stops after a step
+    that returns to the start, an elliptic element of the Veech group, or
+    after k - 1 steps.  The k-th step, never computed, closes the cycle with
+    S^k or U^k, which is -I or I.  With -I in the Veech group this costs
+    (|M| + e2)/2 + (2|M| + e3)/3 + 2 canonical calls, where e2 and e3 count
+    the members fixed by S and by U.
 
-    The steps keep the squares and the translations, so each pair of a walk
-    from member i carries i's translation labels (`_orbit_seed`) unchanged.
-    Raises OrbitCapExceeded once more than `cap` >= 1 forms are found.
+    Each member is keyed by `_canonical_pair`, which starts its BFS only at
+    the squares whose top-right corner is a cone point, as
+    `Origami.canonical_form` does, so a member can be looked up by the
+    canonical form of any pair in the orbit.  The steps keep the squares and
+    the translations, so each pair of a walk from member i carries i's
+    translation labels (`_orbit_seed`) unchanged.  Raises OrbitCapExceeded
+    once more than `cap` >= 1 forms are found.
     """
     if cap < 1:
         raise ValueError("orbit cap must be at least 1")
-    seed, _, labels = _orbit_seed(h, v)
+    seed, seed_order, labels = _orbit_seed(h, v)
     minus_one = _canonical_pair(*act_generator(*seed, "-I"), labels)[:2]
     cycle_orders = (2, 3) if minus_one == seed else (4, 6)
     members = [seed]
     pending = [labels]
     index = {seed: 0}
+    walks = []
     # todo[g][i]: no walk of S (g = 0) or U (g = 1) has passed member i yet
     todo = ([True], [True])
     for i, member in enumerate(members):
         labels, pending[i] = pending[i], None
-        for step, k, left in zip((_s_step, _u_step), cycle_orders, todo):
+        for g, k, left in zip("SU", cycle_orders, todo):
             if not left[i]:
                 continue
-            pair = member
+            h, v = member
+            steps = []
+            walks.append((i, g, steps))
             for _ in range(k - 1):
-                pair = step(*pair)
-                hn, vn, order = _canonical_pair(*pair, labels)
+                h, v = walk_step(h, inverse_images(v), g)
+                hn, vn, order = _canonical_pair(h, v, labels)
                 j = index.get((hn, vn))
-                if j == i:
-                    break
                 if j is None:
                     if len(members) >= cap:
                         raise OrbitCapExceeded(len(members))
@@ -927,8 +885,11 @@ def sl2z_orbit_walk(h, v, cap: int = 10**6) -> set:
                     pending.append(labels and [labels[x] for x in order])
                     todo[0].append(True)
                     todo[1].append(True)
+                steps.append((j, order))
                 left[j] = False
-    return set(members)
+                if j == i:
+                    break
+    return OrbitWalk(members, seed_order, walks)
 
 
 def _check_det_one(M) -> tuple[int, int, int, int]:

@@ -13,10 +13,10 @@ from flatcover.lshape import IDENTITY4, symplectic_pairing
 from flatcover.monodromy import (group_closure, is_symplectic, mat_H, mat_mod, mat_V, mat_X,
                                  orbit_partition, primitive_vectors, vector_label)
 from flatcover.origami import (Cycle, Origami, act_generator, intersection, l_origami,
-                               sl2z_orbit_graph, spanning_tree)
-from flatcover.perms import Permutation, inverse_images, parse_cycles
+                               sl2z_orbit_walk, spanning_tree, walk_step)
+from flatcover.perms import Permutation, _canonical_pair, inverse_images, parse_cycles
 from test_homology import combine, integer_symplectic_basis, integer_symplectic_reduce
-from test_origami import reference_crossings
+from test_origami import reference_crossings, reference_orbit_graph
 
 
 def lshape(b, e):
@@ -396,8 +396,9 @@ def test_affine_action_mod2_guards():
 
 
 def test_affine_action_mod2_applies_no_generator_itself(monkeypatch):
-    # the orbit BFS applies L and R once per member; the frames are pushed
-    # with the targets' own maps, so affine_action_mod2 adds no call
+    # the walk applies -I once, at its seed, and each S or U step once; the
+    # frames ride along the same steps, which affine_action_mod2 takes once
+    # more to reach each step's pair, and it applies no generator of its own
     import flatcover.covers
     import flatcover.origami
     calls = []
@@ -406,11 +407,18 @@ def test_affine_action_mod2_applies_no_generator_itself(monkeypatch):
         calls.append(g)
         return act_generator(h, v, g)
 
-    monkeypatch.setattr(flatcover.origami, "act_generator", counted)
-    monkeypatch.setattr(flatcover.covers, "act_generator", counted, raising=False)
+    def stepped(h, vi, g):
+        calls.append(g)
+        return walk_step(h, vi, g)
+
+    for module in (flatcover.origami, flatcover.covers):
+        monkeypatch.setattr(module, "act_generator", counted, raising=False)
+        monkeypatch.setattr(module, "walk_step", stepped)
     o, basis = lshape(30, -1)
-    graph, _ = affine_action_mod2(o, basis)
-    assert len(calls) == 2 * len(graph.members)
+    walk, matrices = affine_action_mod2(o, basis)
+    assert calls[0] == "-I" and calls.count("-I") == 1
+    assert len(calls) == 1 + 2 * len(matrices)
+    assert sorted(calls[1:]) == sorted(g for _, g, steps in walk.walks for _ in 2 * steps)
 
 
 def test_basis_from_another_origami_is_a_value_error():
@@ -445,23 +453,29 @@ def test_cover_from_basis_values_needs_a_modulus_of_at_least_2(m):
             build()
 
 
+def walk_landings(walk):
+    """(start, g, landing) of every step of the walk, in the order of
+    `affine_action_mod2`'s matrices."""
+    return [(i, g, j) for i, g, steps in walk.walks for j, _ in steps]
+
+
 @pytest.mark.parametrize("n", range(3, 14))
 def test_affine_action_mod2_gives_the_echo_table(n):
     # read off the surface, the mod-2 action has the orbits of Table 2 and
     # is the group <H, V> (odd n: with X) mod 2, as a set of matrices
     for b, e in square_spins(n):
         o, basis = lshape(b, e)
-        graph, matrices = affine_action_mod2(o, basis)
-        assert len(matrices) == 2 * len(graph.members)
+        walk, matrices = affine_action_mod2(o, basis)
+        landings = walk_landings(walk)
+        assert len(matrices) == len(landings)
         assert all(is_symplectic(M, 2) for M in matrices)
-        # the edge that first reaches a member carries the frame there
+        # the step that first reaches a member carries the frame there
         reached = {0}
-        for i, edges in enumerate(graph.edges):
-            for g, (j, _) in enumerate(edges):
-                if j not in reached:
-                    reached.add(j)
-                    assert matrices[2 * i + g] == IDENTITY4
-        assert len(reached) == len(graph.members)
+        for (_, _, j), M in zip(landings, matrices):
+            if j not in reached:
+                reached.add(j)
+                assert M == IDENTITY4
+        assert len(reached) == len(walk.members)
         blocks = {tuple(sorted(vector_label(v) for v in part))
                   for part in orbit_partition(matrices, primitive_vectors(2), 2)}
         table = echoes_of_WD(n * n, e)
@@ -473,21 +487,24 @@ def test_affine_action_mod2_gives_the_echo_table(n):
 
 
 def reference_affine_action_mod2(o, basis):
-    """The edge matrices of `affine_action_mod2`, with the four frame chains
-    carried one by one as integer lists mod 2 and every entry read with
-    `intersection`: an L edge sends sig_j[k] = sig[order[k]] and
-    tau_j[k] = tau[order[k]] + sig_j[h_j^-1[k]], an R edge
-    tau_j[k] = tau[order[k]] and sig_j[k] = sig[order[k]] + tau_j[v_j^-1[k]];
-    entry (l, k) is image class k . target class l ^ 1 mod 2."""
-    graph = sl2z_orbit_graph(o.h.images, o.v.images)
+    """The matrices of the mod-2 affine action on the L/R orbit graph
+    (`test_origami.reference_orbit_graph`), one per edge, L before R, with
+    the four frame chains carried one by one as integer lists mod 2 and
+    every entry read with `intersection`: an L edge sends
+    sig_j[k] = sig[order[k]] and tau_j[k] = tau[order[k]] + sig_j[h_j^-1[k]],
+    an R edge tau_j[k] = tau[order[k]] and
+    sig_j[k] = sig[order[k]] + tau_j[v_j^-1[k]]; the edge that first reaches
+    a member carries its frame there, and entry (l, k) is image class k .
+    target class l ^ 1 mod 2."""
+    members, edges, seed_order = reference_orbit_graph(o.h.images, o.v.images)
     n = o.n
-    surfaces = [Origami(Permutation(h), Permutation(v)) for h, v in graph.members]
-    frames = {0: [Cycle(n, tuple(c.sig[s] % 2 for s in graph.seed_order),
-                        tuple(c.tau[s] % 2 for s in graph.seed_order)) for c in basis]}
+    surfaces = [Origami(Permutation(h), Permutation(v)) for h, v in members]
+    frames = {0: [Cycle(n, tuple(c.sig[s] % 2 for s in seed_order),
+                        tuple(c.tau[s] % 2 for s in seed_order)) for c in basis]}
     matrices = []
-    for i, edges in enumerate(graph.edges):
-        for g, (j, order) in enumerate(edges):
-            h_j, v_j = graph.members[j]
+    for i, out in enumerate(edges):
+        for g, (j, order) in enumerate(out):
+            h_j, v_j = members[j]
             h_inv = [0] * n
             v_inv = [0] * n
             for s in range(n):
@@ -509,14 +526,87 @@ def reference_affine_action_mod2(o, basis):
     return matrices
 
 
-@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("n", range(3, 22))
 def test_affine_action_mod2_matches_a_per_chain_reference(n):
+    # the S/U walk's matrices and the L/R graph's generate the same image of
+    # the Veech group in Sp(4, F_2), with the same labelled blocks
     for b, e in square_spins(n):
         o, basis = lshape(b, e)
-        assert affine_action_mod2(o, basis)[1] == reference_affine_action_mod2(o, basis)
+        walk_matrices = set(affine_action_mod2(o, basis)[1])
+        graph_matrices = set(reference_affine_action_mod2(o, basis))
+        assert group_closure(walk_matrices, 2) == group_closure(graph_matrices, 2)
+        blocks = [{tuple(sorted(vector_label(v) for v in part))
+                   for part in orbit_partition(matrices, primitive_vectors(2), 2)}
+                  for matrices in (walk_matrices, graph_matrices)]
+        assert blocks[0] == blocks[1]
 
 
-@pytest.mark.parametrize("call", [5, 13, 25])
+def reference_walk_matrices(o, basis):
+    """The matrices of `affine_action_mod2` on its walk, with the four frame
+    chains carried one by one as integer lists mod 2 and every entry read
+    with `intersection`, and the matrices of the k-th steps that close the
+    full S-pairs and U-triangles, which the walk never takes.  With vi the
+    images of v^-1 of the pair before a step, S sends sig'[t] = tau[vi[t]]
+    and tau' = sig, U sig'[t] = tau[vi[t]] and tau' = sig + tau; the frame
+    is relabelled by the step's `order` into the member it reaches.  Returns
+    (walk, matrices, closing), closing holding (start, landing, matrix) for
+    each closing step, its landing read off its own canonical form."""
+    walk = sl2z_orbit_walk(o.h.images, o.v.images)
+    n = o.n
+    surfaces = [Origami(Permutation(h), Permutation(v)) for h, v in walk.members]
+    index = {member: j for j, member in enumerate(walk.members)}
+    frames = {0: [Cycle(n, tuple(c.sig[s] % 2 for s in walk.seed_order),
+                        tuple(c.tau[s] % 2 for s in walk.seed_order)) for c in basis]}
+    matrices, closing = [], []
+    for i, g, steps in walk.walks:
+        h, v = walk.members[i]
+        chains = [(c.sig, c.tau) for c in frames[i]]
+        # -I is in the Veech group of every genus-2 origami
+        k = 2 if g == "S" else 3
+        full = len(steps) == k - 1 and steps[-1][0] != i
+        for t in range(len(steps) + full):
+            v_inv = [0] * n
+            for s in range(n):
+                v_inv[v[s]] = s
+            chains = [([tau[v_inv[x]] for x in range(n)],
+                       sig if g == "S" else [(a + b) % 2 for a, b in zip(sig, tau)])
+                      for sig, tau in chains]
+            h, v = walk_step(h, v_inv, g)
+            if t < len(steps):
+                j, order = steps[t]
+            else:
+                hn, vn, order = _canonical_pair(h, v)
+                j = index[hn, vn]
+            image = [Cycle(n, tuple(sig[s] for s in order), tuple(tau[s] for s in order))
+                     for sig, tau in chains]
+            frames.setdefault(j, image)
+            matrix = tuple(tuple(intersection(surfaces[j], a, frames[j][l ^ 1]) % 2
+                                 for a in image) for l in range(4))
+            if t < len(steps):
+                matrices.append(matrix)
+            else:
+                closing.append((i, j, matrix))
+    return walk, matrices, closing
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_closing_steps_act_as_the_identity(n):
+    # the k-th step of every full S-pair and U-triangle, S^2 or U^3 = -I,
+    # lands back on its walk's start with the identity matrix mod 2; the
+    # steps the walk takes match the per-chain reference matrix by matrix
+    for b, e in square_spins(n):
+        o, basis = lshape(b, e)
+        walk, matrices, closing = reference_walk_matrices(o, basis)
+        assert affine_action_mod2(o, basis)[1] == matrices
+        full = [(i, g) for i, g, steps in walk.walks
+                if len(steps) == (1 if g == "S" else 2) and steps[-1][0] != i]
+        assert len(closing) == len(full) > 0
+        for (start, landing, matrix), (i, _) in zip(closing, full):
+            assert start == landing == i
+            assert matrix == IDENTITY4
+
+
+@pytest.mark.parametrize("call", [3, 15, 40])
 def test_every_landing_checks_its_gram_matrix(monkeypatch, call):
     # a frame pushed with two images of an inverse map swapped is caught
     # where it lands, past member 0 (a swap can also leave the frame
@@ -541,21 +631,19 @@ def test_every_landing_checks_its_gram_matrix(monkeypatch, call):
 
 @pytest.mark.parametrize("b, e", [(6, 1), (30, 1), (30, -1), (16, 0)])
 def test_first_landings_carry_the_identity(b, e):
-    # the edge that discovers a member is its first edge in graph.edges
-    # order, L before R; it carries the frame there, so its matrix is the
-    # identity, the same tuple on every such edge
+    # the step that discovers a member is its first landing in walk order;
+    # it carries the frame there, so its matrix is the identity, the same
+    # tuple on every such step
     o, basis = lshape(b, e)
-    graph, matrices = affine_action_mod2(o, basis)
+    walk, matrices = affine_action_mod2(o, basis)
     first = {0: None}
-    for i, edges in enumerate(graph.edges):
-        for g, (j, _) in enumerate(edges):
-            first.setdefault(j, 2 * i + g)
-    assert len(first) == len(graph.members)
-    for j, edge in first.items():
+    for step, (_, _, j) in enumerate(walk_landings(walk)):
+        first.setdefault(j, step)
+    assert len(first) == len(walk.members)
+    for j, step in first.items():
         if j:
-            assert matrices[edge] is matrices[first[1]]
-            assert matrices[edge] == IDENTITY4
-    assert affine_action_mod2(o, basis)[1] == reference_affine_action_mod2(o, basis)
+            assert matrices[step] is matrices[first[1]]
+            assert matrices[step] == IDENTITY4
 
 
 @pytest.mark.parametrize("member", [1, 7, 40])
@@ -565,8 +653,8 @@ def test_a_faulty_first_landing_fails_the_gram_check(monkeypatch, member):
     import flatcover.covers
     from flatcover.origami import mod2_forms
     o, basis = lshape(30, -1)
-    graph, _ = affine_action_mod2(o, basis)
-    h_j, v_j = graph.members[member]
+    walk, _ = affine_action_mod2(o, basis)
+    h_j, v_j = walk.members[member]
     landings = []
 
     def flipped(h, v, sig, tau, width):
@@ -587,15 +675,15 @@ def test_a_faulty_first_landing_fails_the_gram_check(monkeypatch, member):
 
 
 def test_edge_matrices_outside_sp4_f2_raise(monkeypatch):
-    # swapping images 0 and 1 of inverse_images call 117 (counted from 0)
-    # on L(30, -1) leaves every landing's Gram matrix J4 mod 2 but puts an
-    # edge matrix outside Sp(4, F_2)
+    # swapping images 0 and 1 of inverse_images call 220 (counted from 0)
+    # on L(30, -1) leaves every landing's Gram matrix J4 mod 2 but puts a
+    # step's matrix outside Sp(4, F_2)
     import flatcover.covers
     calls = []
 
     def swapped_once(images):
         out = inverse_images(images)
-        if len(calls) == 117:
+        if len(calls) == 220:
             out[0], out[1] = out[1], out[0]
         calls.append(images)
         return out

@@ -1,15 +1,16 @@
 """Pinned outputs: sha256 digests of census JSON, of the affine action's
-edge matrices and of CLI stdout.
+step matrices and of CLI stdout.
 
 The census digests pin the whole census report (labels, orbit sizes, Arf
-invariants, flags).  The matrix digests pin each edge matrix of
-`affine_action_mod2`, which the census sees only through its orbits.  The
+invariants, flags).  The matrix digests pin each matrix of
+`affine_action_mod2`, one per step of the S/U orbit walk in walk order,
+which the census sees only through its orbits.  The
 `orbit` digests pin the representatives, which are the canonical forms
 (least relabelling over BFS with edge order (h, v) from every square whose
 top-right corner is a cone point) in sorted order written as cycle text: a
 different canonical labelling or text format changes them, which no other
 test checks value for value.  Two of them are of surfaces with translations,
-whose orbit BFS tries only one start per translation orbit of squares.  The
+whose orbit walk tries only one start per translation orbit of squares.  The
 other CLI digests pin the cover labels, echo and primitive tables and the
 decagon counts.  The labels, gammas and lift texts of `covers --origami`
 depend on the basis, which `symplectic_basis` reduces over F_2 from the
@@ -56,26 +57,26 @@ def test_census_json_digest(n, digest):
 
 
 @pytest.mark.parametrize("n, digest", [
-    (5, "36ccab298632f70c67310f98a197bd6d221489bac2866e8f7785ed1b33ac0282"),
-    (6, "beb8a29b51dfa3d6731521457d040ee6094e81570902eb293a63cb18d10fb2c5"),
-    (7, "b8d79c1d69ec4bede3b5b15d4e453b51a77e592d251615d76bfe6b25468f627c"),
-    (8, "f2a57ca343a1f04ac6c5efc867953c723b1f19ce2b25e5521d088432cb564168"),
-    (9, "0a883a721bdba5253226b88a93c99f857bd975d640c14b56a98cef3773a78b88"),
-    (10, "6e48d8ec54fd65b02325d13f139466f556486c5de73c3636750c17e2893f5b6b"),
-    (11, "e5b02107a55eaf9ef0a129da3b6f62dbed32f27fd9b886e30a89137636b76c96"),
-    (12, "5f9cb172c2276a1ee09d286b2d664056e5e1428458582190844fd5c66ea076a3"),
-    (13, "35c9eec1109322ec471d9fb2bad69786ffaf25a14dc984bea3e37e0cde24da7e"),
-    (14, "17925a0783455301ee058bcb4720e1d41a6a7da260cbf578f08b63718e63b930"),
-    (15, "6b6463f641522a59b379a4a0b4eb6a86a123bb553c611ff86141c7b000c6d40b"),
-    (16, "b88542fc7bc2443c445741567eb9514186108a9a56d1b83cbb4f4336695b9399"),
-    (17, "db1c1370514a488c3fce72aa87723c8723e19fe02880df3c2f3df9415eb0a2bb"),
-    (18, "d345c5e92f667e44d59588586aa0f70770d0d732c37f0cf0d1d3c3f3d374bf30"),
-    (19, "3a1860a9e6f8e9e469feb132ebb718d82f68b4a76d9e6e5cec831aa09ecfdea7"),
-    (20, "258d845a4e6e75600fbbebdf65cc9f472f1fe4be8acde09a76eb6042e4fe6e18"),
-    (21, "5229d91031e56cfbc8f0278d4b66b5c89e1c565f3f1d0d190d7256bcdefbd514"),
+    (5, "745447ef004c68a7370087134b27004738035dde49754e45ed86f5fd69dd3757"),
+    (6, "ffcbc0fd4d4f0ae43d20c50821aad20648abf8e1db45aff7e286406e4e923e53"),
+    (7, "30b5940e34b4fafb95fc46a45b61e24862f8f7022392ac62bd7f97c4e81e07af"),
+    (8, "bda49da739d19f69635ed625d1539c04cd74d7351f44a10667cb1073317fefec"),
+    (9, "cedd283b2ca5e11a47b3dd1c193b33b9c4c1a33cc39f8ca40d3902f22157d272"),
+    (10, "36490b26c07a7ddfbfa275a4dd6996b6155bc0cb8cd9de2f1d577f8bf9272ac2"),
+    (11, "72c8fb7256f176bb00df5d3c3bac028b6b423d9ca86588082d58b72992f5e929"),
+    (12, "9d255c94550cf158e3ad05646ef451ad23c5b8a1ec8ce27dbfbb6a258d854dd8"),
+    (13, "6b0e3192765592cd113e5ccae30bfb3183b87d3867abd1a13717ae3d92941794"),
+    (14, "578d2ab8205c2bd4294830bf1b4f1c1075333fbd2b3450cda9d0c2c5e1e02aee"),
+    (15, "ec7c848f123613a8105c8b26b583aa0871051e11f9ef6a128dbebf0f8cef270d"),
+    (16, "378e2e6ee017e7681336b6703e85beb034491d07a587c4dc7fc1aa90fe14ddf1"),
+    (17, "cca0b2758c899453b27919d1847a52e32d9b3e315a6b83bcdfefc0c5ddf7727a"),
+    (18, "b9d90e23d301d71b73893dbd50574a88e6cc560ede6a7476226939487026a1c8"),
+    (19, "0fd1f428b1be40169bc5b07fcadbd93913fdfd31e2892d231502187c1c75443c"),
+    (20, "988c4bee6334274bb054eaec949a982096b531f3f2dfd0132faacd634d1dec64"),
+    (21, "f574fd684fe15e10ba5b5ec05d0e040760165a8d576c59bf005ff7db29e7f660"),
 ])
 def test_affine_action_mod2_digest(n, digest):
-    # every edge matrix of every spin, in graph order
+    # every step matrix of every spin, in walk order
     matrices = []
     for b, e in square_spins(n):
         L = l_origami(b, e)
@@ -100,7 +101,7 @@ def test_orbit_json_digest(capsys):
      "39f0898582b7dcbd24b46d6f4431db25862a67301a4b7c7c128557fd7f171076"),
 ])
 def test_orbit_json_digest_with_translations(capsys, text, digest):
-    # the orbit BFS tries one start per translation orbit of squares here
+    # the orbit walk tries one start per translation orbit of squares here
     assert main(["orbit", "--origami", text, "--format", "json"]) == 0
     assert sha256(capsys.readouterr().out) == digest
 

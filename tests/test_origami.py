@@ -9,7 +9,7 @@ from flatcover.classify import square_spins
 from flatcover.covers import Cover, all_double_covers, cover_from_basis_values, cover_label
 from flatcover.origami import (Cycle, Origami, OrbitCapExceeded, act_generator,
                                intersection, l_origami, lattice_index, mod2_forms, mod2_lane,
-                               sl2z_orbit_graph, sl2z_word, translation_images)
+                               sl2z_orbit_walk, sl2z_word, translation_images, walk_step)
 from flatcover.perms import (Permutation, _canonical_pair, compose, cycles,
                              inverse_images, parse_cycles)
 
@@ -371,8 +371,7 @@ def test_orbit_of_lift_matches_reference():
                                        "(13,14)(16,17)(19,20) v=(1,3)(4,6)(7,9)(10,12)"
                                        "(13,15)(16,18)(19,21)"), 1152)):
         forms = o.sl2z_orbit_forms()
-        assert forms == reference_orbit_forms(o)
-        assert_orbit_graph_contract(o)
+        assert_orbit_walk_contract(o)
         report = o.sl2z_orbit()
         assert report.size == len(forms) == size
         assert report.representatives == tuple(origami_of(f).to_text()
@@ -387,36 +386,46 @@ def relabelled(h, v, order):
     return (tuple(new[h[s]] for s in order), tuple(new[v[s]] for s in order))
 
 
-def assert_orbit_graph_contract(o):
-    graph = sl2z_orbit_graph(o.h.images, o.v.images)
-    assert graph.members[0] == o.canonical_form()
-    assert relabelled(o.h.images, o.v.images, graph.seed_order) == graph.members[0]
-    assert len(set(graph.members)) == len(graph.members) == len(graph.edges)
-    assert set(graph.members) == o.sl2z_orbit_forms()
-    for i, (h, v) in enumerate(graph.members):
-        for g, (j, order) in zip(("L", "R"), graph.edges[i]):
-            assert relabelled(*act_generator(h, v, g), order) == graph.members[j]
+def assert_orbit_walk_contract(o):
+    """The walk's members are the reference orbit, and each recorded step,
+    taken from the previous step's pair and relabelled by its order, gives
+    the member it names.  Each member lies on one walk of S and one of U, as
+    its start or as a landing, and only a walk's last step may return to its
+    start."""
+    walk = sl2z_orbit_walk(o.h.images, o.v.images)
+    assert walk.members[0] == o.canonical_form()
+    assert relabelled(o.h.images, o.v.images, walk.seed_order) == walk.members[0]
+    assert len(set(walk.members)) == len(walk.members)
+    assert set(walk.members) == reference_orbit_forms(o)
+    passed = {"S": [], "U": []}
+    for i, g, steps in walk.walks:
+        h, v = walk.members[i]
+        assert 1 <= len(steps) and all(j != i for j, _ in steps[:-1])
+        passed[g] += [i] + [j for j, _ in steps if j != i]
+        for j, order in steps:
+            h, v = walk_step(h, inverse_images(v), g)
+            assert relabelled(h, v, order) == walk.members[j]
+    for g in "SU":
+        assert sorted(passed[g]) == list(range(len(walk.members)))
 
 
 @settings(max_examples=25, deadline=None)
 @given(origamis(max_n=7))
 def test_orbit_graph_edges_relabel_to_their_targets(o):
-    assert_orbit_graph_contract(o)
+    assert_orbit_walk_contract(o)
 
 
 def test_orbit_graph_of_lifts_and_l_shapes():
-    assert_orbit_graph_contract(l_origami(6, 1).origami)
-    assert_orbit_graph_contract(
+    assert_orbit_walk_contract(l_origami(6, 1).origami)
+    assert_orbit_walk_contract(
         make_origami("(1,2)(6,7)(3,8)(4,9)(5,10)", "(2,3,4,5)(7,8,9,10)", 10))
-    # every double-cover lift for n <= 7, in both spins: the S/U walk of
-    # `sl2z_orbit_forms` against the graph and the four-generator reference
+    # every double-cover lift for n <= 7, in both spins: the S/U walk
+    # against the four-generator reference
     for n in range(3, 8):
         for b, e in square_spins(n):
             base = l_origami(b, e)
             for cover in all_double_covers(base.origami, list(base.basis)):
-                lift = cover.lift()
-                assert_orbit_graph_contract(lift)
-                assert lift.sl2z_orbit_forms() == reference_orbit_forms(lift)
+                assert_orbit_walk_contract(cover.lift())
 
 
 # -- translations and quotients ---------------------------------------------
@@ -575,12 +584,19 @@ def reference_orbit_graph(h, v):
     return members, edges, seed_order
 
 
-def test_orbit_graph_with_translations_matches_reference():
-    for o in (relabel(cyclic_lift(2, -1, 2), 1), relabel(cyclic_lift(2, -1, 5), 2),
-              relabel(cyclic_lift(2, -1, 7), 3), relabel(ESCALATOR, 4)):
-        graph = sl2z_orbit_graph(o.h.images, o.v.images)
-        assert (graph.members, graph.edges, graph.seed_order) == \
-            reference_orbit_graph(o.h.images, o.v.images)
+def test_orbit_graph_with_translations_matches_reference(monkeypatch):
+    # the walk passes translation labels; with none passed, every start
+    # square tried, it records the same members, steps and orders
+    surfaces = (relabel(cyclic_lift(2, -1, 2), 1), relabel(cyclic_lift(2, -1, 5), 2),
+                relabel(cyclic_lift(2, -1, 7), 3), relabel(ESCALATOR, 4))
+    walks = [sl2z_orbit_walk(o.h.images, o.v.images) for o in surfaces]
+    for o, walk in zip(surfaces, walks):
+        members, _, seed_order = reference_orbit_graph(o.h.images, o.v.images)
+        assert set(walk.members) == set(members) and walk.seed_order == seed_order
+    canonical_pair = origami._canonical_pair
+    monkeypatch.setattr(origami, "_canonical_pair",
+                        lambda h, v, orbits=None: canonical_pair(h, v))
+    assert [sl2z_orbit_walk(o.h.images, o.v.images) for o in surfaces] == walks
 
 
 def test_orbit_graph_passes_labels_only_when_the_seed_has_a_translation(monkeypatch):
@@ -593,11 +609,11 @@ def test_orbit_graph_passes_labels_only_when_the_seed_has_a_translation(monkeypa
 
     monkeypatch.setattr(origami, "_canonical_pair", recording)
     lift = relabel(cyclic_lift(2, -1, 3), 0)
-    sl2z_orbit_graph(lift.h.images, lift.v.images)
+    sl2z_orbit_walk(lift.h.images, lift.v.images)
     assert passed and all(len(set(orbits)) == lift.n // 3 for orbits in passed)
     passed.clear()
     base = l_origami(6, 1).origami
-    sl2z_orbit_graph(base.h.images, base.v.images)
+    sl2z_orbit_walk(base.h.images, base.v.images)
     assert passed and all(orbits is None for orbits in passed)
 
 
@@ -612,19 +628,19 @@ def apply_word(h, v, word):
 @given(some_origamis)
 def test_s_and_u_steps_are_generator_words_relabelled_by_v(o):
     h, v = o.h.images, o.v.images
-    s_pair = tuple(map(tuple, origami._s_step(h, v)))
-    u_pair = tuple(map(tuple, origami._u_step(h, v)))
+
+    def step(pair, g):
+        return tuple(map(tuple, walk_step(pair[0], inverse_images(pair[1]), g)))
+
+    s_pair, u_pair = step((h, v), "S"), step((h, v), "U")
     # relabelled by v: square x gets label v[x]
     by_v = inverse_images(v)
     assert s_pair == relabelled(*apply_word(h, v, ["Rinv", "L", "Rinv"]), by_v)
     assert u_pair == relabelled(*apply_word(h, v, ["Rinv", "L"]), by_v)
     # S^2 = U^3 = -I up to relabelling
     minus_one = _canonical_pair(*act_generator(h, v, "-I"))[:2]
-    assert _canonical_pair(*origami._s_step(*s_pair))[:2] == minus_one
-    pair = u_pair
-    for _ in range(2):
-        pair = origami._u_step(*pair)
-    assert _canonical_pair(*pair)[:2] == minus_one
+    assert _canonical_pair(*step(s_pair, "S"))[:2] == minus_one
+    assert _canonical_pair(*step(step(u_pair, "U"), "U"))[:2] == minus_one
 
 
 def test_orbit_walk_needs_one_canonical_form_per_cycle_step(monkeypatch):
@@ -653,7 +669,7 @@ def test_orbit_walk_needs_one_canonical_form_per_cycle_step(monkeypatch):
             e3 = sum(_canonical_pair(*apply_word(*f, ["Rinv", "L"]))[:2] == f for f in forms)
             assert (len(forms) + e2) % 2 == 0 and (2 * len(forms) + e3) % 3 == 0
             assert calls[0] == 2 + (len(forms) + e2) // 2 + (2 * len(forms) + e3) // 3
-    # the L/R graph makes 2|M| + 1 calls: 361, 2161, 451 and 2701
+    # an L/R orbit BFS makes 2|M| + 1 calls: 361, 2161, 451 and 2701
     assert counts == [(180, 212), (1080, 1262), (225, 266), (1350, 1577)]
 
 
