@@ -19,7 +19,7 @@ from .monodromy import decagon_cyclic_echo_count
 from .origami import Origami, OrbitCapExceeded, l_origami
 
 #: the largest `decagon --max-n`: the orbit partition of (Z/n)^4 needs memory
-#: growing like n^4, about 0.3 GB at n = 40
+#: growing like n^4, a peak RSS of about 0.26 GB at n = 40
 DECAGON_MAX_N = 40
 
 

@@ -16,14 +16,21 @@ lexicographic order of the vectors: a label list of m^4 entries both tests
 membership and marks the visited codes, with no union-find, and M v is two
 lookups in M's tables of m^2 pair images plus two in a shared reduction
 table.  The m^4 entries are the size of the input for every caller (all of
-(Z/m)^4, its primitive vectors, or the 15 nonzero vectors mod 2).  `mat_mul`,
-used by the symplectic and commutation tests, is unrolled.
+(Z/m)^4, its primitive vectors, or the 15 nonzero vectors mod 2).  The
+primitive vectors and all of (Z/m)^4 come as `VectorBlocks`, a read-only
+sequence kept as products of residue ranges, which the partition marks row
+by row in its label list without building or reading a tuple; it builds
+the vectors once, in its output pass.  `mat_mul`, used by the symplectic and
+commutation tests, is unrolled.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, chain, product, starmap
 from math import gcd, isqrt
+from operator import eq
 
 from . import InvariantError
 from .cyclotomic import CyclotomicElement, I_UNIT, XI, imag_part, zeta_pow
@@ -288,6 +295,58 @@ def constrained_subgroup(T2: Mat, hyp_labels) -> frozenset:
 # orbit partitions
 # ---------------------------------------------------------------------------
 
+class VectorBlocks(Sequence):
+    """A read-only sequence of vectors of (Z/n)^4, kept as product blocks.
+
+    Each block is a 4-tuple of factors, increasing sequences of residues in
+    range(n), and stands for the vectors `itertools.product(*block)`.  The
+    blocks come in lexicographic order and no two share a prefix (x0, x1, x2),
+    so iteration is lexicographic and each row of n codes
+    ((x0 n + x1) n + x2) n + y, y in range(n), meets one block's last factor:
+    `orbit_partition` marks the set row by row.  An index gives a tuple, a
+    slice gives a list, and the sequence equals the list of its vectors."""
+    __slots__ = ("_n", "_blocks", "_starts")
+
+    def __init__(self, n: int, blocks: tuple):
+        self._n = n
+        self._blocks = blocks
+        # the index of each block's first vector, then the length
+        self._starts = list(accumulate((len(a) * len(b) * len(c) * len(d)
+                                        for a, b, c, d in blocks), initial=0))
+
+    @property
+    def n(self) -> int:
+        """The modulus."""
+        return self._n
+
+    @property
+    def blocks(self) -> tuple:
+        """The product blocks, in lexicographic order."""
+        return self._blocks
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __iter__(self):
+        return chain.from_iterable(starmap(product, self.blocks))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        i = range(len(self))[index]
+        k = bisect_right(self._starts, i) - 1
+        a, b, c, d = self.blocks[k]
+        i, r3 = divmod(i - self._starts[k], len(d))
+        i, r2 = divmod(i, len(c))
+        r0, r1 = divmod(i, len(b))
+        return (a[r0], b[r1], c[r2], d[r3])
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, VectorBlocks)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
 def orbit_partition(gens, vectors, mod: int) -> list[tuple]:
     """Connected components of the graph v -- M v on the given vectors, for
     each generator M; equals the group-orbit partition since generators are
@@ -296,37 +355,66 @@ def orbit_partition(gens, vectors, mod: int) -> list[tuple]:
 
     The search runs on integer codes: the reduced vector (x0, x1, x2, x3)
     has code ((x0 m + x1) m + x2) m + x3, so numeric order of codes is
-    lexicographic order of vectors.  Two lists indexed by code hold the
-    input tuple and the label (-2 absent, -1 unvisited, else the component).
-    Each generator g becomes two tables of m^2 entries, P[x0 m + x1] =
-    g(x0, x1, 0, 0) and Q[x2 m + x3] = g(0, 0, x2, x3), packed base W = 2m,
-    so P + Q has no carry between fields.  The image of code c is
+    lexicographic order of vectors.  A list indexed by code holds the label
+    (-2 absent, -1 unvisited, else the component).  Each generator g becomes
+    two tables of m^2 entries, P[x0 m + x1] = g(x0, x1, 0, 0) and
+    Q[x2 m + x3] = g(0, 0, x2, x3), packed base W = 2m, so P + Q has no
+    carry between fields.  The image of code c is
     s = P[c // m^2] + Q[c % m^2], and the two halves of s in base W^2 are
-    each reduced to a code by lookup in a table of W^2 entries.  The lists
-    take m^4 entries, which is the size of the input for every caller: all
-    of (Z/m)^4, its primitive vectors (at least 1/zeta(4) > 92 % of it) or
-    the 15 nonzero vectors mod 2.
+    each reduced to a code by lookup in a table of W^2 entries.  The label
+    list takes m^4 entries, which is the size of the input for every
+    caller: all of (Z/m)^4, its primitive vectors (at least 1/zeta(4) > 92 %
+    of it) or the 15 nonzero vectors mod 2.
+
+    The input is read in one of two ways.  `VectorBlocks` of modulus m (the
+    primitive vectors, or all of (Z/m)^4) are marked row by row: each row of
+    m codes gets its block's last factor as one slice of the label list,
+    copied from one template per distinct factor, so no tuple is built or
+    read, and the output pass builds each vector once from its code; blocks
+    that repeat a vector or share a row raise ValueError.  Any other
+    iterable of 4-sequences is read tuple by tuple, reduced mod m, into a
+    second list indexed by code; its tuples already reduced are kept as they
+    are (no copy), and two inputs equal mod m raise ValueError: the
+    partition is of a set of residues.
 
     The search starts from the codes in increasing order, so labels count
     up in order of least element, and one pass over the codes reads the
-    components back sorted.  Input tuples already reduced mod m are kept as
-    they are (no copy).  Two inputs equal mod m raise ValueError: the
-    partition is of a set of residues."""
+    components back sorted."""
     if mod < 1:
         raise ValueError("modulus must be at least 1")
     m = mod
     m2 = m * m
     size = m2 * m2
-    vec = [None] * size
     label = [-2] * size
-    for v in vectors:
-        x0, x1, x2, x3 = v
-        w = (x0 % m, x1 % m, x2 % m, x3 % m)
-        c = ((w[0] * m + w[1]) * m + w[2]) * m + w[3]
-        if label[c] != -2:
-            raise ValueError("vectors repeat modulo the modulus")
-        vec[c] = v if w == v else w
-        label[c] = -1
+    if isinstance(vectors, VectorBlocks) and vectors.n == m:
+        # the templates are keyed by the identity of the last factors, which
+        # the blocks keep alive: d(m) of them for the primitive vectors
+        rows = {}
+        for A, B, C, D in vectors.blocks:
+            row = rows.get(id(D))
+            if row is None:
+                row = rows[id(D)] = [-2] * m
+                for y in D:
+                    row[y] = -1
+            for a in A:
+                for b in B:
+                    for c in C:
+                        s = ((a * m + b) * m + c) * m
+                        label[s:s + m] = row
+        # a row written twice or a factor listing a residue twice loses marks
+        if label.count(-1) != len(vectors):
+            raise ValueError("vector blocks repeat a vector or share a row")
+        vec = product(range(m), repeat=4)   # the vectors in code order
+    else:
+        vec = [None] * size
+        for v in vectors:
+            x0, x1, x2, x3 = v
+            w = (x0 % m, x1 % m, x2 % m, x3 % m)
+            c = ((w[0] * m + w[1]) * m + w[2]) * m + w[3]
+            if label[c] != -2:
+                raise ValueError("vectors repeat modulo the modulus")
+            vec[c] = v if w == v else w
+            label[c] = -1
     W = 2 * m
     W2 = W * W
     # red[y0 W + y1] = (y0 mod m) m + (y1 mod m) for y0, y1 < W
@@ -387,24 +475,29 @@ def primitive_vector_count(n: int, length: int = 4) -> int:
     return count
 
 
-def primitive_vectors(n: int):
+def primitive_vectors(n: int) -> VectorBlocks:
     """The vectors of (Z/n)^4 whose entries generate Z/n, in lexicographic
-    order.  Which y2 qualify depends only on the divisor g = gcd(x1, y1, x2, n)
-    of n: those with gcd(g, y2) = 1, which is every y2 when g = 1.  So every
-    (x1, y1) with gcd(x1, y1, n) = 1 heads a whole n x n block of (x2, y2),
-    emitted as one product."""
-    admissible = {g: [y for y in range(n) if gcd(g, y) == 1]
-                  for g in range(1, n + 1) if n % g == 0}
-    out = []
-    for x1 in range(n):
-        for y1 in range(n):
+    order, as `VectorBlocks`: J_4(n) of them, and no tuple is built.  Which
+    y2 qualify depends only on the divisor g = gcd(x1, y1, x2, n) of n: those
+    with gcd(g, y2) = 1, which is every y2 when g = 1.  So every (x1, y1) with
+    gcd(x1, y1, n) = 1 heads the block ((x1,), (y1,), range(n), range(n)),
+    and every other (x1, y1, x2) the block ((x1,), (y1,), (x2,), Y) with Y
+    the admissible y2, one of d(n) sequences shared between blocks."""
+    full = range(n)
+    admissible = {g: tuple(y for y in full if gcd(g, y) == 1)
+                  for g in range(2, n + 1) if n % g == 0}
+    admissible[1] = full
+    single = [(x,) for x in full]
+    blocks = []
+    for x1 in full:
+        for y1 in full:
             g1 = gcd(x1, y1, n)
             if g1 == 1:
-                out += product((x1,), (y1,), range(n), range(n))
+                blocks.append((single[x1], single[y1], full, full))
                 continue
-            for x2 in range(n):
-                out += [(x1, y1, x2, y2) for y2 in admissible[gcd(g1, x2)]]
-    return out
+            blocks += [(single[x1], single[y1], single[x2], admissible[gcd(g1, x2)])
+                       for x2 in full]
+    return VectorBlocks(n, tuple(blocks))
 
 
 def decagon_cyclic_echo_count(n: int) -> int:
@@ -498,10 +591,10 @@ def eigenbasis_checks(b: int, n: int) -> dict:
     divisor of n, so there are at most d(n) classes.  The report says whether
     it is constant on each class and complete (distinct classes, distinct
     values), and cross-checks the class count by an orbit partition of all
-    of (Z/n)^4 (`orbit_partition`).  The reference bound "at least phi(n)
-    classes" is reported on its own as `phi_bound_met`; since
-    d(n) < phi(n) for odd n >= 5 it cannot hold there, and it is not part
-    of `ok`.
+    of (Z/n)^4 (`orbit_partition` on one `VectorBlocks` block).  The
+    reference bound "at least phi(n) classes" is reported on its own as
+    `phi_bound_met`; since d(n) < phi(n) for odd n >= 5 it cannot hold
+    there, and it is not part of `ok`.
 
     The eigenvectors are u1 = (b',0,1,0), u2 = (0,1,0,b') with eigenvalue b'
     and u3 = (b',0,-1,0), u4 = (0,1,0,-b') with eigenvalue -b'.  (A printed
@@ -576,7 +669,7 @@ def eigenbasis_checks(b: int, n: int) -> dict:
     invariant_complete = len(set(class_values)) == len(orbits)
 
     # independent count: components of (Z/n)^4 under H, V that meet the family
-    comps = orbit_partition(gens, product(range(n), repeat=4), n)
+    comps = orbit_partition(gens, VectorBlocks(n, ((range(n),) * 4,)), n)
     family_set = set(family)
     partition_count = sum(1 for c in comps if not family_set.isdisjoint(c))
 

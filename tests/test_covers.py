@@ -1,6 +1,7 @@
 import random
 import re
 from math import gcd
+from operator import mul
 
 import pytest
 
@@ -489,18 +490,20 @@ def test_affine_action_mod2_gives_the_echo_table(n):
 def reference_affine_action_mod2(o, basis):
     """The matrices of the mod-2 affine action on the L/R orbit graph
     (`test_origami.reference_orbit_graph`), one per edge, L before R, with
-    the four frame chains carried one by one as integer lists mod 2 and
-    every entry read with `intersection`: an L edge sends
-    sig_j[k] = sig[order[k]] and tau_j[k] = tau[order[k]] + sig_j[h_j^-1[k]],
-    an R edge tau_j[k] = tau[order[k]] and
-    sig_j[k] = sig[order[k]] + tau_j[v_j^-1[k]]; the edge that first reaches
-    a member carries its frame there, and entry (l, k) is image class k .
-    target class l ^ 1 mod 2."""
+    the four frame chains carried one by one as integer lists mod 2: an L
+    edge sends sig_j[k] = sig[order[k]] and
+    tau_j[k] = tau[order[k]] + sig_j[h_j^-1[k]], an R edge
+    tau_j[k] = tau[order[k]] and sig_j[k] = sig[order[k]] + tau_j[v_j^-1[k]];
+    the edge that first reaches a member carries its frame there, and entry
+    (l, k) is image class k . target class l ^ 1 mod 2.  Since
+    a . b = sum_t b.tau[t] a.sig[v[t]] - b.sig[t] a.tau[h[t]], each target
+    class b of a member becomes edge weights once, b.tau[v^-1[s]] on sig_s
+    and b.sig[h^-1[s]] on tau_s, and an entry is a dot product with them."""
     members, edges, seed_order = reference_orbit_graph(o.h.images, o.v.images)
     n = o.n
-    surfaces = [Origami(Permutation(h), Permutation(v)) for h, v in members]
     frames = {0: [Cycle(n, tuple(c.sig[s] % 2 for s in seed_order),
                         tuple(c.tau[s] % 2 for s in seed_order)) for c in basis]}
+    weights = {}
     matrices = []
     for i, out in enumerate(edges):
         for g, (j, order) in enumerate(out):
@@ -520,9 +523,13 @@ def reference_affine_action_mod2(o, basis):
                     sig = [(sig[k] + tau[v_inv[k]]) % 2 for k in range(n)]
                 image.append(Cycle(n, tuple(sig), tuple(tau)))
             frames.setdefault(j, image)
-            matrices.append(tuple(
-                tuple(intersection(surfaces[j], a, frames[j][l ^ 1]) % 2 for a in image)
-                for l in range(4)))
+            if j not in weights:
+                weights[j] = [[b.tau[v_inv[s]] for s in range(n)]
+                              + [b.sig[h_inv[s]] for s in range(n)]
+                              for b in (frames[j][l ^ 1] for l in range(4))]
+            chains = [a.sig + a.tau for a in image]
+            matrices.append(tuple(tuple(sum(map(mul, w, chain)) % 2 for chain in chains)
+                                  for w in weights[j]))
     return matrices
 
 

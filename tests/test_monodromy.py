@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import flatcover.monodromy
 from flatcover.lshape import multitwist_matrix
-from flatcover.monodromy import (ClosureCapExceeded, IDENTITY4, J4, commutes,
+from flatcover.monodromy import (ClosureCapExceeded, IDENTITY4, J4, VectorBlocks, commutes,
                                  constrained_subgroup,
                                  decagon_cyclic_echo_count,
                                  eigenbasis_checks,
@@ -230,13 +230,21 @@ def test_closure_cap_fails_fast_for_large_moduli():
 
 def test_partition_matches_reference():
     rng = random.Random(3)
-    # 10, 11 and 12 pack wider code fields than n <= 9
-    for n in range(2, 13):
-        # rho(R), rho(T) have negative entries and enter unreduced
-        gens = [rho_R(), rho_T()]
+    # 10 to 13 pack wider code fields than n <= 9
+    for n in range(1, 14):
         vectors = primitive_vectors(n)
+        # the blocks are read as rows of codes, their list tuple by tuple;
+        # H(3, -1) has an entry above n = 2, rho(R), rho(T) negative entries
+        hv = [mat_H(3, -1), mat_V(3, -1)]
+        ref = reference_partition(hv, vectors, n)
+        assert orbit_partition(hv, vectors, n) == ref
+        assert orbit_partition(hv, list(vectors), n) == ref
+        gens = [rho_R(), rho_T()]
         ref = reference_partition(gens, vectors, n)
         assert orbit_partition(gens, vectors, n) == ref
+        assert orbit_partition(gens, list(vectors), n) == ref
+        if n == 1:
+            continue
         # the input order, its form and its representatives mod n do not matter
         shuffled = vectors[:]
         rng.shuffle(shuffled)
@@ -258,7 +266,8 @@ def test_partition_matches_reference():
 
 
 def test_partition_keeps_reduced_input():
-    vectors = primitive_vectors(3)
+    # the tuple read keeps its input's objects; `primitive_vectors` has none
+    vectors = list(primitive_vectors(3))
     parts = orbit_partition([rho_R(), rho_T()], vectors, 3)
     ids = {id(v) for v in vectors}
     assert all(id(w) in ids for c in parts for w in c)
@@ -278,18 +287,19 @@ def test_partition_rejects_modulus_below_one():
 
 
 def test_partition_peak_memory():
-    # the bench keeps every pass's outputs, so a kernel whose own peak grows
-    # shows as a larger peak RSS however fast it is
+    # the bench keeps every pass's outputs, so a pipeline whose own peak grows
+    # shows as a larger peak RSS however fast it is; building the vectors in
+    # the output pass must cost less than building them as input did (2.1 MB)
     gens = [rho_R(), rho_T()]
-    vectors = primitive_vectors(12)
     tracemalloc.start()
     try:
-        parts = orbit_partition(gens, vectors, 12)
+        parts = orbit_partition(gens, primitive_vectors(12), 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(parts) == 3
-    assert peak < 1.5e6, f"orbit_partition on (Z/12)^4 peaked at {peak / 1e6:.2f} MB"
+    assert peak < 2.0e6, \
+        f"the partition of primitive_vectors(12) peaked at {peak / 1e6:.2f} MB"
 
 
 def test_sp4_f2_and_transvections():
@@ -357,6 +367,10 @@ def test_orbit_partition_rejects_vectors_equal_mod_m():
         orbit_partition(gens, vectors + [(3, 0, 0, 0)], 2)
     with pytest.raises(ValueError, match="repeat"):
         orbit_partition(gens, vectors + vectors[:1], 2)
+    # blocks of another modulus are read tuple by tuple, and reduced mod 3
+    # the primitive vectors mod 6 repeat
+    with pytest.raises(ValueError, match="repeat"):
+        orbit_partition([rho_R(), rho_T()], primitive_vectors(6), 3)
 
 
 def test_primitive_vectors():
@@ -365,11 +379,52 @@ def test_primitive_vectors():
     assert all(v != (0, 0, 0, 0) for v in primitive_vectors(2))
 
 
-@pytest.mark.parametrize("n", [*range(1, 13), 15, 18])
+@pytest.mark.parametrize("n", [*range(1, 13), 15, 18, 20])
 def test_primitive_vectors_match_brute_force(n):
     vectors = primitive_vectors(n)
-    assert vectors == [v for v in product(range(n), repeat=4) if gcd(*v, n) == 1]
-    assert len(vectors) == primitive_vector_count(n)
+    brute = [v for v in product(range(n), repeat=4) if gcd(*v, n) == 1]
+    assert len(vectors) == len(brute) == primitive_vector_count(n)
+    assert list(vectors) == brute
+    assert vectors == brute and brute == vectors and vectors == primitive_vectors(n)
+    assert vectors != brute[:-1] and vectors != primitive_vectors(n + 1)
+    assert vectors != tuple(brute)
+    # an index gives the tuple, a slice the list, as for the list
+    step = len(brute) // 97 + 1
+    for i in [*range(0, len(brute), step), *range(-1, -len(brute) - 1, -step)]:
+        assert vectors[i] == brute[i] and type(vectors[i]) is tuple
+    for sl in (slice(None), slice(None, None, -1), slice(3, -5, 7), slice(-40, None)):
+        assert vectors[sl] == brute[sl] and type(vectors[sl]) is list
+    with pytest.raises(IndexError):
+        vectors[len(brute)]
+    # read-only: no item, block or modulus can change
+    with pytest.raises(TypeError):
+        vectors[0] = (1, 0, 0, 0)
+    with pytest.raises(TypeError):
+        del vectors[0]
+    with pytest.raises(AttributeError):
+        vectors.n = n + 1
+    with pytest.raises(AttributeError):
+        vectors.append((1, 0, 0, 0))
+    with pytest.raises(TypeError):
+        vectors.blocks[0] = vectors.blocks[-1]
+    assert list(vectors) == brute
+
+
+def test_one_block_is_all_of_the_module():
+    for n in (1, 2, 3, 5):
+        everything = VectorBlocks(n, ((range(n),) * 4,))
+        brute = list(product(range(n), repeat=4))
+        assert everything == brute
+        assert [everything[i] for i in range(-len(brute), len(brute))] == brute + brute
+        gens = [mat_H(4, 0), mat_V(4, 0)]
+        assert orbit_partition(gens, everything, n) == reference_partition(gens, brute, n)
+    # blocks that meet, in a vector or in a row of codes, are no set of rows
+    gens = [mat_H(4, 0), mat_V(4, 0)]
+    for blocks in [(((0,), (0,), (0,), (1, 2)), ((0,), (0,), (0,), (2,))),
+                   (((0,), (0,), (0,), (1,)), ((0,), (0,), (0,), (2,))),
+                   (((1,), (0,), (0,), (1, 1)),)]:
+        with pytest.raises(ValueError, match="repeat a vector or share a row"):
+            orbit_partition(gens, VectorBlocks(3, blocks), 3)
 
 
 def test_decagon_echo_counts():
