@@ -84,6 +84,13 @@ def echoes_of_WD(D: int, e: int | None = None) -> EchoTable:
     return EchoTable(D, b, e, hyp, odd)
 
 
+def _mod2_label_blocks(gens) -> list[tuple[int, ...]]:
+    """The orbits of the mod-2 matrices `gens` on the 15 nonzero vectors
+    mod 2, each as its sorted labels.  Uncached: only `_echo_blocks` caches."""
+    return [tuple(sorted(vector_label(v) for v in part))
+            for part in orbit_partition(gens, primitive_vectors(2), 2)]
+
+
 @cache
 def _echo_blocks(gens):
     """The (hyperelliptic, odd) orbit blocks of the 15 double covers under
@@ -91,8 +98,7 @@ def _echo_blocks(gens):
     take four values over all discriminants, so each set is partitioned
     once."""
     hyp, odd = [], []
-    for comp in orbit_partition(gens, primitive_vectors(2), 2):
-        labels = tuple(sorted(vector_label(v) for v in comp))
+    for labels in _mod2_label_blocks(gens):
         (hyp if labels[0] in HYP_LABELS else odd).append(labels)
     if (any(l not in HYP_LABELS for block in hyp for l in block)
             or any(l in HYP_LABELS for block in odd for l in block)):
@@ -266,8 +272,7 @@ def verify_sts_orbits(n: int, cap: int = 31) -> dict:
                  for c in all_double_covers(base.origami, basis)}
         walk, matrices = affine_action_mod2(base.origami, basis)
         base_size = len(walk.members)
-        blocks = [tuple(sorted(vector_label(v) for v in part))
-                  for part in orbit_partition(set(matrices), primitive_vectors(2), 2)]
+        blocks = _mod2_label_blocks(set(matrices))
         if set(blocks) != set(table.hyp_orbits + table.odd_orbits):
             raise InvariantError(f"orbits {blocks} of the affine action differ "
                                  f"from the echo table of D={table.D}")

@@ -15,22 +15,18 @@ the codes ((x0 m + x1) m + x2) m + x3, whose numeric order is the
 lexicographic order of the vectors: a label list of m^4 entries both tests
 membership and marks the visited codes, with no union-find, and M v is two
 lookups in M's tables of m^2 pair images plus two in a shared reduction
-table.  The m^4 entries are the size of the input for every caller (all of
-(Z/m)^4, its primitive vectors, or the 15 nonzero vectors mod 2).  The
-primitive vectors and all of (Z/m)^4 come as `VectorBlocks`, a read-only
-sequence kept as products of residue ranges, which the partition marks row
-by row in its label list without building or reading a tuple; it builds
-the vectors once, in its output pass.  `mat_mul`, used by the symplectic and
-commutation tests, is unrolled.
+table.  Its one input is `VectorBlocks`, vectors kept as products of
+residue ranges: the primitive vectors (the 15 nonzero vectors mod 2 among
+them) or all of (Z/m)^4, so the m^4 entries are the size of the input for
+every caller.  It marks them row by row in its label list without building
+or reading a tuple, and builds the vectors once, in its output pass.
+`mat_mul`, used by the symplectic and commutation tests, is unrolled.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Sequence
 from fractions import Fraction
-from itertools import accumulate, chain, product, starmap
+from itertools import chain, product, starmap
 from math import gcd, isqrt
-from operator import eq
 
 from . import InvariantError
 from .cyclotomic import CyclotomicElement, I_UNIT, XI, imag_part, zeta_pow
@@ -295,24 +291,21 @@ def constrained_subgroup(T2: Mat, hyp_labels) -> frozenset:
 # orbit partitions
 # ---------------------------------------------------------------------------
 
-class VectorBlocks(Sequence):
-    """A read-only sequence of vectors of (Z/n)^4, kept as product blocks.
+class VectorBlocks:
+    """A set of vectors of (Z/n)^4, kept read-only as product blocks.
 
     Each block is a 4-tuple of factors, increasing sequences of residues in
     range(n), and stands for the vectors `itertools.product(*block)`.  The
     blocks come in lexicographic order and no two share a prefix (x0, x1, x2),
     so iteration is lexicographic and each row of n codes
     ((x0 n + x1) n + x2) n + y, y in range(n), meets one block's last factor:
-    `orbit_partition` marks the set row by row.  An index gives a tuple, a
-    slice gives a list, and the sequence equals the list of its vectors."""
-    __slots__ = ("_n", "_blocks", "_starts")
+    `orbit_partition` marks the set row by row."""
+    __slots__ = ("_n", "_blocks", "_len")
 
     def __init__(self, n: int, blocks: tuple):
         self._n = n
         self._blocks = blocks
-        # the index of each block's first vector, then the length
-        self._starts = list(accumulate((len(a) * len(b) * len(c) * len(d)
-                                        for a, b, c, d in blocks), initial=0))
+        self._len = sum(len(a) * len(b) * len(c) * len(d) for a, b, c, d in blocks)
 
     @property
     def n(self) -> int:
@@ -325,96 +318,72 @@ class VectorBlocks(Sequence):
         return self._blocks
 
     def __len__(self) -> int:
-        return self._starts[-1]
+        return self._len
 
     def __iter__(self):
-        return chain.from_iterable(starmap(product, self.blocks))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        i = range(len(self))[index]
-        k = bisect_right(self._starts, i) - 1
-        a, b, c, d = self.blocks[k]
-        i, r3 = divmod(i - self._starts[k], len(d))
-        i, r2 = divmod(i, len(c))
-        r0, r1 = divmod(i, len(b))
-        return (a[r0], b[r1], c[r2], d[r3])
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, VectorBlocks)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
+        return chain.from_iterable(starmap(product, self._blocks))
 
 
-def orbit_partition(gens, vectors, mod: int) -> list[tuple]:
+def orbit_partition(gens, vectors: VectorBlocks, mod: int) -> list[tuple]:
     """Connected components of the graph v -- M v on the given vectors, for
     each generator M; equals the group-orbit partition since generators are
     bijections of a finite set.  Components sorted by least element, each
     component sorted.
 
-    The search runs on integer codes: the reduced vector (x0, x1, x2, x3)
-    has code ((x0 m + x1) m + x2) m + x3, so numeric order of codes is
-    lexicographic order of vectors.  A list indexed by code holds the label
-    (-2 absent, -1 unvisited, else the component).  Each generator g becomes
-    two tables of m^2 entries, P[x0 m + x1] = g(x0, x1, 0, 0) and
+    The vectors come as `VectorBlocks` of modulus m: the primitive vectors
+    (mod 2, the 15 nonzero ones), or all of (Z/m)^4 as one block.  The
+    search runs on integer codes: the vector (x0, x1, x2, x3) has code
+    ((x0 m + x1) m + x2) m + x3, so numeric order of codes is lexicographic
+    order of vectors.  A list indexed by code holds the label (-2 absent,
+    -1 unvisited, else the component); each row of m codes gets its block's
+    last factor as one slice, copied from one template per distinct factor,
+    so no tuple is built or read.  Blocks that repeat a vector or share a
+    row, and residues outside range(m), raise ValueError.  Each generator g
+    becomes two tables of m^2 entries, P[x0 m + x1] = g(x0, x1, 0, 0) and
     Q[x2 m + x3] = g(0, 0, x2, x3), packed base W = 2m, so P + Q has no
     carry between fields.  The image of code c is
     s = P[c // m^2] + Q[c % m^2], and the two halves of s in base W^2 are
     each reduced to a code by lookup in a table of W^2 entries.  The label
     list takes m^4 entries, which is the size of the input for every
-    caller: all of (Z/m)^4, its primitive vectors (at least 1/zeta(4) > 92 %
-    of it) or the 15 nonzero vectors mod 2.
-
-    The input is read in one of two ways.  `VectorBlocks` of modulus m (the
-    primitive vectors, or all of (Z/m)^4) are marked row by row: each row of
-    m codes gets its block's last factor as one slice of the label list,
-    copied from one template per distinct factor, so no tuple is built or
-    read, and the output pass builds each vector once from its code; blocks
-    that repeat a vector or share a row raise ValueError.  Any other
-    iterable of 4-sequences is read tuple by tuple, reduced mod m, into a
-    second list indexed by code; its tuples already reduced are kept as they
-    are (no copy), and two inputs equal mod m raise ValueError: the
-    partition is of a set of residues.
+    caller: the primitive vectors are at least 1/zeta(4) > 92 % of it.
 
     The search starts from the codes in increasing order, so labels count
-    up in order of least element, and one pass over the codes reads the
-    components back sorted."""
+    up in order of least element, and one pass over the codes builds each
+    vector once and reads the components back sorted."""
     if mod < 1:
         raise ValueError("modulus must be at least 1")
+    if not (isinstance(vectors, VectorBlocks) and vectors.n == mod):
+        raise ValueError(f"vectors must be VectorBlocks of modulus {mod}")
     m = mod
     m2 = m * m
     size = m2 * m2
     label = [-2] * size
-    if isinstance(vectors, VectorBlocks) and vectors.n == m:
-        # the templates are keyed by the identity of the last factors, which
-        # the blocks keep alive: d(m) of them for the primitive vectors
-        rows = {}
-        for A, B, C, D in vectors.blocks:
-            row = rows.get(id(D))
-            if row is None:
-                row = rows[id(D)] = [-2] * m
-                for y in D:
-                    row[y] = -1
-            for a in A:
-                for b in B:
-                    for c in C:
-                        s = ((a * m + b) * m + c) * m
-                        label[s:s + m] = row
-        # a row written twice or a factor listing a residue twice loses marks
-        if label.count(-1) != len(vectors):
-            raise ValueError("vector blocks repeat a vector or share a row")
-        vec = product(range(m), repeat=4)   # the vectors in code order
-    else:
-        vec = [None] * size
-        for v in vectors:
-            x0, x1, x2, x3 = v
-            w = (x0 % m, x1 % m, x2 % m, x3 % m)
-            c = ((w[0] * m + w[1]) * m + w[2]) * m + w[3]
-            if label[c] != -2:
-                raise ValueError("vectors repeat modulo the modulus")
-            vec[c] = v if w == v else w
-            label[c] = -1
+    # each factor object is checked once, and each last factor gets one row
+    # template, keyed by identity (the blocks keep the factors alive): d(m)
+    # last factors for the primitive vectors
+    residues = range(m)
+    checked = set()
+    rows = {}
+    for block in vectors.blocks:
+        for f in block:
+            if id(f) not in checked:
+                if not all(x in residues for x in f):
+                    raise ValueError(f"vector blocks hold a residue outside range({m})")
+                checked.add(id(f))
+        A, B, C, D = block
+        row = rows.get(id(D))
+        if row is None:
+            row = rows[id(D)] = [-2] * m
+            for y in D:
+                row[y] = -1
+        for a in A:
+            for b in B:
+                for c in C:
+                    s = ((a * m + b) * m + c) * m
+                    label[s:s + m] = row
+    # a row written twice or a factor listing a residue twice loses marks
+    if label.count(-1) != len(vectors):
+        raise ValueError("vector blocks repeat a vector or share a row")
     W = 2 * m
     W2 = W * W
     # red[y0 W + y1] = (y0 mod m) m + (y1 mod m) for y0, y1 < W
@@ -452,7 +421,7 @@ def orbit_partition(gens, vectors, mod: int) -> list[tuple]:
                     stack.append(w)
         count += 1
     comps = [[] for _ in range(count)]
-    for lc, v in zip(label, vec):
+    for lc, v in zip(label, product(residues, repeat=4)):
         if lc >= 0:
             comps[lc].append(v)
     return [tuple(c) for c in comps]
