@@ -8,8 +8,9 @@ to n <= 7 and discriminants <= 17.
 from __future__ import annotations
 
 from .classify import (HYP_LABELS, branched_cover_types, count_formulas,
-                       echoes_of_WD, is_primitive_cover, primitive_cover_oracle,
-                       primitive_echo_table, square_spins, verify_sts_orbits)
+                       echoes_of_WD, frame_label_blocks, is_primitive_cover,
+                       primitive_cover_oracle, primitive_echo_table, square_spins,
+                       verify_sts_orbits)
 from .covers import all_double_covers, cover_label
 from .lshape import (IDENTITY4, modulus_ratio, rational, vertical_twist_matrix,
                      horizontal_twist_matrix)
@@ -276,6 +277,13 @@ def check_sts_eleven(fast: bool = False):
     for spin in census["spins"]:
         base = l_origami(spin["b"], spin["e"])
         basis = list(base.basis)
+        # the census reads its blocks off the Weierstrass points; the F_2
+        # frames are the reference
+        points = {tuple(o["labels"]) for o in spin["orbits"]}
+        frames = frame_label_blocks(base.origami, basis)
+        if points != frames:
+            return False, (f"spin e={spin['e']}: blocks {sorted(points)} from the "
+                           f"Weierstrass points differ from the frame blocks {sorted(frames)}")
         lifts = {cover_label(basis, c)[1]: c.lift()
                  for c in all_double_covers(base.origami, basis)}
         for o in spin["orbits"]:

@@ -6,7 +6,8 @@ and direct SL(2,Z)-orbit censuses of the lifted square-tiled surfaces.
 Double covers are labeled 1..15 by their dual class gamma = (x1, y1, x2, y2)
 mod 2 via label = x1 + 2 y1 + 4 x2 + 8 y2; the five labels {2, 3, 5, 9, 13}
 are the covers landing in the hyperelliptic component of H(2,2), the other
-ten land in the odd spin component.
+ten land in the odd spin component; the census derives them as the labels
+whose duads of Weierstrass points hold the zero.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from fractions import Fraction
 from functools import cache
 
 from . import InvariantError
-from .covers import affine_action_mod2, all_double_covers, cover_label
+from .covers import (affine_action_mod2, all_double_covers, cover_label, label_duads,
+                     weierstrass_action)
 from .lshape import IDENTITY4, is_prototype, symplectic_pairing
 from .monodromy import (label_vector, mat_H, mat_V, mat_X, mat_mod, orbit_partition,
                         primitive_vector_count, primitive_vectors, vector_label)
@@ -89,6 +91,36 @@ def _mod2_label_blocks(gens) -> list[tuple[int, ...]]:
     mod 2, each as its sorted labels.  Uncached: only `_echo_blocks` caches."""
     return [tuple(sorted(vector_label(v) for v in part))
             for part in orbit_partition(gens, primitive_vectors(2), 2)]
+
+
+def frame_label_blocks(o, basis) -> set[tuple[int, ...]]:
+    """The orbit blocks of the 15 double covers of the genus-2 origami o, as
+    sorted labels in the coordinates of `basis`, read off the F_2 frames of
+    `covers.affine_action_mod2`: the reference for the blocks that
+    `verify_sts_orbits` reads off the Weierstrass points."""
+    return set(_mod2_label_blocks(set(affine_action_mod2(o, basis)[1])))
+
+
+def _duad_label_blocks(perms, duads) -> list[tuple[int, ...]]:
+    """The orbits of the permutations `perms` of the six Weierstrass points
+    on the 15 duads, each as the sorted labels of the label -> duad map
+    `duads` (`covers.label_duads`), in order of least label."""
+    label_of = {duad: label for label, duad in duads.items()}
+    blocks, seen = [], set()
+    for label in range(1, 16):
+        if duads[label] in seen:
+            continue
+        orbit, stack = {duads[label]}, [duads[label]]
+        for duad in stack:
+            a, b = (k for k in range(6) if duad >> k & 1)
+            for perm in perms:
+                image = 1 << perm[a] | 1 << perm[b]
+                if image not in orbit:
+                    orbit.add(image)
+                    stack.append(image)
+        seen |= orbit
+        blocks.append(tuple(sorted(label_of[duad] for duad in orbit)))
+    return blocks
 
 
 @cache
@@ -240,23 +272,29 @@ def verify_sts_orbits(n: int, cap: int = 31) -> dict:
     """Census of SL(2,Z)-orbits of the genus-3 double covers of the n-square
     eigenform surfaces (n <= cap), by the action on homology mod 2.
 
-    For each spin component: read the affine group's action on the dual
-    classes mod 2 off the L-shaped base, one F_2 matrix per step of the S/U
-    walk of its orbit (`covers.affine_action_mod2`), and partition the 15
-    classes by `orbit_partition` under those matrices.  The orbit of a
-    lifted 2n-square surface is the base orbit times the block of its class,
-    so its size is base size x block size and no lift gets a canonical
-    form.  This needs
-    each lift's translations to be its deck group: an orbit whose first
-    lift has more is cross-checked by direct enumeration of the lift's
-    orbit.  The lifts give each orbit its Arf invariant and translation
-    order.  Cross-checks: the blocks read off the surface against the echo
-    table of W_{n^2} (as sets), base sizes against the counting formulas
-    (odd n) and Arf invariants against the hyperelliptic label set.
+    For each spin component: read the affine group's action mod 2 off the
+    L-shaped base as permutations of its six Weierstrass points, one per
+    step of the S/U walk of its orbit (`covers.weierstrass_action`), and
+    take the blocks as the orbits of those permutations on the 15 duads,
+    read as labels through member 0's label -> duad map
+    (`covers.label_duads`, from the covers of labels 1, 2, 4 and 8).  The
+    labels whose duads hold the zero must be `HYP_LABELS` (InvariantError
+    otherwise).  The frames of `covers.affine_action_mod2` give the same
+    blocks and stay the reference (`frame_label_blocks`), off the census
+    path.  The orbit of a lifted 2n-square surface is the base orbit times
+    the block of its class, so its size is base size x block size and no
+    lift gets a canonical form.  This needs each lift's translations to be
+    its deck group: an orbit whose first lift has more is cross-checked by
+    direct enumeration of the lift's orbit.  The lifts give each orbit its
+    Arf invariant and translation order.  Cross-checks: the blocks read off
+    the surface against the echo table of W_{n^2} (as sets), base sizes
+    against the counting formulas (odd n) and Arf invariants against the
+    hyperelliptic label set.
     Acceptance criterion 12 checks n = 11 against direct enumeration of
-    every lifted orbit.  The orbit fields `block_size` and
-    `size_matches_product` are len(labels) and True, as the blocks equal the
-    echo table's; they are kept only for the golden census digests.
+    every lifted orbit, and the blocks against the frames.  The orbit
+    fields `block_size` and `size_matches_product` are len(labels) and True,
+    as the blocks equal the echo table's; they are kept only for the golden
+    census digests.
     """
     if n > cap:
         raise ValueError(f"n={n} exceeds cap {cap}")
@@ -268,11 +306,17 @@ def verify_sts_orbits(n: int, cap: int = 31) -> dict:
         # the Table-2 labels are defined against the pinned (a1, b1, a2, b2)
         # basis of the L-shaped surface, not an arbitrary symplectic basis
         basis = list(base.basis)
-        lifts = {cover_label(basis, c)[1]: c.lift()
-                 for c in all_double_covers(base.origami, basis)}
-        walk, matrices = affine_action_mod2(base.origami, basis)
+        covers = {cover_label(basis, c)[1]: c
+                  for c in all_double_covers(base.origami, basis)}
+        lifts = {label: c.lift() for label, c in covers.items()}
+        walk, seed, perms = weierstrass_action(base.origami)
         base_size = len(walk.members)
-        blocks = _mod2_label_blocks(set(matrices))
+        duads = label_duads([covers[label] for label in (1, 2, 4, 8)], seed)
+        hyp = {label for label, duad in duads.items() if duad & 1}
+        if hyp != HYP_LABELS:
+            raise InvariantError(f"the labels {sorted(hyp)} whose duads hold the zero "
+                                 f"are not the hyperelliptic labels {sorted(HYP_LABELS)}")
+        blocks = _duad_label_blocks(set(perms), duads)
         if set(blocks) != set(table.hyp_orbits + table.odd_orbits):
             raise InvariantError(f"orbits {blocks} of the affine action differ "
                                  f"from the echo table of D={table.D}")

@@ -14,28 +14,37 @@ is sum gamma[k] G_k mod m over the gauge-fixed dual cocycles G_k of the four
 basis cycles, so the covers of one surface and modulus take one walk of the
 tree in all.  The double covers are the Z/2 cyclic covers: the primitive
 vectors of (Z/2)^4 are its 15 nonzero vectors.  A cover's dual class moves
-under SL(2,Z) as a homology class, so `affine_action_mod2` carries four
-chains mod 2, byte-sliced into one lane (bit k of a square's byte is chain
-k), along each S and U cycle walk of the base's orbit
-(`origami.sl2z_orbit_walk`), one push per step, relabels them into the
-member each step reaches, and reads one F_2 matrix per step off their
-intersection numbers (`origami.mod2_forms`), checking each image's Gram
-matrix and that each distinct matrix lies in Sp(4, F_2).  A basis is
-four cycles on the base's squares; covers mod m also need each chain closed
-mod m and the Gram J4 mod m (ValueError otherwise), which the generic
-`Origami.symplectic_basis` meets for m = 2 only.
+under SL(2,Z) as a homology class, and H_1 mod 2 of a genus-2 surface is
+the even sets of its six Weierstrass points modulo all six, each nonzero
+class one duad, so the affine group acts on the covers by moving the
+points (Sp(4, F_2) = S_6).  `weierstrass_action`, the census's engine,
+pushes the six points along each S and U cycle walk of the base's orbit
+(`origami.sl2z_orbit_walk`), relabels them into the member each step
+reaches and gives one permutation of them per step; `cover_duad` finds a
+cover's duad by lifting the hyperelliptic involution, and `label_duads`
+maps the 15 labels to duads.  The reference, `affine_action_mod2`, carries
+four chains mod 2, byte-sliced into one lane (bit k of a square's byte is
+chain k), along the same walks, one push per step, and reads one F_2
+matrix per step off their intersection numbers (`origami.mod2_forms`),
+checking each image's Gram matrix and that each distinct matrix lies in
+Sp(4, F_2).  A basis is four cycles on the base's squares; covers mod m
+also need each chain closed mod m and the Gram J4 mod m (ValueError
+otherwise), which the generic `Origami.symplectic_basis` meets for m = 2
+only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import xor
 
 from . import InvariantError
 from .lshape import IDENTITY4, J4, symplectic_pairing
-from .monodromy import (is_symplectic, mat_mod, mat_vec, primitive_vector_count,
-                        primitive_vectors, vector_label)
-from .origami import (Cycle, Origami, OrbitWalk, intersection, mod2_forms, mod2_lane,
-                      sl2z_orbit_walk, spanning_tree, walk_step)
+from .monodromy import (is_symplectic, label_vector, mat_mod, mat_vec,
+                        primitive_vector_count, primitive_vectors, vector_label)
+from .origami import (POINT_KINDS, Cycle, Origami, OrbitWalk, intersection, mod2_forms,
+                      mod2_lane, sl2z_orbit_walk, spanning_tree, walk_step,
+                      weierstrass_points)
 from .perms import Permutation, inverse_images
 
 
@@ -283,3 +292,162 @@ def affine_action_mod2(o: Origami, basis: list[Cycle]) -> tuple[OrbitWalk, list[
         if not is_symplectic(M, 2):
             raise InvariantError(f"the matrix {M} is not in Sp(4, F_2)")
     return walk, matrices
+
+
+#: the permutation of the six Weierstrass points on a member's first landing
+IDENTITY6 = tuple(range(6))
+
+
+def weierstrass_action(o: Origami) -> tuple[OrbitWalk, tuple, list[tuple[int, ...]]]:
+    """The SL(2,Z)-orbit walk of the genus-2 origami o (`sl2z_orbit_walk`),
+    the hyperelliptic involution
+    and Weierstrass points of o (`origami.weierstrass_points`), and the
+    affine group's action on those six points: on the s-th step of the
+    walk, its steps taken walk by walk in order, point k goes to point
+    perms[s][k], in member 0's coordinates.
+
+    The points are found once, on o, and mapped through `seed_order` onto
+    member 0; a walk from member i carries i's points along its steps on
+    the same squares, and each step's points are relabelled by its `order`
+    into the member j it reaches.  With vi the images of v^-1 of the pair
+    before the step, the points go
+      S: C s -> C s, W s -> B s, B s -> W vi[s], V s -> V vi[s];
+      U: C s -> B h[s], W s -> C s, B s -> W h[vi[s]], V s -> V h[vi[s]],
+    the moves of the points under L and R^-1 composed with the relabelling
+    by v of `walk_step`.  The zero goes to the zero and is not pushed.
+    Member j keeps the points first pushed onto it, numbered as member 0's
+    (a dict from point to number, in that order), so that step's
+    permutation is the identity; every later landing must hit those six
+    (InvariantError otherwise).  An affine map acts on
+    H_1(X; F_2), the even sets of Weierstrass points modulo all six, by
+    moving the points (Sp(4, F_2) = S_6), so the permutations read with a
+    label -> duad map (`label_duads`) give the action on the 15 double
+    covers that `affine_action_mod2` reads off frames.  A nontrivial
+    translation of o is an InvariantError, as there.
+    """
+    if len(o.translations()) != 1:
+        raise InvariantError("the base has a nontrivial translation")
+    seed = weierstrass_points(o.h.images, o.v.images)
+    walk = sl2z_orbit_walk(o.h.images, o.v.images)
+    # a point is the int 4 s + kind, kind its index in POINT_KINDS
+    pos = inverse_images(walk.seed_order)
+    tables: list = [None] * len(walk.members)
+    tables[0] = {4 * pos[s] + POINT_KINDS.index(kind): k
+                 for k, (kind, s) in enumerate(seed[1][1:], 1)}
+    perms = []
+    for i, g, steps in walk.walks:
+        h, v = walk.members[i]
+        points = list(tables[i])
+        for j, order in steps:
+            vi = inverse_images(v)
+            # the rules above on codes: B and V (kinds 2, 3) go to W and V
+            # (kind 2 kind - 3) on vi[s] under S and on h[vi[s]] under U
+            if g == "S":
+                points = [x if x & 3 == 0 else x + 1 if x & 3 == 1
+                          else 4 * vi[x >> 2] + 2 * (x & 3) - 3 for x in points]
+            else:
+                points = [4 * h[x >> 2] + 2 if x & 3 == 0 else x - 1 if x & 3 == 1
+                          else 4 * h[vi[x >> 2]] + 2 * (x & 3) - 3 for x in points]
+            h, v = walk_step(h, vi, g)
+            moved = [4 * order.index(x >> 2) + (x & 3) for x in points]
+            table = tables[j]
+            if table is None:
+                tables[j] = {x: k for k, x in enumerate(moved, 1)}
+                perms.append(IDENTITY6)
+                continue
+            perm = (0, *map(table.get, moved))
+            if None in perm:
+                raise InvariantError(f"a Weierstrass point pushed onto member {j} "
+                                     "misses its six")
+            perms.append(perm)
+    return walk, seed, perms
+
+
+def cover_duad(cover: Cover, seed) -> int:
+    """The duad of the double cover `cover` among the Weierstrass points of
+    its base, as the set of their indices in `seed` = (p, points) of
+    `origami.weierstrass_points` on the base, one bit per index.
+
+    p lifts to the cover as p~(s, t) = (p(s), t + c(s)), by one propagation
+    from c(0) = 0 with c(h s) = c(s) + w_right(s) + w_right(h^-1 p s) and
+    c(v s) = c(s) + w_up(s) + w_up(v^-1 p s) mod 2 (so that
+    p~ h~ = h~^-1 p~ and p~ v~ = v~^-1 p~); the other lift is c + 1.  p~
+    fixes both points over C s when c(s) = 0, over W s when
+    c(s) + w_right(p s) = 0, over B s when c(s) + w_up(p s) = 0 and over a
+    regular corner V s when c(s) + w_right(p s) + w_up(h p s) = 0, and the
+    zero's fibre is fixed exactly when that makes the count of fixed fibres
+    even: an involution of the genus-3 lift fixes 4 or 8 points (2 g' + 2
+    for a quotient of genus g' = 1 or 0).  The duad is the set of fibres
+    that one lift fixes when it has 2, and its complement, the other lift's,
+    when it has 4.  No lift is built.  InvariantError when p does not lift
+    or its lifts do not fix 2 and 4 fibres; ValueError unless m = 2.
+    """
+    if cover.m != 2:
+        raise ValueError("duads are defined for double covers")
+    p, points = seed
+    h, v = cover.base.h.images, cover.base.v.images
+    wr, wu = cover.w_right, cover.w_up
+    hi, vi = inverse_images(h), inverse_images(v)
+    c = [-1] * len(h)
+    c[0] = 0
+    stack = [0]
+    while stack:
+        s = stack.pop()
+        for t, x in ((h[s], c[s] ^ wr[s] ^ wr[hi[p[s]]]), (v[s], c[s] ^ wu[s] ^ wu[vi[p[s]]])):
+            if c[t] < 0:
+                c[t] = x
+                stack.append(t)
+            elif c[t] != x:
+                raise InvariantError("the hyperelliptic involution does not lift to the cover")
+    fixed = 0
+    for k, (kind, s) in enumerate(points[1:], 1):
+        t, x = p[s], c[s]
+        if kind in "WV":
+            x ^= wr[t]
+        if kind == "B":
+            x ^= wu[t]
+        if kind == "V":
+            x ^= wu[h[t]]
+        fixed |= (x ^ 1) << k
+    fixed |= fixed.bit_count() & 1
+    if fixed.bit_count() == 4:
+        fixed ^= 63
+    if fixed.bit_count() != 2:
+        raise InvariantError(f"the lifts of the involution fix {fixed.bit_count()} "
+                             "fibres, not 2 and 4")
+    return fixed
+
+
+def label_duads(basis_covers, seed) -> dict[int, int]:
+    """label -> duad (`cover_duad`, one bit per point of `seed`) for the 15
+    double covers of `cover_label`, from the covers of labels 1, 2, 4 and 8
+    (the dual classes e_k), given in that order.  The duads are classes of
+    H_1(X; F_2), the even sets of Weierstrass points modulo all six, so a
+    label's duad is the symmetric difference of its bits' duads, taken as
+    its complement when it has four points.  InvariantError unless the map
+    is a bijection onto the 15 duads and |S & S'| mod 2, the intersection
+    form of duads, equals the form J4 of `lshape.symplectic_pairing` on
+    every pair of labels."""
+    if len(basis_covers) != 4:
+        raise ValueError("one cover per basis label 1, 2, 4, 8 required")
+    basis = [cover_duad(c, seed) for c in basis_covers]
+    duads = {}
+    for label in range(1, 16):
+        x = 0
+        for k, duad in enumerate(basis):
+            if label >> k & 1:
+                x ^= duad
+        duads[label] = x ^ 63 if x.bit_count() == 4 else x
+    values = list(duads.values())
+    if sorted(values) != sorted(1 << a | 1 << b for b in range(6) for a in range(b)):
+        raise InvariantError(f"the label -> duad map {duads} is not a bijection onto the duads")
+    if tuple(tuple((x & y).bit_count() & 1 for y in values) for x in values) != _label_pairings():
+        raise InvariantError(f"the label -> duad map {duads} does not meet as J4 pairs")
+    return duads
+
+
+@cache
+def _label_pairings() -> tuple[tuple[int, ...], ...]:
+    """Row a - 1, column b - 1: the form J4 on the labels a and b, mod 2."""
+    vectors = [label_vector(label) for label in range(1, 16)]
+    return tuple(tuple(symplectic_pairing(x, y) % 2 for y in vectors) for x in vectors)

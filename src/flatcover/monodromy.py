@@ -10,7 +10,7 @@ The two kernels over (Z/m)^4 work on index maps and integer codes, not on
 matrix products.  `group_closure` numbers the orbit of the unit rows under
 r -> r g (every row of every product lies in it, so it has at most 4 |G| rows
 and a cap of c stops it at 4 c rows) and multiplies elements as 4-tuples of
-row indices.  `orbit_partition` labels components by depth-first search on
+row indices.  `orbit_labels` labels components by depth-first search on
 the codes ((x0 m + x1) m + x2) m + x3, whose numeric order is the
 lexicographic order of the vectors: a label list of m^4 entries both tests
 membership and marks the visited codes, with no union-find, and M v is two
@@ -19,7 +19,9 @@ table.  Its one input is `VectorBlocks`, vectors kept as products of
 residue ranges: the primitive vectors (the 15 nonzero vectors mod 2 among
 them) or all of (Z/m)^4, so the m^4 entries are the size of the input for
 every caller.  It marks them row by row in its label list without building
-or reading a tuple, and builds the vectors once, in its output pass.
+or reading a tuple; `orbit_partition` builds the vectors once, in its
+output pass over the labels, and `decagon_cyclic_echo_count` reads only the
+number of labels.
 `mat_mul`, used by the symplectic and commutation tests, is unrolled.
 """
 from __future__ import annotations
@@ -299,7 +301,7 @@ class VectorBlocks:
     blocks come in lexicographic order and no two share a prefix (x0, x1, x2),
     so iteration is lexicographic and each row of n codes
     ((x0 n + x1) n + x2) n + y, y in range(n), meets one block's last factor:
-    `orbit_partition` marks the set row by row."""
+    `orbit_labels` marks the set row by row."""
     __slots__ = ("_n", "_blocks", "_len")
 
     def __init__(self, n: int, blocks: tuple):
@@ -330,6 +332,23 @@ def orbit_partition(gens, vectors: VectorBlocks, mod: int) -> list[tuple]:
     bijections of a finite set.  Components sorted by least element, each
     component sorted.
 
+    The components are those of `orbit_labels`, whose labels count up in
+    order of least element, so one pass over the codes in increasing order
+    builds each vector once and reads the components back sorted."""
+    label, count = orbit_labels(gens, vectors, mod)
+    comps = [[] for _ in range(count)]
+    for lc, v in zip(label, product(range(mod), repeat=4)):
+        if lc >= 0:
+            comps[lc].append(v)
+    return [tuple(c) for c in comps]
+
+
+def orbit_labels(gens, vectors: VectorBlocks, mod: int) -> tuple[list[int], int]:
+    """The components of `orbit_partition` as (label, count): label[c] is the
+    component of the vector with code c, numbered 0..count - 1 in order of
+    least element, and -2 for a code not among the vectors.  No vector is
+    built, so a caller that needs only the number of components reads count.
+
     The vectors come as `VectorBlocks` of modulus m: the primitive vectors
     (mod 2, the 15 nonzero ones), or all of (Z/m)^4 as one block.  The
     search runs on integer codes: the vector (x0, x1, x2, x3) has code
@@ -346,10 +365,7 @@ def orbit_partition(gens, vectors: VectorBlocks, mod: int) -> list[tuple]:
     each reduced to a code by lookup in a table of W^2 entries.  The label
     list takes m^4 entries, which is the size of the input for every
     caller: the primitive vectors are at least 1/zeta(4) > 92 % of it.
-
-    The search starts from the codes in increasing order, so labels count
-    up in order of least element, and one pass over the codes builds each
-    vector once and reads the components back sorted."""
+    The search starts from the codes in increasing order."""
     if mod < 1:
         raise ValueError("modulus must be at least 1")
     if not (isinstance(vectors, VectorBlocks) and vectors.n == mod):
@@ -420,11 +436,7 @@ def orbit_partition(gens, vectors: VectorBlocks, mod: int) -> list[tuple]:
                     label[w] = count
                     stack.append(w)
         count += 1
-    comps = [[] for _ in range(count)]
-    for lc, v in zip(label, product(residues, repeat=4)):
-        if lc >= 0:
-            comps[lc].append(v)
-    return [tuple(c) for c in comps]
+    return label, count
 
 
 def primitive_vector_count(n: int, length: int = 4) -> int:
@@ -475,7 +487,7 @@ def decagon_cyclic_echo_count(n: int) -> int:
     if n < 2:
         raise ValueError("n must be at least 2")
     gens = [mat_mod(rho_R(), n), mat_mod(rho_T(), n)]
-    return len(orbit_partition(gens, primitive_vectors(n), n))
+    return orbit_labels(gens, primitive_vectors(n), n)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,12 @@ the one orbit enumerator.  It walks the cycles of S = R^-1 L R^-1 and
 U = R^-1 L, which present PSL(2,Z) = Z/2 * Z/3, and hands back the members
 (`Origami.sl2z_orbit_forms` keeps only these) and every step it computes,
 with the relabelling onto the member it reaches, along which
-`covers.affine_action_mod2` pushes homology frames.  S sends (h, v) to
-(v^-1, v^-1 h v) and U to (v^-1 h, v^-1 h v); relabelled by v these are
-(v^-1, h) and (h v^-1, h), pairs on the same squares with the same
-translations, so the seed's translation-orbit labels carry over.  -I is
+`covers.weierstrass_action` pushes the six Weierstrass points
+(`weierstrass_points`) and `covers.affine_action_mod2` homology frames.
+S sends (h, v) to (v^-1, v^-1 h v) and U to (v^-1 h, v^-1 h v); relabelled
+by v these are (v^-1, h) and (h v^-1, h), pairs on the same squares with
+the same translations, so the seed's translation-orbit labels carry over.
+-I is
 central, so it fixes every member exactly when it fixes the seed, and the
 last step of each S-pair or U-triangle (of each 4- or 6-cycle when -I moves
 the seed) is known to close it and needs no canonical form.
@@ -631,13 +633,21 @@ def act_generator(h, v, g: str):
 def translation_images(h, v) -> list[list[int]]:
     """Image lists of all permutations commuting with both h and v, for the
     transitive pair (h, v): the one sending square 0 to k, for each k that
-    admits one, in increasing k (the identity first).
+    admits one, in increasing k (the identity first)."""
+    return _intertwiners(h, v, h, v)
+
+
+def _intertwiners(h, v, h2, v2) -> list[list[int]]:
+    """Image lists of all maps t with t h = h2 t and t v = v2 t, for the
+    transitive pair (h, v) and a pair (h2, v2) on the same squares: the one
+    sending square 0 to k, for each k that admits one, in increasing k.
 
     t is pushed from square 0 along h and v only: these reach every square
-    (h^-1 and v^-1 are powers of h and v), and a map commuting with h and v
-    commutes with their inverses."""
+    (h^-1 and v^-1 are powers of h and v), and a map intertwining h and v
+    intertwines their inverses.  A transitive (h2, v2) makes each t onto, so
+    a bijection."""
     n = len(h)
-    maps = (h, v)
+    maps = ((h, h2), (v, v2))
     result = []
     for k in range(n):
         t = [-1] * n
@@ -646,9 +656,9 @@ def translation_images(h, v) -> list[list[int]]:
         ok = True
         while stack and ok:
             s = stack.pop()
-            for m in maps:
+            for m, m2 in maps:
                 s2 = m[s]
-                im = m[t[s]]
+                im = m2[t[s]]
                 if t[s2] < 0:
                     t[s2] = im
                     stack.append(s2)
@@ -658,6 +668,55 @@ def translation_images(h, v) -> list[list[int]]:
         if ok:
             result.append(t)
     return result
+
+
+#: the Weierstrass point types of `weierstrass_points`, each square's
+#: centre, left-edge midpoint, bottom-edge midpoint and bottom-left corner
+POINT_KINDS = "CWBV"
+
+
+def weierstrass_points(h, v) -> tuple[list[int], tuple[tuple[str, int], ...]]:
+    """The hyperelliptic involution p of the genus-2 origami (h, v) in H(2)
+    and its six fixed points, the Weierstrass points, the zero first: returns
+    (the images of p, the points).
+
+    p is the map with p h = h^-1 p and p v = v^-1 p, found by one
+    propagation per choice of p(0) (`_intertwiners`).  It turns each square s
+    by a half turn onto p(s).  A point is (kind, s) for a kind of
+    `POINT_KINDS`: the centre C, left-edge midpoint W, bottom-edge midpoint B
+    or bottom-left corner V of square s.  p fixes C s when p(s) = s, W s
+    when h(p(s)) = s (the right edge of p(s) is the left edge of s), B s
+    when v(p(s)) = s, and the corner V s when v(h(p(s))), whose bottom-left
+    corner is the top-right corner of p(s), is in the cycle of s under the
+    vertex rotation (`Origami.vertex_cycles`).  A regular corner is the
+    bottom-left corner of one square only, which keys it; the zero, the one
+    cone point, is keyed by the least of its squares.  The regular points
+    follow the zero in order of square, then of kind.  Raises InvariantError
+    unless there is exactly one p, with six fixed points, the zero among
+    them, and ValueError when (h, v) has other than one cone point.
+    """
+    hi, vi = inverse_images(h), inverse_images(v)
+    found = _intertwiners(h, v, hi, vi)
+    if len(found) != 1:
+        raise InvariantError(f"{len(found)} involutions p with p h p = h^-1, "
+                             "p v p = v^-1, not one")
+    p = found[0]
+    rotation = [h[v[hi[vi[s]]]] for s in range(len(h))]
+    cones = cycles(rotation)
+    if len(cones) != 1:
+        raise ValueError(f"{len(cones)} cone points, not one: the origami is not in H(2)")
+    zero = cones[0]
+    zero_fixed = v[h[p[zero[0]]]] in zero
+    points = [("V", zero[0])] if zero_fixed else []
+    for s, t in enumerate(p):
+        for kind, fixed in zip(POINT_KINDS, (t == s, h[t] == s, v[t] == s,
+                                             rotation[s] == s and v[h[t]] == s)):
+            if fixed:
+                points.append((kind, s))
+    if len(points) != 6 or not zero_fixed:
+        raise InvariantError(f"the involution fixes {len(points)} points"
+                             + ("" if zero_fixed else ", not the zero"))
+    return p, tuple(points)
 
 
 def spanning_tree(h, v) -> list[tuple[int, int, tuple[str, int], int]]:

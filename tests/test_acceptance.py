@@ -52,3 +52,13 @@ def test_decagon_mod2_reads_the_dihedral_order_off_the_generators(monkeypatch, n
     ok, detail = acceptance.check_decagon_mod2()
     assert not ok
     assert f"dihedral k={k} (want 5)" in detail
+
+
+def test_sts_eleven_compares_the_point_blocks_with_the_frames(monkeypatch):
+    # criterion 12 fails when the F_2 frames, the reference, give other
+    # blocks than the census reads off the Weierstrass points
+    monkeypatch.setattr(acceptance, "frame_label_blocks",
+                        lambda o, basis: {tuple(range(1, 16))})
+    ok, detail = acceptance.check_sts_eleven()
+    assert not ok
+    assert "differ from the frame blocks [(1, 2, 3" in detail

@@ -257,6 +257,35 @@ def test_sts_orbit_sizes_five():
     assert by_spin[-1] == [9, 18, 27, 27, 54]
 
 
+def test_census_runs_no_frame_push(monkeypatch):
+    # the census reads the mod-2 action off the Weierstrass points; the F_2
+    # frames of affine_action_mod2 are only the reference
+    import flatcover.covers
+    calls = []
+    frames = flatcover.covers.affine_action_mod2
+
+    def counted(o, basis):
+        calls.append(o)
+        return frames(o, basis)
+
+    for module in (classify, flatcover.covers):
+        monkeypatch.setattr(module, "affine_action_mod2", counted)
+    census = verify_sts_orbits(7)
+    assert census["ok"] and calls == []
+    spin = census["spins"][0]
+    base = l_origami(spin["b"], spin["e"])
+    blocks = classify.frame_label_blocks(base.origami, list(base.basis))
+    assert len(calls) == 1
+    assert blocks == {tuple(o["labels"]) for o in spin["orbits"]}
+
+
+def test_census_derives_the_hyperelliptic_labels(monkeypatch):
+    # the labels whose duads hold the zero must be the literal HYP_LABELS
+    monkeypatch.setattr(classify, "HYP_LABELS", frozenset({2, 3, 5, 9, 14}))
+    with pytest.raises(InvariantError, match="whose duads hold the zero"):
+        verify_sts_orbits(5)
+
+
 def test_sts_cap():
     with pytest.raises(ValueError):
         verify_sts_orbits(32)

@@ -1,20 +1,23 @@
 import random
 import re
+from collections import Counter
 from math import gcd
 from operator import mul
 
 import pytest
 
 from flatcover import InvariantError
-from flatcover.classify import echoes_of_WD, square_spins
-from flatcover.covers import (Cover, affine_action_mod2, all_double_covers,
-                              cover_from_basis_values, cover_label, cyclic_covers,
-                              gauge_fixed, primitive_vector_count)
+from flatcover.classify import (HYP_LABELS, _duad_label_blocks, echoes_of_WD,
+                                frame_label_blocks, square_spins)
+from flatcover.covers import (IDENTITY6, Cover, affine_action_mod2, all_double_covers,
+                              cover_duad, cover_from_basis_values, cover_label, cyclic_covers,
+                              gauge_fixed, label_duads, primitive_vector_count,
+                              weierstrass_action)
 from flatcover.lshape import IDENTITY4, symplectic_pairing
 from flatcover.monodromy import (group_closure, is_symplectic, mat_H, mat_mod, mat_V, mat_X,
                                  orbit_partition, primitive_vectors, vector_label)
 from flatcover.origami import (Cycle, Origami, act_generator, intersection, l_origami,
-                               sl2z_orbit_walk, spanning_tree, walk_step)
+                               sl2z_orbit_walk, spanning_tree, walk_step, weierstrass_points)
 from flatcover.perms import Permutation, _canonical_pair, inverse_images, parse_cycles
 from test_homology import combine, integer_symplectic_basis, integer_symplectic_reduce
 from test_origami import reference_crossings, reference_orbit_graph
@@ -699,3 +702,109 @@ def test_edge_matrices_outside_sp4_f2_raise(monkeypatch):
     monkeypatch.setattr(flatcover.covers, "inverse_images", swapped_once)
     with pytest.raises(InvariantError, match=r"Sp\(4, F_2\)"):
         affine_action_mod2(o, basis)
+
+
+def point_setup(o, basis):
+    """(walk, perms, label -> duad map) of the point walk on o."""
+    covers = {cover_label(basis, c)[1]: c for c in all_double_covers(o, basis)}
+    walk, seed, perms = weierstrass_action(o)
+    return walk, perms, label_duads([covers[label] for label in (1, 2, 4, 8)], seed)
+
+
+@pytest.mark.parametrize("n", range(3, 22))
+def test_point_blocks_equal_frame_blocks(n):
+    # the permutations of the six Weierstrass points, read through member
+    # 0's label -> duad map, give the labelled blocks of the F_2 frames;
+    # one permutation per step, the identity on first landings, the zero
+    # always fixed
+    for b, e in square_spins(n):
+        o, basis = lshape(b, e)
+        walk, perms, duads = point_setup(o, basis)
+        landings = walk_landings(walk)
+        assert len(perms) == len(landings)
+        reached = {0}
+        for (_, _, j), perm in zip(landings, perms):
+            assert sorted(perm) == list(range(6)) and perm[0] == 0
+            if j not in reached:
+                reached.add(j)
+                assert perm is IDENTITY6
+        assert len(reached) == len(walk.members)
+        blocks = _duad_label_blocks(set(perms), duads)
+        assert sorted(label for block in blocks for label in block) == list(range(1, 16))
+        assert set(blocks) == frame_label_blocks(o, basis)
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_basis_extended_duads_equal_the_direct_duads(n):
+    # the duads of labels 1, 2, 4, 8 extended by symmetric difference equal
+    # each cover's own duad; a lift is hyperelliptic (Arf 0) exactly when
+    # its duad holds the zero
+    for b, e in square_spins(n):
+        o, basis = lshape(b, e)
+        seed = weierstrass_points(o.h.images, o.v.images)
+        covers = {cover_label(basis, c)[1]: c for c in all_double_covers(o, basis)}
+        duads = label_duads([covers[label] for label in (1, 2, 4, 8)], seed)
+        assert duads == {label: cover_duad(c, seed) for label, c in covers.items()}
+        assert {label for label, duad in duads.items() if duad & 1} == HYP_LABELS
+        if n <= 7:
+            assert all((duads[label] & 1) == (c.lift().arf_invariant() == 0)
+                       for label, c in covers.items())
+
+
+def test_label_duads_guards():
+    o, basis = lshape(6, 1)
+    seed = weierstrass_points(o.h.images, o.v.images)
+    covers = {cover_label(basis, c)[1]: c for c in all_double_covers(o, basis)}
+    # one basis cover four times: labels 3 and 5 both get the empty set
+    with pytest.raises(InvariantError, match="not a bijection"):
+        label_duads([covers[1]] * 4, seed)
+    # labels 2 and 4 swapped: still a bijection, but the duads of 1 and 4
+    # now meet in one point, where J4 pairs a1 and a2 to 0
+    with pytest.raises(InvariantError, match="J4"):
+        label_duads([covers[1], covers[4], covers[2], covers[8]], seed)
+    with pytest.raises(ValueError):
+        label_duads([covers[1], covers[2], covers[4]], seed)
+    with pytest.raises(ValueError, match="double covers"):
+        cover_duad(cyclic_covers(o, 3, basis)[0], seed)
+
+
+def test_weierstrass_action_guards():
+    torus = Origami.from_text("n=4 h=(1,2)(3,4) v=(1,3)(2,4)")
+    with pytest.raises(InvariantError, match="translation"):
+        weierstrass_action(torus)
+
+
+def test_point_walk_mutations_raise_or_keep_the_blocks(monkeypatch):
+    # one push fault per run: swap images 0 and 1 of one `inverse_images`
+    # result, for every call of the point walk on L(30, -1); each run
+    # raises or returns the same labelled blocks; the orbit walk is reused
+    import flatcover.covers
+    o, basis = lshape(30, -1)
+    walk, perms, duads = point_setup(o, basis)
+    monkeypatch.setattr(flatcover.covers, "sl2z_orbit_walk", lambda h, v: walk)
+    want = set(_duad_label_blocks(set(perms), duads))
+    calls, swap = [0], [-1]
+
+    def swapped(images):
+        out = inverse_images(images)
+        if calls[0] == swap[0]:
+            out[0], out[1] = out[1], out[0]
+        calls[0] += 1
+        return out
+
+    monkeypatch.setattr(flatcover.covers, "inverse_images", swapped)
+    weierstrass_action(o)
+    total = calls[0]
+    # one call per step, and one at the seed
+    assert total == len(perms) + 1
+    outcomes = Counter()
+    for swap[0] in range(total):
+        calls[0] = 0
+        try:
+            changed = weierstrass_action(o)[2]
+        except InvariantError:
+            outcomes["raise"] += 1
+            continue
+        assert set(_duad_label_blocks(set(changed), duads)) == want
+        outcomes["same" if changed == perms else "other permutations"] += 1
+    assert outcomes["raise"] > 0

@@ -16,7 +16,8 @@ from flatcover.monodromy import (ClosureCapExceeded, IDENTITY4, J4, VectorBlocks
                                  group_closure, is_symplectic, label_vector,
                                  mat_H, mat_T, mat_V, mat_X, mat_det,
                                  mat_mod, mat_mul, mat_pow,
-                                 mat_vec, orbit_partition, primitive_vector_count,
+                                 mat_vec, orbit_labels, orbit_partition,
+                                 primitive_vector_count,
                                  primitive_vectors,
                                  rho_R, rho_T, self_adjoint, sp4_f2,
                                  vector_label, verify_decagon_periods)
@@ -406,6 +407,28 @@ def test_decagon_echo_counts():
                 assert N[m * n] == N[m] * N[n], (m, n)
     with pytest.raises(ValueError):
         decagon_cyclic_echo_count(1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 9])
+def test_orbit_labels_are_the_partition_unbuilt(n, monkeypatch):
+    # label[c] is the component of the vector with code c, numbered in
+    # order of least element, -2 off the vectors; the decagon count reads
+    # the number of labels and builds no component
+    gens = [mat_mod(rho_R(), n), mat_mod(rho_T(), n)]
+    label, count = orbit_labels(gens, primitive_vectors(n), n)
+    parts = orbit_partition(gens, primitive_vectors(n), n)
+    assert count == len(parts)
+    want = [-2] * n ** 4
+    for k, part in enumerate(parts):
+        for x0, x1, x2, x3 in part:
+            want[((x0 * n + x1) * n + x2) * n + x3] = k
+    assert label == want
+
+    def refuse(*args):
+        raise AssertionError("the decagon count built the components")
+
+    monkeypatch.setattr(flatcover.monodromy, "orbit_partition", refuse)
+    assert decagon_cyclic_echo_count(n) == count
 
 
 # -- exact decagon periods ---------------------------------------------------

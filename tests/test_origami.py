@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flatcover import origami
+from flatcover import InvariantError, origami
 from flatcover.classify import square_spins
 from flatcover.covers import Cover, all_double_covers, cover_from_basis_values, cover_label
 from flatcover.origami import (Cycle, Origami, OrbitCapExceeded, act_generator,
@@ -1047,3 +1047,37 @@ def test_stretched_origamis_are_not_reduced(o, k):
     o = stretch(o, k)
     assert not o.is_reduced()
     assert not reference_is_reduced(o)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_weierstrass_points_on_every_member_of_the_base_orbits(n):
+    # exactly one involution p with p h p = h^-1 and p v p = v^-1, and six
+    # fixed points with the zero first, on every member; the integer
+    # Weierstrass points other than the zero number 0 on the a_n orbit and
+    # 2 on the b_n orbit at odd n, and 1 at even n (Hubert-Lelievre)
+    for b, e in square_spins(n):
+        L = l_origami(b, e)
+        walk = sl2z_orbit_walk(L.origami.h.images, L.origami.v.images)
+        corners = {0 if n % 2 and (L.d - e) % 4 == 0 else 2 if n % 2 else 1}
+        for h, v in walk.members:
+            p, points = origami.weierstrass_points(h, v)
+            o = Origami(Permutation(h), Permutation(v))
+            assert all(p[p[s]] == s and p[h[s]] == h.index(p[s]) and p[v[s]] == v.index(p[s])
+                       for s in range(n))
+            zero = next(c for c in o.vertex_cycles() if len(c) > 1)
+            assert points[0] == ("V", min(zero))
+            assert len(set(points)) == 6
+            assert all(kind in origami.POINT_KINDS and 0 <= s < n for kind, s in points)
+            assert sum(kind == "V" for kind, _ in points[1:]) in corners
+
+
+def test_weierstrass_points_need_one_involution_and_one_zero():
+    # the 2x2 torus has four translations, so four involutions; an H(1, 1)
+    # surface with a translation has two, and one without has two zeros
+    for text in ("n=4 h=(1,2)(3,4) v=(1,3)(2,4)", "n=4 h=(1,2)(3,4) v=(1,3)"):
+        o = Origami.from_text(text)
+        with pytest.raises(InvariantError, match="involutions"):
+            origami.weierstrass_points(o.h.images, o.v.images)
+    o = Origami.from_text("n=6 h=(1,2)(3,4)(5,6) v=(1,3,5)(2,4)")
+    with pytest.raises(ValueError, match="2 cone points"):
+        origami.weierstrass_points(o.h.images, o.v.images)
