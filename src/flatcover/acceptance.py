@@ -7,11 +7,14 @@ to n <= 7 and discriminants <= 17.
 """
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from .classify import (HYP_LABELS, branched_cover_types, count_formulas,
-                       echoes_of_WD, frame_label_blocks, is_primitive_cover,
+                       echoes_of_WD, is_primitive_cover,
                        primitive_cover_oracle, primitive_echo_table, square_spins,
                        verify_sts_orbits)
-from .covers import all_double_covers, cover_label
+from .covers import (affine_action_mod2, all_double_covers, cover_label, duad_matrices,
+                     label_duads, weierstrass_action)
 from .lshape import (IDENTITY4, modulus_ratio, rational, vertical_twist_matrix,
                      horizontal_twist_matrix)
 from .monodromy import (constrained_subgroup, decagon_cyclic_echo_count,
@@ -277,15 +280,18 @@ def check_sts_eleven(fast: bool = False):
     for spin in census["spins"]:
         base = l_origami(spin["b"], spin["e"])
         basis = list(base.basis)
-        # the census reads its blocks off the Weierstrass points; the F_2
-        # frames are the reference
-        points = {tuple(o["labels"]) for o in spin["orbits"]}
-        frames = frame_label_blocks(base.origami, basis)
-        if points != frames:
-            return False, (f"spin e={spin['e']}: blocks {sorted(points)} from the "
-                           f"Weierstrass points differ from the frame blocks {sorted(frames)}")
-        lifts = {cover_label(basis, c)[1]: c.lift()
-                 for c in all_double_covers(base.origami, basis)}
+        covers = {cover_label(basis, c)[1]: c
+                  for c in all_double_covers(base.origami, basis)}
+        # the census reads its matrices off the Weierstrass points; the F_2
+        # frames are the reference, step by step
+        _, seed, perms = weierstrass_action(base.origami)
+        duads = label_duads([covers[label] for label in (1, 2, 4, 8)], seed)
+        frames = affine_action_mod2(base.origami, basis)[1]
+        for step, (point, frame) in enumerate(zip_longest(duad_matrices(perms, duads), frames)):
+            if point != frame:
+                return False, (f"spin e={spin['e']}: step {step} matrix {point} from the "
+                               f"Weierstrass points differs from the frame matrix {frame}")
+        lifts = {label: c.lift() for label, c in covers.items()}
         for o in spin["orbits"]:
             members = lifts[o["labels"][0]].sl2z_orbit_forms()
             labels = sorted(label for label, lift in lifts.items()

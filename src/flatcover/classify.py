@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import InvariantError
-from .covers import (affine_action_mod2, all_double_covers, cover_label, label_duads,
+from .covers import (all_double_covers, cover_label, duad_matrices, label_duads,
                      weierstrass_action)
 from .lshape import IDENTITY4, is_prototype, symplectic_pairing
 from .monodromy import (label_vector, mat_H, mat_V, mat_X, mat_mod, orbit_partition,
@@ -91,36 +91,6 @@ def _mod2_label_blocks(gens) -> list[tuple[int, ...]]:
     mod 2, each as its sorted labels.  Uncached: only `_echo_blocks` caches."""
     return [tuple(sorted(vector_label(v) for v in part))
             for part in orbit_partition(gens, primitive_vectors(2), 2)]
-
-
-def frame_label_blocks(o, basis) -> set[tuple[int, ...]]:
-    """The orbit blocks of the 15 double covers of the genus-2 origami o, as
-    sorted labels in the coordinates of `basis`, read off the F_2 frames of
-    `covers.affine_action_mod2`: the reference for the blocks that
-    `verify_sts_orbits` reads off the Weierstrass points."""
-    return set(_mod2_label_blocks(set(affine_action_mod2(o, basis)[1])))
-
-
-def _duad_label_blocks(perms, duads) -> list[tuple[int, ...]]:
-    """The orbits of the permutations `perms` of the six Weierstrass points
-    on the 15 duads, each as the sorted labels of the label -> duad map
-    `duads` (`covers.label_duads`), in order of least label."""
-    label_of = {duad: label for label, duad in duads.items()}
-    blocks, seen = [], set()
-    for label in range(1, 16):
-        if duads[label] in seen:
-            continue
-        orbit, stack = {duads[label]}, [duads[label]]
-        for duad in stack:
-            a, b = (k for k in range(6) if duad >> k & 1)
-            for perm in perms:
-                image = 1 << perm[a] | 1 << perm[b]
-                if image not in orbit:
-                    orbit.add(image)
-                    stack.append(image)
-        seen |= orbit
-        blocks.append(tuple(sorted(label_of[duad] for duad in orbit)))
-    return blocks
 
 
 @cache
@@ -274,27 +244,28 @@ def verify_sts_orbits(n: int, cap: int = 31) -> dict:
 
     For each spin component: read the affine group's action mod 2 off the
     L-shaped base as permutations of its six Weierstrass points, one per
-    step of the S/U walk of its orbit (`covers.weierstrass_action`), and
-    take the blocks as the orbits of those permutations on the 15 duads,
-    read as labels through member 0's label -> duad map
-    (`covers.label_duads`, from the covers of labels 1, 2, 4 and 8).  The
-    labels whose duads hold the zero must be `HYP_LABELS` (InvariantError
-    otherwise).  The frames of `covers.affine_action_mod2` give the same
-    blocks and stay the reference (`frame_label_blocks`), off the census
-    path.  The orbit of a lifted 2n-square surface is the base orbit times
-    the block of its class, so its size is base size x block size and no
-    lift gets a canonical form.  This needs each lift's translations to be
-    its deck group: an orbit whose first lift has more is cross-checked by
-    direct enumeration of the lift's orbit.  The lifts give each orbit its
-    Arf invariant and translation order.  Cross-checks: the blocks read off
-    the surface against the echo table of W_{n^2} (as sets), base sizes
-    against the counting formulas (odd n) and Arf invariants against the
-    hyperelliptic label set.
-    Acceptance criterion 12 checks n = 11 against direct enumeration of
-    every lifted orbit, and the blocks against the frames.  The orbit
-    fields `block_size` and `size_matches_product` are len(labels) and True,
-    as the blocks equal the echo table's; they are kept only for the golden
-    census digests.
+    step of the S/U walk of its orbit (`covers.weierstrass_action`), read
+    each as a 4x4 F_2 matrix through member 0's label -> duad map
+    (`covers.duad_matrices` on `covers.label_duads`, from the covers of
+    labels 1, 2, 4 and 8), and take the blocks as the orbits of the
+    distinct matrices on the 15 labels, the reader of the echo tables
+    (`_mod2_label_blocks`).  The labels whose duads hold the zero must be
+    `HYP_LABELS` (InvariantError otherwise).  The frames of
+    `covers.affine_action_mod2` give the same matrices step by step and
+    stay the reference, off the census path.  The orbit of a lifted
+    2n-square surface is the base orbit times the block of its class, so
+    its size is base size x block size and no lift gets a canonical form.
+    This needs each lift's translations to be its deck group: an orbit
+    whose first lift has more is cross-checked by direct enumeration of the
+    lift's orbit.  The lifts give each orbit its Arf invariant and
+    translation order.  Cross-checks: the blocks read off the surface
+    against the echo table of W_{n^2} (as sets), base sizes against the
+    counting formulas (odd n) and Arf invariants against the hyperelliptic
+    label set.  Acceptance criterion 12 checks n = 11 against direct
+    enumeration of every lifted orbit, and the point matrices against the
+    frames' step by step.  The orbit fields `block_size` and
+    `size_matches_product` are len(labels) and True, as the blocks equal
+    the echo table's; they are kept only for the golden census digests.
     """
     if n > cap:
         raise ValueError(f"n={n} exceeds cap {cap}")
@@ -316,7 +287,7 @@ def verify_sts_orbits(n: int, cap: int = 31) -> dict:
         if hyp != HYP_LABELS:
             raise InvariantError(f"the labels {sorted(hyp)} whose duads hold the zero "
                                  f"are not the hyperelliptic labels {sorted(HYP_LABELS)}")
-        blocks = _duad_label_blocks(set(perms), duads)
+        blocks = _mod2_label_blocks(set(duad_matrices(perms, duads)))
         if set(blocks) != set(table.hyp_orbits + table.odd_orbits):
             raise InvariantError(f"orbits {blocks} of the affine action differ "
                                  f"from the echo table of D={table.D}")

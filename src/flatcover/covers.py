@@ -21,16 +21,18 @@ points (Sp(4, F_2) = S_6).  `weierstrass_action`, the census's engine,
 pushes the six points along each S and U cycle walk of the base's orbit
 (`origami.sl2z_orbit_walk`), relabels them into the member each step
 reaches and gives one permutation of them per step; `cover_duad` finds a
-cover's duad by lifting the hyperelliptic involution, and `label_duads`
-maps the 15 labels to duads.  The reference, `affine_action_mod2`, carries
-four chains mod 2, byte-sliced into one lane (bit k of a square's byte is
-chain k), along the same walks, one push per step, and reads one F_2
-matrix per step off their intersection numbers (`origami.mod2_forms`),
-checking each image's Gram matrix and that each distinct matrix lies in
-Sp(4, F_2).  A basis is four cycles on the base's squares; covers mod m
-also need each chain closed mod m and the Gram J4 mod m (ValueError
-otherwise), which the generic `Origami.symplectic_basis` meets for m = 2
-only.
+cover's duad by lifting the hyperelliptic involution, `label_duads` maps
+the 15 labels to duads, and `duad_matrices` reads each permutation through
+that map as the step's 4x4 F_2 matrix on the labels' classes.  The
+reference, `affine_action_mod2`, carries four chains mod 2, byte-sliced
+into one lane (bit k of a square's byte is chain k), along the same walks,
+one push per step, and reads one F_2 matrix per step off their
+intersection numbers (`origami.mod2_forms`), checking each image's Gram
+matrix and that each distinct matrix lies in Sp(4, F_2); its matrices
+equal the points' step by step.  A basis is four cycles on the base's
+squares; covers mod m also need each chain closed mod m and the Gram J4
+mod m (ValueError otherwise), which the generic `Origami.symplectic_basis`
+meets for m = 2 only.
 """
 from __future__ import annotations
 
@@ -224,10 +226,10 @@ def affine_action_mod2(o: Origami, basis: list[Cycle]) -> tuple[OrbitWalk, list[
     Each step's frame is relabelled by the step's `order` into the member j
     it reaches.  Member 0's frame is the basis relabelled by `seed_order`,
     and the step that first reaches a member carries its frame there, so
-    these steps act as the identity.  Each landing reads the
-    image frame on the target with `origami.mod2_forms`: its Gram matrix
-    mod 2 must be J4 mod 2 (InvariantError otherwise; at member 0 this
-    rejects a basis that is not symplectic mod 2), and entry (l, k) of the
+    these steps act as the identity.  Each landing reads the image frame on
+    the target with `origami.mod2_forms`: its Gram matrix mod 2 must be J4
+    mod 2 (InvariantError otherwise; at member 0 this rejects a basis that
+    is not symplectic mod 2), and entry (l, k) of the
     matrix is image class k . target class l ^ 1 mod 2, against the
     target's packed int, tau then sig, which is all that is kept of a
     member's frame.  On a first landing the frame is the target's own, so
@@ -300,11 +302,10 @@ IDENTITY6 = tuple(range(6))
 
 def weierstrass_action(o: Origami) -> tuple[OrbitWalk, tuple, list[tuple[int, ...]]]:
     """The SL(2,Z)-orbit walk of the genus-2 origami o (`sl2z_orbit_walk`),
-    the hyperelliptic involution
-    and Weierstrass points of o (`origami.weierstrass_points`), and the
-    affine group's action on those six points: on the s-th step of the
-    walk, its steps taken walk by walk in order, point k goes to point
-    perms[s][k], in member 0's coordinates.
+    the hyperelliptic involution and Weierstrass points of o
+    (`origami.weierstrass_points`), and the affine group's action on those
+    six points: on the s-th step of the walk, its steps taken walk by walk
+    in order, point k goes to point perms[s][k], in member 0's coordinates.
 
     The points are found once, on o, and mapped through `seed_order` onto
     member 0; a walk from member i carries i's points along its steps on
@@ -318,12 +319,12 @@ def weierstrass_action(o: Origami) -> tuple[OrbitWalk, tuple, list[tuple[int, ..
     Member j keeps the points first pushed onto it, numbered as member 0's
     (a dict from point to number, in that order), so that step's
     permutation is the identity; every later landing must hit those six
-    (InvariantError otherwise).  An affine map acts on
-    H_1(X; F_2), the even sets of Weierstrass points modulo all six, by
-    moving the points (Sp(4, F_2) = S_6), so the permutations read with a
-    label -> duad map (`label_duads`) give the action on the 15 double
-    covers that `affine_action_mod2` reads off frames.  A nontrivial
-    translation of o is an InvariantError, as there.
+    (InvariantError otherwise).  An affine map acts on H_1(X; F_2), the
+    even sets of Weierstrass points modulo all six, by moving the points
+    (Sp(4, F_2) = S_6), so the permutations read through a label -> duad
+    map (`duad_matrices`) are the matrices that `affine_action_mod2` reads
+    off frames.  A nontrivial translation of o is an InvariantError, as
+    there.
     """
     if len(o.translations()) != 1:
         raise InvariantError("the base has a nontrivial translation")
@@ -361,6 +362,20 @@ def weierstrass_action(o: Origami) -> tuple[OrbitWalk, tuple, list[tuple[int, ..
                                      "misses its six")
             perms.append(perm)
     return walk, seed, perms
+
+
+def duad_matrices(perms, duads) -> list[tuple]:
+    """The 4x4 F_2 matrices on the gamma of `cover_label` of the permutations
+    `perms` of the six Weierstrass points (`weierstrass_action`), through
+    the label -> duad map `duads` (`label_duads`): column k is
+    `label_vector` of the label whose duad is the image of label 2^k's
+    duad.  Equal permutations give one tuple."""
+    label_of = {duad: label for label, duad in duads.items()}
+    pairs = [[x for x in range(6) if duads[1 << k] >> x & 1] for k in range(4)]
+    shapes = {perm: tuple(zip(*[label_vector(label_of[1 << perm[a] | 1 << perm[b]])
+                                for a, b in pairs]))
+              for perm in set(perms)}
+    return [shapes[perm] for perm in perms]
 
 
 def cover_duad(cover: Cover, seed) -> int:

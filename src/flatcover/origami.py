@@ -406,11 +406,9 @@ class Origami:
     # -- stratum -----------------------------------------------------------
 
     def vertex_cycles(self) -> list[tuple[int, ...]]:
-        """Cycles of the vertex rotation h v h^-1 v^-1; one per cone/marked
+        """Cycles of `vertex_rotation`, h v h^-1 v^-1; one per cone/marked
         point, the cycle listing squares with that point at bottom-left."""
-        h, v = self.h.images, self.v.images
-        hi, vi = inverse_images(h), inverse_images(v)
-        return cycles([h[v[hi[vi[s]]]] for s in range(self.n)], include_fixed=True)
+        return cycles(vertex_rotation(self.h.images, self.v.images), include_fixed=True)
 
     def stratum(self) -> Stratum:
         return _stratum(self.vertex_cycles())
@@ -670,6 +668,15 @@ def _intertwiners(h, v, h2, v2) -> list[list[int]]:
     return result
 
 
+def vertex_rotation(h, v) -> list[int]:
+    """Images of the vertex rotation h v h^-1 v^-1 of the pair (h, v): it
+    sends v h x to h v x for every square x, so it needs no inverse."""
+    rotation = [0] * len(h)
+    for x in range(len(h)):
+        rotation[v[h[x]]] = h[v[x]]
+    return rotation
+
+
 #: the Weierstrass point types of `weierstrass_points`, each square's
 #: centre, left-edge midpoint, bottom-edge midpoint and bottom-left corner
 POINT_KINDS = "CWBV"
@@ -687,10 +694,10 @@ def weierstrass_points(h, v) -> tuple[list[int], tuple[tuple[str, int], ...]]:
     or bottom-left corner V of square s.  p fixes C s when p(s) = s, W s
     when h(p(s)) = s (the right edge of p(s) is the left edge of s), B s
     when v(p(s)) = s, and the corner V s when v(h(p(s))), whose bottom-left
-    corner is the top-right corner of p(s), is in the cycle of s under the
-    vertex rotation (`Origami.vertex_cycles`).  A regular corner is the
-    bottom-left corner of one square only, which keys it; the zero, the one
-    cone point, is keyed by the least of its squares.  The regular points
+    corner is the top-right corner of p(s), is in the cycle of s under
+    `vertex_rotation`.  A regular corner is the bottom-left corner of one
+    square only, which keys it; the zero, the one cone point, is keyed by
+    the least of its squares.  The regular points
     follow the zero in order of square, then of kind.  Raises InvariantError
     unless there is exactly one p, with six fixed points, the zero among
     them, and ValueError when (h, v) has other than one cone point.
@@ -701,7 +708,7 @@ def weierstrass_points(h, v) -> tuple[list[int], tuple[tuple[str, int], ...]]:
         raise InvariantError(f"{len(found)} involutions p with p h p = h^-1, "
                              "p v p = v^-1, not one")
     p = found[0]
-    rotation = [h[v[hi[vi[s]]]] for s in range(len(h))]
+    rotation = vertex_rotation(h, v)
     cones = cycles(rotation)
     if len(cones) != 1:
         raise ValueError(f"{len(cones)} cone points, not one: the origami is not in H(2)")

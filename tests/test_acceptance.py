@@ -9,6 +9,7 @@ string is pinned, so `flatcover verify` output cannot drift unnoticed; the
 `--fast` output is pinned by `tests/test_cli.py::test_verify_fast`.
 """
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -54,11 +55,25 @@ def test_decagon_mod2_reads_the_dihedral_order_off_the_generators(monkeypatch, n
     assert f"dihedral k={k} (want 5)" in detail
 
 
-def test_sts_eleven_compares_the_point_blocks_with_the_frames(monkeypatch):
-    # criterion 12 fails when the F_2 frames, the reference, give other
-    # blocks than the census reads off the Weierstrass points
-    monkeypatch.setattr(acceptance, "frame_label_blocks",
-                        lambda o, basis: {tuple(range(1, 16))})
+def test_sts_eleven_compares_the_point_matrices_with_the_frames(monkeypatch):
+    # one step's frame matrix swapped for another distinct matrix of the
+    # same walk leaves the set of matrices, so the blocks, as they are;
+    # criterion 12 compares the matrices step by step and names the step
+    frames = acceptance.affine_action_mod2
+    swaps = []
+
+    def one_swap(o, basis):
+        walk, matrices = frames(o, basis)
+        counts = Counter(matrices)
+        step = next(s for s, M in enumerate(matrices) if M != IDENTITY4 and counts[M] > 1)
+        other = next(M for M in counts if M not in (IDENTITY4, matrices[step]))
+        swapped = matrices[:step] + [other] + matrices[step + 1:]
+        assert set(swapped) == set(matrices)
+        swaps.append(step)
+        return walk, swapped
+
+    monkeypatch.setattr(acceptance, "affine_action_mod2", one_swap)
     ok, detail = acceptance.check_sts_eleven()
     assert not ok
-    assert "differ from the frame blocks [(1, 2, 3" in detail
+    assert detail.startswith(f"spin e=1: step {swaps[0]} matrix ")
+    assert "differs from the frame matrix" in detail

@@ -7,11 +7,10 @@ from operator import mul
 import pytest
 
 from flatcover import InvariantError
-from flatcover.classify import (HYP_LABELS, _duad_label_blocks, echoes_of_WD,
-                                frame_label_blocks, square_spins)
+from flatcover.classify import HYP_LABELS, _mod2_label_blocks, echoes_of_WD, square_spins
 from flatcover.covers import (IDENTITY6, Cover, affine_action_mod2, all_double_covers,
                               cover_duad, cover_from_basis_values, cover_label, cyclic_covers,
-                              gauge_fixed, label_duads, primitive_vector_count,
+                              duad_matrices, gauge_fixed, label_duads, primitive_vector_count,
                               weierstrass_action)
 from flatcover.lshape import IDENTITY4, symplectic_pairing
 from flatcover.monodromy import (group_closure, is_symplectic, mat_H, mat_mod, mat_V, mat_X,
@@ -616,6 +615,72 @@ def test_closing_steps_act_as_the_identity(n):
             assert matrix == IDENTITY4
 
 
+def push_point(point, g, h, vi):
+    """The point (kind, square) after one S or U step of the pair (h, v),
+    vi the images of v^-1, on the same squares."""
+    kind, s = point
+    if g == "S":
+        return {"C": ("C", s), "W": ("B", s), "B": ("W", vi[s]), "V": ("V", vi[s])}[kind]
+    return {"C": ("B", h[s]), "W": ("C", s), "B": ("W", h[vi[s]]), "V": ("V", h[vi[s]])}[kind]
+
+
+def reference_point_walk(o):
+    """The permutations of `weierstrass_action` on its walk, with the five
+    regular Weierstrass points carried as (kind, square) pairs by
+    `push_point`, and the permutations of the k-th steps that close the full
+    S-pairs and U-triangles, which the walk never takes.  Each member's
+    points are numbered as first pushed onto it.  Returns (walk, perms,
+    closing), closing holding (start, landing, permutation) for each
+    closing step, its landing read off its own canonical form."""
+    walk = sl2z_orbit_walk(o.h.images, o.v.images)
+    index = {member: j for j, member in enumerate(walk.members)}
+    pos = inverse_images(walk.seed_order)
+    seed = weierstrass_points(o.h.images, o.v.images)[1]
+    numbers = {0: {(kind, pos[s]): number for number, (kind, s) in enumerate(seed[1:], 1)}}
+    perms, closing = [], []
+    for i, g, steps in walk.walks:
+        h, v = walk.members[i]
+        points = list(numbers[i])
+        # -I is in the Veech group of every genus-2 origami
+        k = 2 if g == "S" else 3
+        full = len(steps) == k - 1 and steps[-1][0] != i
+        for t in range(len(steps) + full):
+            vi = inverse_images(v)
+            points = [push_point(x, g, h, vi) for x in points]
+            h, v = walk_step(h, vi, g)
+            if t < len(steps):
+                j, order = steps[t]
+            else:
+                hn, vn, order = _canonical_pair(h, v)
+                j = index[hn, vn]
+            moved = [(kind, order.index(s)) for kind, s in points]
+            numbers.setdefault(j, {x: number for number, x in enumerate(moved, 1)})
+            perm = (0, *(numbers[j][x] for x in moved))
+            if t < len(steps):
+                perms.append(perm)
+            else:
+                closing.append((i, j, perm))
+    return walk, perms, closing
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_closing_steps_fix_the_weierstrass_points(n):
+    # the k-th step of every full S-pair and U-triangle, S^2 or U^3 = -I,
+    # the hyperelliptic involution, lands the six points back on its walk's
+    # start as the identity; the steps the walk takes match the copy of the
+    # push rules permutation by permutation
+    for b, e in square_spins(n):
+        o, _ = lshape(b, e)
+        walk, perms, closing = reference_point_walk(o)
+        assert weierstrass_action(o)[2] == perms
+        full = [(i, g) for i, g, steps in walk.walks
+                if len(steps) == (1 if g == "S" else 2) and steps[-1][0] != i]
+        assert len(closing) == len(full) > 0
+        for (start, landing, perm), (i, _) in zip(closing, full):
+            assert start == landing == i
+            assert perm == IDENTITY6
+
+
 @pytest.mark.parametrize("call", [3, 15, 40])
 def test_every_landing_checks_its_gram_matrix(monkeypatch, call):
     # a frame pushed with two images of an inverse map swapped is caught
@@ -714,9 +779,10 @@ def point_setup(o, basis):
 @pytest.mark.parametrize("n", range(3, 22))
 def test_point_blocks_equal_frame_blocks(n):
     # the permutations of the six Weierstrass points, read through member
-    # 0's label -> duad map, give the labelled blocks of the F_2 frames;
-    # one permutation per step, the identity on first landings, the zero
-    # always fixed
+    # 0's label -> duad map, are the F_2 frames' matrices step by step, so
+    # they give the frames' labelled blocks; one permutation per step, the
+    # identity on first landings, the zero always fixed, and one matrix
+    # tuple per distinct permutation
     for b, e in square_spins(n):
         o, basis = lshape(b, e)
         walk, perms, duads = point_setup(o, basis)
@@ -729,9 +795,11 @@ def test_point_blocks_equal_frame_blocks(n):
                 reached.add(j)
                 assert perm is IDENTITY6
         assert len(reached) == len(walk.members)
-        blocks = _duad_label_blocks(set(perms), duads)
+        matrices = duad_matrices(perms, duads)
+        assert len({id(M) for M in matrices}) == len(set(perms))
+        assert matrices == affine_action_mod2(o, basis)[1]
+        blocks = _mod2_label_blocks(set(matrices))
         assert sorted(label for block in blocks for label in block) == list(range(1, 16))
-        assert set(blocks) == frame_label_blocks(o, basis)
 
 
 @pytest.mark.parametrize("n", range(3, 14))
@@ -774,15 +842,17 @@ def test_weierstrass_action_guards():
         weierstrass_action(torus)
 
 
-def test_point_walk_mutations_raise_or_keep_the_blocks(monkeypatch):
+def test_point_walk_mutations_raise_or_differ_from_the_frames(monkeypatch):
     # one push fault per run: swap images 0 and 1 of one `inverse_images`
     # result, for every call of the point walk on L(30, -1); each run
-    # raises or returns the same labelled blocks; the orbit walk is reused
+    # raises, returns the unmutated permutations or gives matrices that
+    # differ from the frames' at some step, which a comparison of blocks
+    # alone misses; the orbit walk is reused
     import flatcover.covers
     o, basis = lshape(30, -1)
     walk, perms, duads = point_setup(o, basis)
+    frames = affine_action_mod2(o, basis)[1]
     monkeypatch.setattr(flatcover.covers, "sl2z_orbit_walk", lambda h, v: walk)
-    want = set(_duad_label_blocks(set(perms), duads))
     calls, swap = [0], [-1]
 
     def swapped(images):
@@ -805,6 +875,11 @@ def test_point_walk_mutations_raise_or_keep_the_blocks(monkeypatch):
         except InvariantError:
             outcomes["raise"] += 1
             continue
-        assert set(_duad_label_blocks(set(changed), duads)) == want
-        outcomes["same" if changed == perms else "other permutations"] += 1
-    assert outcomes["raise"] > 0
+        if changed == perms:
+            outcomes["same"] += 1
+        elif duad_matrices(changed, duads) != frames:
+            outcomes["differ"] += 1
+        else:
+            outcomes["silent"] += 1
+    assert outcomes["silent"] == 0
+    assert outcomes["raise"] > 0 and outcomes["differ"] > 0
